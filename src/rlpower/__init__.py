@@ -35,6 +35,7 @@ from .errors import (
     CenteredNotAnalytic,
     DegenerateExponentSum,
     EvalAtLowerLimit,
+    HypNotConverged,
     LowerLimitOutsideDomain,
     NumeratorPole,
     OutOfRadius,
@@ -47,8 +48,6 @@ from .errors import (
     WindowViolation,
 )
 from .hypergeom import (
-    ComplexValue,
-    Hyp2F1Params,
     connection_a6,
     euler_transform,
     hyp2f1,
@@ -64,20 +63,16 @@ from .oracle import (
 )
 from .series import (
     OperatorKind,
-    OperatorSpec,
-    RemainderParams,
     Route,
     SeriesResult,
     SeriesStatus,
     closed_centered,
     remainder_bound,
-    remainder_params,
     rlfd_neg_integer,
     rlfd_polynomial,
     rlfd_series,
     rlfi_neg_integer,
     rlfi_polynomial,
-    rlfi_series_above,
     rlfi_series_displaced,
     taylor_route,
 )
@@ -91,19 +86,17 @@ __all__ = [
     "BetaIndex",
     "BetaOutOfRange",
     "CenteredNotAnalytic",
-    "ComplexValue",
     "DegenerateExponentSum",
     "DerivativeEstimate",
     "DomainSpec",
     "EvalAtLowerLimit",
     "EvalWindow",
     "ExtendedReal",
-    "Hyp2F1Params",
+    "HypNotConverged",
     "IntegerExp",
     "LowerLimitOutsideDomain",
     "NumeratorPole",
     "OperatorKind",
-    "OperatorSpec",
     "OutOfRadius",
     "ParamPole",
     "PoleInsideInterval",
@@ -112,7 +105,6 @@ __all__ = [
     "RLPowerError",
     "RationalExp",
     "RealExp",
-    "RemainderParams",
     "Route",
     "SeriesNotConverged",
     "SeriesResult",
@@ -143,7 +135,6 @@ __all__ = [
     "quad_rlfd",
     "quad_rlfi",
     "remainder_bound",
-    "remainder_params",
     "rlfd_hyp_form",
     "rlfd_neg_integer",
     "rlfd_polynomial",
@@ -151,7 +142,6 @@ __all__ = [
     "rlfi_hyp_form",
     "rlfi_neg_integer",
     "rlfi_polynomial",
-    "rlfi_series_above",
     "rlfi_series_displaced",
     "taylor_route",
 ]

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import hypergeom, oracle, series
 from .domain import (
@@ -29,6 +29,7 @@ from .domain import (
 )
 from .errors import (
     EvalAtLowerLimit,
+    HypNotConverged,
     RLPowerError,
     SeriesNotConverged,
     ToleranceNotMet,
@@ -38,9 +39,6 @@ from .series import OperatorKind, Route
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.9g"
-
-CSV_COLUMNS = ("op", "alpha", "beta", "d", "a", "t", "route",
-               "value", "terms", "remainder", "status")
 
 
 @dataclass
@@ -75,6 +73,9 @@ class EvalRecord:
     terms: int
     remainder: float
     status: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(EvalRecord))
 
 
 def format_beta(beta: BetaIndex) -> str:
@@ -202,27 +203,30 @@ def _pick(cli_value, config: dict[str, str], key: str, convert, default):
     return default
 
 
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    config = _read_config(args.config) if args.config else {}
-
-    beta: BetaIndex | None = None
+def _beta_from(args: argparse.Namespace, config: dict[str, str]) -> BetaIndex:
+    """The exponent from the flags, else from the config file."""
     if args.beta_int is not None:
-        beta = beta_int(args.beta_int)
-    elif args.beta_rational is not None:
+        return beta_int(args.beta_int)
+    if args.beta_rational is not None:
         beta = parse_beta_token(args.beta_rational)
         if not isinstance(beta, (RationalExp, IntegerExp)):
             raise ValueError("--beta-rational expects p/q")
-    elif args.beta_real is not None:
-        beta = beta_real(args.beta_real)
-    elif "beta-int" in config:
-        beta = beta_int(int(config["beta-int"]))
-    elif "beta-rational" in config:
-        beta = parse_beta_token(config["beta-rational"])
-    elif "beta-real" in config:
-        beta = beta_real(float(config["beta-real"]))
-    if beta is None:
-        raise ValueError("an exponent flag is required "
-                         "(--beta-int | --beta-rational | --beta-real)")
+        return beta
+    if args.beta_real is not None:
+        return beta_real(args.beta_real)
+    if "beta-int" in config:
+        return beta_int(int(config["beta-int"]))
+    if "beta-rational" in config:
+        return parse_beta_token(config["beta-rational"])
+    if "beta-real" in config:
+        return beta_real(float(config["beta-real"]))
+    raise ValueError("an exponent flag is required "
+                     "(--beta-int | --beta-rational | --beta-real)")
+
+
+def _job_from_args(args: argparse.Namespace) -> JobSpec:
+    config = _read_config(args.config) if args.config else {}
+    beta = _beta_from(args, config)
 
     op_token = _pick(getattr(args, "op", None), config, "op", str, None)
     if op_token is None:
@@ -297,7 +301,7 @@ def _quad_config(job: JobSpec) -> oracle.QuadratureConfig:
 
 def _evaluate_one(job: JobSpec, pf, win, a: float, route: Route,
                   t: float) -> EvalRecord:
-    """One (t, route) record; SeriesNotConverged becomes a truncated record."""
+    """One (t, route) record; a convergence failure becomes a truncated record."""
     kind = job.kind
     value = math.nan
     terms = 0
@@ -331,7 +335,7 @@ def _evaluate_one(job: JobSpec, pf, win, a: float, route: Route,
         res = exc.result
         value, terms = res.value, res.terms_used
         remainder, status = res.remainder_bound, res.status.value
-    except ToleranceNotMet:
+    except (HypNotConverged, ToleranceNotMet):
         value, status = math.nan, "truncated"
     return EvalRecord(kind.value, job.alpha, format_beta(job.beta), pf.d, a, t,
                       route.value, value, terms, remainder, status)
@@ -391,11 +395,7 @@ def _emit_records(records: list[EvalRecord], job: JobSpec, stream) -> None:
                 r.status)) + "\n")
     elif job.out_format == "jsonl":
         for r in records:
-            stream.write(json.dumps({
-                "op": r.op, "alpha": r.alpha, "beta": r.beta, "d": r.d,
-                "a": r.a, "t": r.t, "route": r.route, "value": r.value,
-                "terms": r.terms, "remainder": r.remainder, "status": r.status,
-            }) + "\n")
+            stream.write(json.dumps(vars(r)) + "\n")
     else:
         header = f"{'t':>14} {'route':>8} {'value':>16} {'terms':>6} " \
                  f"{'remainder':>12} {'status':>10}"
@@ -500,23 +500,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "domain":
             config = _read_config(args.config) if args.config else {}
-            beta: BetaIndex | None = None
-            if args.beta_int is not None:
-                beta = beta_int(args.beta_int)
-            elif args.beta_rational is not None:
-                beta = parse_beta_token(args.beta_rational)
-            elif args.beta_real is not None:
-                beta = beta_real(args.beta_real)
-            elif "beta-int" in config:
-                beta = beta_int(int(config["beta-int"]))
-            elif "beta-rational" in config:
-                beta = parse_beta_token(config["beta-rational"])
-            elif "beta-real" in config:
-                beta = beta_real(float(config["beta-real"]))
-            if beta is None:
-                raise ValueError("an exponent flag is required")
-            d = args.d if args.d is not None else float(config.get("d", 0.0))
-            return cmd_domain(beta, d, sys.stdout)
+            return cmd_domain(_beta_from(args, config),
+                              _pick(args.d, config, "d", float, 0.0), sys.stdout)
 
         job = _job_from_args(args)
         if job.out_path:

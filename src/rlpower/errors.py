@@ -56,6 +56,10 @@ class ParamPole(RLPowerError, ArithmeticError):
     """Hypergeometric denominator parameter hits a non-positive integer first."""
 
 
+class HypNotConverged(RLPowerError, ArithmeticError):
+    """Hypergeometric series stopped at its term cap or diverged."""
+
+
 class DegenerateExponentSum(RLPowerError, ValueError):
     """Connection formula requested with an integer exponent sum."""
 

@@ -7,18 +7,14 @@ single real 2F1 evaluation,
     D = (a-d)^beta (t-a)^-alpha / Gamma(1-alpha) * 2F1(1, -beta; 1-alpha; -w),
 
 with w = (t-a)/(a-d); the window geometry keeps |w| < 1 so the series is
-always in-disk.  The z <-> 1-z connection split is exposed separately on a
-complex verification path: its second term carries z**(alpha+beta), which for
-general arguments needs a branch choice, and the principal branch
-(-1)**alpha = exp(i pi alpha) is adopted there.  The connection split is
-quarantined from the real-valued API.
+always in-disk.  The z <-> 1-z connection split is evaluated on 0 < z < 1
+only, where both of its terms are real and z**(alpha+beta) needs no branch
+choice.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 from ._backend import kernels
 from .domain import EvalWindow, PowerFunction, beta_value, branch_power, check_t
@@ -26,6 +22,7 @@ from .errors import (
     ArgOutOfDisk,
     DegenerateExponentSum,
     EvalAtLowerLimit,
+    HypNotConverged,
     ParamPole,
     WindowViolation,
 )
@@ -37,54 +34,31 @@ MAX_TERMS = 20000
 _INT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Hyp2F1Params:
-    a: float
-    b: float
-    c: float
-    arg: float
-
-
-@dataclass(frozen=True)
-class ComplexValue:
-    re: float
-    im: float
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
-def hyp2f1(p: Hyp2F1Params, tol: float = DEFAULT_TOL) -> float:
-    """2F1(a, b; c; arg) by its Gauss series, compensated summation.
+def hyp2f1(a: float, b: float, c: float, x: float,
+           tol: float = DEFAULT_TOL) -> float:
+    """2F1(a, b; c; x) by its Gauss series, compensated summation.
 
     Terminating cases (a or b a non-positive integer) are exact for any
-    argument; otherwise |arg| < 1 is required.
+    argument; otherwise |x| < 1 is required.
     """
-    value, _, status = kernels.hyp2f1_series(p.a, p.b, p.c, p.arg, tol, MAX_TERMS)
-    return _check_2f1_status(value, status, p)
-
-
-def _check_2f1_status(value: float, status: int, p: Hyp2F1Params) -> float:
+    value, _, status = kernels.hyp2f1_series(a, b, c, x, tol, MAX_TERMS)
+    if status == kernels.STATUS_CONVERGED:
+        return value
     if status == kernels.STATUS_PARAM_POLE:
-        raise ParamPole(f"c={p.c!r} hits a non-positive integer before termination")
+        raise ParamPole(f"c={c!r} hits a non-positive integer before termination")
     if status == kernels.STATUS_ARG_OUT:
-        raise ArgOutOfDisk(f"|arg|={abs(p.arg)!r} >= 1 with no termination")
-    if status != kernels.STATUS_CONVERGED:
-        raise ArithmeticError(f"2F1 series failed to converge for {p!r}")
-    return value
+        raise ArgOutOfDisk(f"|arg|={abs(x)!r} >= 1 with no termination")
+    raise HypNotConverged(
+        f"2F1 series failed to converge for a={a!r}, b={b!r}, c={c!r}, arg={x!r}")
 
 
-def _f21(a: float, b: float, c: float, x: float, tol: float = DEFAULT_TOL) -> float:
-    return hyp2f1(Hyp2F1Params(a, b, c, x), tol)
-
-
-def euler_transform(p: Hyp2F1Params) -> tuple[Hyp2F1Params, float]:
-    """Parameters (c-a, c-b; c; arg) and prefactor (1-arg)^(c-a-b) such that
-    prefactor * 2F1(transformed) reproduces 2F1(p)."""
-    if p.arg >= 1.0:
+def euler_transform(a: float, b: float, c: float,
+                    x: float) -> tuple[tuple[float, float, float, float], float]:
+    """Parameters (c-a, c-b; c; x) and prefactor (1-x)^(c-a-b) such that
+    prefactor * 2F1(transformed) reproduces 2F1(a, b; c; x)."""
+    if x >= 1.0:
         raise ArgOutOfDisk("Euler transformation needs arg < 1")
-    prefactor = (1.0 - p.arg) ** (p.c - p.a - p.b)
-    return Hyp2F1Params(p.c - p.a, p.c - p.b, p.c, p.arg), prefactor
+    return (c - a, c - b, c, x), (1.0 - x) ** (c - a - b)
 
 
 def _displaced_offsets(pf: PowerFunction, win: EvalWindow, t: float):
@@ -107,7 +81,7 @@ def rlfi_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
         return 0.0
     b = beta_value(pf.beta)
     front = branch_power(A, pf.beta) * u ** alpha
-    return front / kernels.gamma_value(alpha + 1.0) * _f21(1.0, -b, alpha + 1.0, x, tol)
+    return front / kernels.gamma_value(alpha + 1.0) * hyp2f1(1.0, -b, alpha + 1.0, x, tol)
 
 
 def rlfd_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
@@ -122,7 +96,7 @@ def rlfd_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
             return branch_power(A, pf.beta)
         raise EvalAtLowerLimit("derivative form is singular at t = a")
     b = beta_value(pf.beta)
-    f = _f21(1.0, -b, 1.0 - alpha, x, tol)
+    f = hyp2f1(1.0, -b, 1.0 - alpha, x, tol)
     if kernels.nonpos_int_index(1.0 - alpha) >= 0:
         # 1/Gamma(0) = 0; only beta = 0 terminates fast enough to get here,
         # and the order-1 derivative of a constant is indeed 0
@@ -131,60 +105,21 @@ def rlfd_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
     return front / kernels.gamma_value(1.0 - alpha) * f
 
 
-def _f21_complex(a: float, b: float, c: float, z: complex,
-                 tol: float = DEFAULT_TOL, max_terms: int = MAX_TERMS) -> complex:
-    """Gauss series with real parameters and a complex in-disk argument."""
-    ka = kernels.nonpos_int_index(a)
-    kb = kernels.nonpos_int_index(b)
-    kterm = -1
-    if ka >= 0:
-        kterm = ka
-    if kb >= 0 and (kterm < 0 or kb < kterm):
-        kterm = kb
-    kc = kernels.nonpos_int_index(c)
-    if kc >= 0 and not (0 <= kterm <= kc):
-        raise ParamPole(f"c={c!r} hits a non-positive integer before termination")
-    az = abs(z)
-    if kterm < 0 and az >= 1.0:
-        raise ArgOutOfDisk(f"|z|={az!r} >= 1 with no termination")
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(max_terms):
-        total += term
-        if kterm >= 0 and k >= kterm:
-            return total
-        term = term * ((a + k) * (b + k)) / ((c + k) * (1.0 + k)) * z
-        if abs(term) <= 0.5 * tol * max(1.0, abs(total)) * (1.0 - az):
-            return total + term
-    raise ArithmeticError("complex 2F1 series failed to converge")
-
-
-def principal_minus_one_power(alpha: float) -> complex:
-    """(-1)**alpha on the principal branch, exp(i pi alpha)."""
-    return cmath.exp(1j * math.pi * alpha)
-
-
-def connection_a6(alpha: float, beta: float, z: complex,
-                  tol: float = DEFAULT_TOL) -> tuple[ComplexValue, ComplexValue]:
-    """Two-term z <-> 1-z split of 2F1(1, -beta; alpha+1; 1-z).
+def connection_a6(alpha: float, beta: float, z: float,
+                  tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Two-term z <-> 1-z split of 2F1(1, -beta; alpha+1; 1-z), 0 < z < 1.
 
     Returns the pair whose sum must reproduce the direct evaluation of the
-    left side wherever both converge.  Requires alpha + beta not an integer;
-    the gamma prefactors degenerate otherwise.
+    left side.  Requires alpha + beta not an integer; the gamma prefactors
+    degenerate otherwise.
     """
     s = alpha + beta
     if abs(s - math.floor(s + 0.5)) <= _INT_TOL:
         raise DegenerateExponentSum(
             f"alpha+beta={s!r} is an integer; the connection split degenerates")
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ArgOutOfDisk("connection split evaluated outside the unit disk")
+    if not 0.0 < z < 1.0:
+        raise ArgOutOfDisk(f"connection split needs 0 < z < 1, got z={z!r}")
     c1 = gamma_ratio(s, s + 1.0) * gamma_ratio(alpha + 1.0, alpha)
-    f1 = _f21_complex(1.0, -beta, 1.0 - s, z, tol)
-    term1 = c1 * f1
     c2 = kernels.gamma_value(alpha + 1.0) * gamma_ratio(-s, -beta)
-    zs = cmath.exp(s * cmath.log(z)) if z != 0 else complex(0.0)
-    f2 = _f21_complex(alpha, s + 1.0, s + 1.0, z, tol)
-    term2 = c2 * zs * f2
-    return (ComplexValue(term1.real, term1.imag),
-            ComplexValue(term2.real, term2.imag))
+    return (c1 * hyp2f1(1.0, -beta, 1.0 - s, z, tol),
+            c2 * z ** s * hyp2f1(alpha, s + 1.0, s + 1.0, z, tol))

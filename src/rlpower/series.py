@@ -76,47 +76,11 @@ _STATUS_FROM_CODE = {
 
 
 @dataclass(frozen=True)
-class OperatorSpec:
-    """Which operator to apply, at what order, through which route."""
-
-    kind: OperatorKind
-    alpha: float
-    route: Route = Route.SERIES
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha={self.alpha!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class SeriesResult:
     value: float
     terms_used: int
     remainder_bound: float
     status: SeriesStatus
-
-
-@dataclass(frozen=True)
-class RemainderParams:
-    """Decay rates and bound constant from the tail estimate."""
-
-    gamma_rate: float
-    eta_rate: float
-    bound_const: float
-
-
-def remainder_params(pf: PowerFunction, win: EvalWindow, alpha: float,
-                     t: float) -> RemainderParams:
-    """gamma = -ln|(t-a)/(t-d)|, eta = -ln|(t-a)/(a-d)| and the constant
-    M = |Gamma(beta+1) sin(pi beta) / pi| governing the tail decay."""
-    _require_in_window(win, t)
-    b = beta_value(pf.beta)
-    u = t - win.a
-    g = math.inf if u == 0.0 else -math.log(abs(u / (t - pf.d)))
-    e = math.inf if u == 0.0 else -math.log(abs(u / (win.a - pf.d)))
-    m = abs(kernels.sinpi(b)) / math.pi * math.exp(math.lgamma(b + 1.0)) \
-        if kernels.nonpos_int_index(b + 1.0) < 0 else 0.0
-    return RemainderParams(g, e, m)
 
 
 def _require_in_window(win: EvalWindow, t: float) -> None:
@@ -176,20 +140,6 @@ def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
     terminates naturally after m + 1 terms.
     """
     return _series(pf, win, alpha, t, tol, max_terms, +1, "rlfi_series_displaced")
-
-
-def rlfi_series_above(pf: PowerFunction, epsilon: float, alpha: float,
-                      t: float, tol: float = DEFAULT_TOL,
-                      max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
-    """Fractional integral with the lower limit placed at a = d + epsilon.
-
-    Identical, float for float, to :func:`rlfi_series_displaced` called with
-    that lower limit; only the parameterization differs.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    win = make_window(pf.d + epsilon, pf)
-    return rlfi_series_displaced(pf, win, alpha, t, tol, max_terms)
 
 
 def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,

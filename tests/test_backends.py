@@ -78,11 +78,18 @@ def test_tail_bound_matches():
 
 
 def test_forced_pure_python_env(tmp_path):
+    import os
     import subprocess
     import sys
     code = ("import rlpower, sys; "
             "sys.exit(0 if rlpower.backend_name() == 'pure-python' else 1)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env={"RLPOWER_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"},
+    # the parent's PYTHONPATH, made absolute for the child's other cwd, so
+    # the child imports the same rlpower
+    pythonpath = os.pathsep.join(
+        os.path.abspath(p)
+        for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
+    env = {"RLPOWER_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin",
+           "PYTHONPATH": pythonpath}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           cwd=str(tmp_path))
     assert proc.returncode == 0

@@ -219,3 +219,26 @@ def test_missing_required_flag(capsys):
                        "--beta-int", "1", "--a", "0", "--route", "series")
     assert code == 1
     assert "--t" in err
+
+
+def test_hyp_not_converged_exit_two(capsys):
+    # the 2F1 series of the hyp route runs into its term cap at 99.9% of
+    # the window: a truncated record and exit 2, not a traceback
+    code, out, err = run(capsys, "eval", "--op", "J", "--alpha", "0.5",
+                         "--beta-int", "-1", "--d", "0", "--a", "1",
+                         "--t", "1.999", "--route", "hyp", "--format", "csv")
+    assert code == 2
+    assert err == ""
+    rec = parse_csv_records(out)[0]
+    assert rec.status == "truncated"
+    assert math.isnan(rec.value)
+
+
+def test_domain_rejects_non_rational_like_eval(capsys):
+    code, _, err = run(capsys, "domain", "--beta-rational", "0.5")
+    assert code == 1
+    eval_code, _, eval_err = run(capsys, "eval", "--op", "J", "--alpha", "0.5",
+                                 "--beta-rational", "0.5", "--d", "0",
+                                 "--a", "1", "--t", "1.2")
+    assert eval_code == 1
+    assert err == eval_err == "error: ValueError: --beta-rational expects p/q\n"

@@ -9,8 +9,12 @@ import mpmath as mp
 import pytest
 
 import rlpower as rl
-from rlpower.errors import ArgOutOfDisk, DegenerateExponentSum, ParamPole
-from rlpower.hypergeom import _f21, principal_minus_one_power
+from rlpower.errors import (
+    ArgOutOfDisk,
+    DegenerateExponentSum,
+    HypNotConverged,
+    ParamPole,
+)
 
 from conftest import rel_err
 
@@ -18,17 +22,17 @@ mp.mp.dps = 30
 
 
 def test_hyp2f1_at_zero_is_one():
-    assert rl.hyp2f1(rl.Hyp2F1Params(0.3, -2.7, 1.9, 0.0)) == 1.0
+    assert rl.hyp2f1(0.3, -2.7, 1.9, 0.0) == 1.0
 
 
 def test_hyp2f1_log_case():
     # 2F1(1,1;2;z) = -ln(1-z)/z
-    got = rl.hyp2f1(rl.Hyp2F1Params(1.0, 1.0, 2.0, 0.5))
+    got = rl.hyp2f1(1.0, 1.0, 2.0, 0.5)
     assert got == pytest.approx(2.0 * math.log(2.0), rel=1e-13)
 
 
 def test_hyp2f1_binomial_identity():
-    got = rl.hyp2f1(rl.Hyp2F1Params(0.5, 7.0, 7.0, 0.25))
+    got = rl.hyp2f1(0.5, 7.0, 7.0, 0.25)
     assert got == pytest.approx(0.75 ** -0.5, rel=1e-13)
 
 
@@ -40,60 +44,70 @@ def test_hyp2f1_against_mpmath():
         c = rng.uniform(0.2, 4.0)
         z = rng.uniform(-0.9, 0.9)
         ref = float(mp.hyp2f1(a, b, c, z))
-        assert rl.hyp2f1(rl.Hyp2F1Params(a, b, c, z)) == pytest.approx(
+        assert rl.hyp2f1(a, b, c, z) == pytest.approx(
             ref, rel=1e-11, abs=1e-13)
 
 
 def test_hyp2f1_terminating_outside_disk():
     # polynomial case is exact for any argument
-    got = rl.hyp2f1(rl.Hyp2F1Params(-3.0, 1.2, 0.9, 2.5))
+    got = rl.hyp2f1(-3.0, 1.2, 0.9, 2.5)
     assert got == pytest.approx(float(mp.hyp2f1(-3, mp.mpf("1.2"), mp.mpf("0.9"), mp.mpf("2.5"))), rel=1e-12)
 
 
 def test_hyp2f1_arg_out_of_disk():
     with pytest.raises(ArgOutOfDisk):
-        rl.hyp2f1(rl.Hyp2F1Params(0.5, 0.5, 1.5, 1.0))
+        rl.hyp2f1(0.5, 0.5, 1.5, 1.0)
 
 
 def test_hyp2f1_param_pole():
     with pytest.raises(ParamPole):
-        rl.hyp2f1(rl.Hyp2F1Params(0.5, 0.5, -2.0, 0.3))
+        rl.hyp2f1(0.5, 0.5, -2.0, 0.3)
 
 
 def test_hyp2f1_pole_masked_by_termination():
     # a = -1 terminates before c = -2 poles
-    got = rl.hyp2f1(rl.Hyp2F1Params(-1.0, 1.0, -2.0, 0.3))
+    got = rl.hyp2f1(-1.0, 1.0, -2.0, 0.3)
     assert got == pytest.approx(1.0 - 1.0 * 0.3 / -2.0, rel=1e-14)
+
+
+def test_hyp_not_converged_is_typed():
+    # beta = -1 at 99.9% of the window above the shift: the alternating
+    # series at x -> -1 runs into the term cap
+    pf = rl.power_function(0.0, rl.beta_int(-1))
+    win = rl.make_window(1.0, pf)
+    with pytest.raises(HypNotConverged) as info:
+        rl.rlfi_hyp_form(pf, win, 0.5, 1.999)
+    assert isinstance(info.value, rl.RLPowerError)
+    assert isinstance(info.value, ArithmeticError)
 
 
 def test_euler_transform_parameter_map():
     # (1, -beta; 1-alpha-beta) maps to prefactor (1-z)^(-alpha)
     alpha, beta = 0.4, 0.9
-    p = rl.Hyp2F1Params(1.0, -beta, 1.0 - alpha - beta, 0.3)
-    tp, pref = rl.euler_transform(p)
-    assert tp.a == pytest.approx(-alpha - beta)
-    assert tp.b == pytest.approx(1.0 - alpha)
-    assert tp.c == pytest.approx(1.0 - alpha - beta)
+    tp, pref = rl.euler_transform(1.0, -beta, 1.0 - alpha - beta, 0.3)
+    assert tp[0] == pytest.approx(-alpha - beta)
+    assert tp[1] == pytest.approx(1.0 - alpha)
+    assert tp[2] == pytest.approx(1.0 - alpha - beta)
+    assert tp[3] == 0.3
     assert pref == pytest.approx((1.0 - 0.3) ** -alpha)
 
 
 def test_euler_transform_identity_at_zero():
-    p = rl.Hyp2F1Params(0.7, 1.3, 2.1, 0.0)
-    tp, pref = rl.euler_transform(p)
-    assert pref * rl.hyp2f1(tp) == pytest.approx(1.0, rel=1e-14)
+    tp, pref = rl.euler_transform(0.7, 1.3, 2.1, 0.0)
+    assert pref * rl.hyp2f1(*tp) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_euler_transform_self_consistency():
-    p = rl.Hyp2F1Params(0.3, 0.7, 1.1, 0.4)
-    tp, pref = rl.euler_transform(p)
-    assert rl.hyp2f1(p) == pytest.approx(pref * rl.hyp2f1(tp), rel=1e-12)
+    tp, pref = rl.euler_transform(0.3, 0.7, 1.1, 0.4)
+    assert rl.hyp2f1(0.3, 0.7, 1.1, 0.4) == pytest.approx(
+        pref * rl.hyp2f1(*tp), rel=1e-12)
 
 
 def test_rlfi_hyp_form_matches_series_above():
     pf = rl.power_function(0.0, rl.beta_real(-1.5))
     win = rl.make_window(1.0, pf)
     hyp = rl.rlfi_hyp_form(pf, win, 0.5, 1.3)
-    ser = rl.rlfi_series_above(pf, 1.0, 0.5, 1.3)
+    ser = rl.rlfi_series_displaced(pf, win, 0.5, 1.3)
     assert rel_err(hyp, ser.value) <= 1e-8
 
 
@@ -146,10 +160,9 @@ def test_rlfd_hyp_form_centered_limit_linear():
 
 def test_connection_a6_recombination():
     t1, t2 = rl.connection_a6(0.5, 0.3, 0.6)
-    comb = t1.as_complex() + t2.as_complex()
-    direct = _f21(1.0, -0.3, 1.5, 0.4)
-    assert abs(comb - direct) <= 1e-9
-    assert abs(comb.imag) <= 1e-12
+    assert isinstance(t1, float) and isinstance(t2, float)
+    direct = rl.hyp2f1(1.0, -0.3, 1.5, 0.4)
+    assert abs(t1 + t2 - direct) <= 1e-9
 
 
 def test_connection_a6_degenerate_sum():
@@ -160,10 +173,10 @@ def test_connection_a6_degenerate_sum():
 def test_connection_a6_near_one_tends_to_one():
     # as z -> 1- the left side tends to 2F1(...; 0) = 1
     t1, t2 = rl.connection_a6(0.45, 0.35, 0.99)
-    comb = t1.as_complex() + t2.as_complex()
-    assert comb.real == pytest.approx(1.0, abs=5e-3)
+    assert t1 + t2 == pytest.approx(1.0, abs=5e-3)
 
 
-def test_principal_branch_phase():
-    ph = principal_minus_one_power(0.5)
-    assert ph == pytest.approx(complex(0.0, 1.0))
+@pytest.mark.parametrize("z", [0.0, -0.5, 1.0, 1.5])
+def test_connection_a6_needs_z_inside_unit_interval(z):
+    with pytest.raises(ArgOutOfDisk):
+        rl.connection_a6(0.5, 0.3, z)

@@ -14,11 +14,7 @@ from rlpower.errors import (
     SeriesNotConverged,
     WindowViolation,
 )
-from rlpower.series import (
-    _remainder_bound_deriv,
-    remainder_params,
-    rlfi_partial_sum,
-)
+from rlpower.series import _remainder_bound_deriv, rlfi_partial_sum
 
 from conftest import rel_err
 
@@ -54,22 +50,15 @@ def test_rlfi_rational_matches_oracle():
     assert rel_err(res.value, rl.quad_rlfi(pf, 1.0, 0.5, 1.4)) <= 1e-8
 
 
-def test_rlfi_above_bit_for_bit_equals_displaced():
-    pf = rl.power_function(0.0, rl.beta_real(-1.5))
-    above = rl.rlfi_series_above(pf, 1.0, 0.5, 1.3)
-    displaced = rl.rlfi_series_displaced(pf, _win(pf, 1.0), 0.5, 1.3)
-    assert above == displaced
-
-
 def test_rlfi_above_log_case():
     pf = rl.power_function(0.0, rl.beta_int(-1))
-    res = rl.rlfi_series_above(pf, 2.0, 1.0, 2.5)
+    res = rl.rlfi_series_displaced(pf, _win(pf, pf.d + 2.0), 1.0, 2.5)
     assert res.value == pytest.approx(math.log(1.25), rel=1e-9)
 
 
 def test_rlfi_above_at_start_is_zero():
     pf = rl.power_function(0.0, rl.beta_real(2.2))
-    assert rl.rlfi_series_above(pf, 1.0, 0.5, 1.0).value == 0.0
+    assert rl.rlfi_series_displaced(pf, _win(pf, pf.d + 1.0), 0.5, 1.0).value == 0.0
 
 
 def test_window_violation_raised_before_compute():
@@ -270,15 +259,6 @@ def test_remainder_bound_deriv_dominates_tail():
         assert err <= _remainder_bound_deriv(pf, win, 0.5, t, p) + 1e-12
 
 
-def test_remainder_params_positive_inside_window():
-    pf = rl.power_function(0.0, rl.beta_real(-1.5))
-    win = _win(pf, 1.0)
-    rp = remainder_params(pf, win, 0.5, 1.5)
-    assert rp.gamma_rate > 0.0
-    assert rp.eta_rate > 0.0
-    assert rp.bound_const > 0.0
-
-
 def test_term_ratio_tends_to_window_ratio():
     # |term_{k+1}/term_k| -> |(t-a)/(a-d)| inside the window
     pf = rl.power_function(0.0, rl.beta_real(-1.5))
@@ -368,11 +348,3 @@ def test_route_equivalence_pairwise():
     closed = rl.closed_centered(OperatorKind.INTEGRAL, 3.0, 0.5, alpha, 2.0)
     assert rel_err(poly, closed) <= 1e-12
 
-
-# --- operator spec ---------------------------------------------------------
-
-def test_operator_spec_validates_alpha():
-    with pytest.raises(ValueError):
-        rl.OperatorSpec(OperatorKind.INTEGRAL, 1.5)
-    spec = rl.OperatorSpec(OperatorKind.DERIVATIVE, 0.5, rl.Route.SERIES)
-    assert spec.alpha == 0.5
