@@ -55,7 +55,7 @@ from .hypergeom import (
     rlfi_hyp_form,
 )
 from .oracle import (
-    DerivativeEstimate,
+    QuadEstimate,
     QuadratureConfig,
     log_reference,
     quad_rlfd,
@@ -87,7 +87,6 @@ __all__ = [
     "BetaOutOfRange",
     "CenteredNotAnalytic",
     "DegenerateExponentSum",
-    "DerivativeEstimate",
     "DomainSpec",
     "EvalAtLowerLimit",
     "EvalWindow",
@@ -101,6 +100,7 @@ __all__ = [
     "ParamPole",
     "PoleInsideInterval",
     "PowerFunction",
+    "QuadEstimate",
     "QuadratureConfig",
     "RLPowerError",
     "RationalExp",

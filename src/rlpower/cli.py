@@ -26,6 +26,7 @@ from .domain import (
     format_domain,
     make_window,
     power_function,
+    require_in_window,
 )
 from .errors import (
     EvalAtLowerLimit,
@@ -33,7 +34,6 @@ from .errors import (
     RLPowerError,
     SeriesNotConverged,
     ToleranceNotMet,
-    WindowViolation,
 )
 from .series import OperatorKind, Route
 
@@ -205,21 +205,19 @@ def _pick(cli_value, config: dict[str, str], key: str, convert, default):
 
 def _beta_from(args: argparse.Namespace, config: dict[str, str]) -> BetaIndex:
     """The exponent from the flags, else from the config file."""
-    if args.beta_int is not None:
-        return beta_int(args.beta_int)
-    if args.beta_rational is not None:
-        beta = parse_beta_token(args.beta_rational)
+    m, pq, x = args.beta_int, args.beta_rational, args.beta_real
+    if m is None and pq is None and x is None:
+        m, pq, x = (config.get(key) for key in
+                    ("beta-int", "beta-rational", "beta-real"))
+    if m is not None:
+        return beta_int(int(m))
+    if pq is not None:
+        beta = parse_beta_token(pq)
         if not isinstance(beta, (RationalExp, IntegerExp)):
             raise ValueError("--beta-rational expects p/q")
         return beta
-    if args.beta_real is not None:
-        return beta_real(args.beta_real)
-    if "beta-int" in config:
-        return beta_int(int(config["beta-int"]))
-    if "beta-rational" in config:
-        return parse_beta_token(config["beta-rational"])
-    if "beta-real" in config:
-        return beta_real(float(config["beta-real"]))
+    if x is not None:
+        return beta_real(float(x))
     raise ValueError("an exponent flag is required "
                      "(--beta-int | --beta-rational | --beta-real)")
 
@@ -231,6 +229,8 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     op_token = _pick(getattr(args, "op", None), config, "op", str, None)
     if op_token is None:
         raise ValueError("--op J|D is required")
+    if op_token not in ("J", "D"):
+        raise ValueError(f"op={op_token!r}: expected J or D")
     kind = OperatorKind.INTEGRAL if op_token == "J" else OperatorKind.DERIVATIVE
 
     alpha = _pick(getattr(args, "alpha", None), config, "alpha", float, None)
@@ -266,6 +266,11 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     route_spec = _pick(getattr(args, "route", None), config, "route", str, "series")
     routes = _parse_routes(route_spec)
 
+    out_format = _pick(getattr(args, "format", None), config, "format", str,
+                       "human")
+    if out_format not in ("human", "csv", "jsonl"):
+        raise ValueError(f"format={out_format!r}: expected human, csv or jsonl")
+
     return JobSpec(
         kind=kind,
         alpha=alpha,
@@ -283,8 +288,7 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
                        float, None),
         max_terms=_pick(getattr(args, "max_terms", None), config, "max-terms",
                         int, series.DEFAULT_MAX_TERMS),
-        out_format=_pick(getattr(args, "format", None), config, "format", str,
-                         "human"),
+        out_format=out_format,
         strict_window=bool(_pick(getattr(args, "strict_window", None), config,
                                  "strict-window",
                                  lambda s: s.lower() in ("1", "true", "yes"),
@@ -307,27 +311,19 @@ def _evaluate_one(job: JobSpec, pf, win, a: float, route: Route,
     terms = 0
     remainder = 0.0
     status = "converged"
+    integral = kind is OperatorKind.INTEGRAL
     try:
         if route is Route.SERIES:
-            if kind is OperatorKind.INTEGRAL:
-                res = series.rlfi_series_displaced(pf, win, job.alpha, t,
-                                                   job.tol, job.max_terms)
-            else:
-                res = series.rlfd_series(pf, win, job.alpha, t,
-                                         job.tol, job.max_terms)
+            fn = series.rlfi_series_displaced if integral else series.rlfd_series
+            res = fn(pf, win, job.alpha, t, job.tol, job.max_terms)
             value, terms = res.value, res.terms_used
             remainder, status = res.remainder_bound, res.status.value
         elif route is Route.HYPERGEOMETRIC:
-            if kind is OperatorKind.INTEGRAL:
-                value = hypergeom.rlfi_hyp_form(pf, win, job.alpha, t)
-            else:
-                value = hypergeom.rlfd_hyp_form(pf, win, job.alpha, t)
+            fn = hypergeom.rlfi_hyp_form if integral else hypergeom.rlfd_hyp_form
+            value = fn(pf, win, job.alpha, t)
         elif route is Route.ORACLE:
-            cfg = _quad_config(job)
-            if kind is OperatorKind.INTEGRAL:
-                value, remainder = oracle.quad_rlfi_result(pf, a, job.alpha, t, cfg)
-            else:
-                value, remainder = oracle.quad_rlfd(pf, a, job.alpha, t, cfg)
+            fn = oracle.quad_rlfi if integral else oracle.quad_rlfd
+            value, remainder = fn(pf, a, job.alpha, t, _quad_config(job))
         else:  # Route.CLOSED_CENTERED
             value = series.closed_centered(kind, beta_value(pf.beta), pf.d,
                                            job.alpha, t)
@@ -368,10 +364,9 @@ def run_job(job: JobSpec) -> list[EvalRecord]:
                        for r in job.routes)
     win = make_window(a, pf, strict=job.strict_window) if needs_window else None
     for t in job.t_values:
-        if win is not None and not (win.t_min <= t < win.t_sup):
-            raise WindowViolation(
-                f"t={t!r} outside window [{win.t_min!r}, {win.t_sup!r})")
-        if win is None and t < a:
+        if win is not None:
+            require_in_window(win, t)
+        elif t < a:
             raise ValueError(f"t={t!r} below the lower limit {a!r}")
         if job.kind is OperatorKind.DERIVATIVE and t == a and 0.0 < job.alpha < 1.0:
             raise EvalAtLowerLimit(

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CenteredNotAnalytic, LowerLimitOutsideDomain
+from .errors import CenteredNotAnalytic, LowerLimitOutsideDomain, WindowViolation
 
 
 @dataclass(frozen=True)
@@ -233,3 +233,10 @@ def make_window(a: float, pf: PowerFunction, strict: bool = False) -> EvalWindow
 def check_t(win: EvalWindow, t: float) -> bool:
     """True iff t_min <= t < t_sup."""
     return win.t_min <= t < win.t_sup
+
+
+def require_in_window(win: EvalWindow, t: float) -> None:
+    """Raise WindowViolation unless t_min <= t < t_sup."""
+    if not check_t(win, t):
+        raise WindowViolation(
+            f"t={t!r} outside window [{win.t_min!r}, {win.t_sup!r})")

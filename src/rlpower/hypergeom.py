@@ -7,9 +7,13 @@ single real 2F1 evaluation,
     D = (a-d)^beta (t-a)^-alpha / Gamma(1-alpha) * 2F1(1, -beta; 1-alpha; -w),
 
 with w = (t-a)/(a-d); the window geometry keeps |w| < 1 so the series is
-always in-disk.  The z <-> 1-z connection split is evaluated on 0 < z < 1
-only, where both of its terms are real and z**(alpha+beta) needs no branch
-choice.
+always in-disk.  Both are the one form
+
+    (a-d)^beta (t-a)^sa / Gamma(1+sa) * 2F1(1, -beta; 1+sa; -w)
+
+at the signed order sa = +alpha (J) or sa = -alpha (D).  The z <-> 1-z
+connection split is evaluated on 0 < z < 1 only, where both of its terms are
+real and z**(alpha+beta) needs no branch choice.
 """
 
 from __future__ import annotations
@@ -17,7 +21,13 @@ from __future__ import annotations
 import math
 
 from ._backend import kernels
-from .domain import EvalWindow, PowerFunction, beta_value, branch_power, check_t
+from .domain import (
+    EvalWindow,
+    PowerFunction,
+    beta_value,
+    branch_power,
+    require_in_window,
+)
 from .errors import (
     ArgOutOfDisk,
     DegenerateExponentSum,
@@ -61,48 +71,43 @@ def euler_transform(a: float, b: float, c: float,
     return (c - a, c - b, c, x), (1.0 - x) ** (c - a - b)
 
 
-def _displaced_offsets(pf: PowerFunction, win: EvalWindow, t: float):
+def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
+              tol: float) -> float:
+    # J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa
+    require_in_window(win, t)
     A = win.a - pf.d
     if A == 0.0:
         raise WindowViolation(
             "hypergeometric forms need a displaced lower limit (a != d); "
             "use the polynomial or closed centered routes at the shift")
     u = t - win.a
-    return A, u, -(u / A)
+    if u == 0.0:
+        if sa > 0.0:
+            return 0.0
+        if sa == 0.0:
+            return branch_power(A, pf.beta)
+        raise EvalAtLowerLimit("derivative form is singular at t = a")
+    c = 1.0 + sa
+    f = hyp2f1(1.0, -beta_value(pf.beta), c, -(u / A), tol)
+    if kernels.nonpos_int_index(c) >= 0:
+        # 1/Gamma(0) = 0; only beta = 0 terminates fast enough to get here,
+        # and the order-1 derivative of a constant is indeed 0
+        return 0.0
+    front = branch_power(A, pf.beta) * u ** sa
+    return front / kernels.gamma_value(c) * f
 
 
 def rlfi_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float, tol: float = DEFAULT_TOL) -> float:
     """Fractional integral through the closed 2F1 form; real inside the window."""
-    if not check_t(win, t):
-        raise WindowViolation(f"t={t!r} outside window [{win.t_min!r}, {win.t_sup!r})")
-    A, u, x = _displaced_offsets(pf, win, t)
-    if u == 0.0:
-        return 0.0
-    b = beta_value(pf.beta)
-    front = branch_power(A, pf.beta) * u ** alpha
-    return front / kernels.gamma_value(alpha + 1.0) * hyp2f1(1.0, -b, alpha + 1.0, x, tol)
+    return _hyp_form(pf, win, alpha, t, tol)
 
 
 def rlfd_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float, tol: float = DEFAULT_TOL) -> float:
-    """Fractional derivative through the closed 2F1 form with alpha negated
-    in the prefactor structure; alpha = 1 lands on the c = 0 parameter pole."""
-    if not check_t(win, t):
-        raise WindowViolation(f"t={t!r} outside window [{win.t_min!r}, {win.t_sup!r})")
-    A, u, x = _displaced_offsets(pf, win, t)
-    if u == 0.0:
-        if alpha == 0.0:
-            return branch_power(A, pf.beta)
-        raise EvalAtLowerLimit("derivative form is singular at t = a")
-    b = beta_value(pf.beta)
-    f = hyp2f1(1.0, -b, 1.0 - alpha, x, tol)
-    if kernels.nonpos_int_index(1.0 - alpha) >= 0:
-        # 1/Gamma(0) = 0; only beta = 0 terminates fast enough to get here,
-        # and the order-1 derivative of a constant is indeed 0
-        return 0.0
-    front = branch_power(A, pf.beta) * u ** (-alpha)
-    return front / kernels.gamma_value(1.0 - alpha) * f
+    """Fractional derivative: the integral's 2F1 form at order -alpha;
+    alpha = 1 lands on the c = 0 parameter pole."""
+    return _hyp_form(pf, win, -alpha, t, tol)
 
 
 def connection_a6(alpha: float, beta: float, z: float,

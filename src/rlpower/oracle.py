@@ -67,7 +67,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-class DerivativeEstimate(NamedTuple):
+class QuadEstimate(NamedTuple):
     value: float
     error_estimate: float
 
@@ -104,9 +104,10 @@ def _adaptive(f: Callable[[float], float], lo: float, hi: float,
     return v1 + v2, e1 + e2
 
 
-def quad_rlfi_result(pf: PowerFunction, a: float, alpha: float, t: float,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """Definition-level fractional integral, returning (value, error_estimate)."""
+def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
+              cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadEstimate:
+    """Fractional integral straight from the definition, with the
+    quadrature's error estimate."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     if t < a:
@@ -117,10 +118,10 @@ def quad_rlfi_result(pf: PowerFunction, a: float, alpha: float, t: float,
     if beta_value(pf.beta) < 0.0 and a - cfg.split_guard <= pf.d <= t + cfg.split_guard:
         raise PoleInsideInterval(
             f"integrand pole at x={pf.d!r} touches [{a!r}, {t!r}]")
-    if a == t:
-        return 0.0, 0.0
     if alpha == 0.0:
-        return pf.value(t), 0.0
+        return QuadEstimate(pf.value(t), 0.0)
+    if a == t:
+        return QuadEstimate(0.0, 0.0)
     span = (t - a) ** alpha
     inv = 1.0 / alpha
 
@@ -136,18 +137,12 @@ def quad_rlfi_result(pf: PowerFunction, a: float, alpha: float, t: float,
     val, err = _adaptive(integrand, 0.0, span, cfg.abs_tol, cfg.rel_tol,
                          cfg.max_depth)
     scale = 1.0 / kernels.gamma_value(alpha + 1.0)
-    return val * scale, err * abs(scale)
-
-
-def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Fractional integral straight from the definition (value only)."""
-    return quad_rlfi_result(pf, a, alpha, t, cfg)[0]
+    return QuadEstimate(val * scale, err * abs(scale))
 
 
 def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
               cfg: QuadratureConfig = DEFAULT_CONFIG,
-              h: float | None = None) -> DerivativeEstimate:
+              h: float | None = None) -> QuadEstimate:
     """Fractional derivative as d/dt of the order-(1-alpha) integral.
 
     Central differences at steps h and h/2 are Richardson-combined; the
@@ -158,7 +153,7 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     if alpha == 0.0:
-        return DerivativeEstimate(pf.value(t), 0.0)
+        return QuadEstimate(pf.value(t), 0.0)
     if h is None:
         h = (t - a) * 1e-4
     if h <= 0.0:
@@ -170,12 +165,12 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
                     rel_tol=max(1e-2 * cfg.rel_tol, 250.0 * math.ulp(1.0)))
 
     def g(tau: float) -> float:
-        return quad_rlfi(pf, a, 1.0 - alpha, tau, inner)
+        return quad_rlfi(pf, a, 1.0 - alpha, tau, inner).value
 
     d1 = (g(t + h) - g(t - h)) / (2.0 * h)
     d2 = (g(t + 0.5 * h) - g(t - 0.5 * h)) / h
     value = (4.0 * d2 - d1) / 3.0
-    return DerivativeEstimate(value, abs(d2 - d1) / 3.0)
+    return QuadEstimate(value, abs(d2 - d1) / 3.0)
 
 
 def log_reference(a: float, d: float, t: float) -> tuple[float, float]:

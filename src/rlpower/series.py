@@ -1,18 +1,20 @@
 """Series evaluation of the Riemann-Liouville operators on power functions.
 
-For f(t) = (t - d)**beta with lower limit a != d, the fractional integral of
-order alpha expands as
+For f(t) = (t - d)**beta with lower limit a != d, both operators expand as
 
-    sum_k Gamma(beta+1) (a-d)^(beta-k) (t-a)^(alpha+k)
-          / (Gamma(beta-k+1) Gamma(alpha+k+1)),
+    sum_k Gamma(beta+1) (a-d)^(beta-k) (t-a)^(sa+k)
+          / (Gamma(beta-k+1) Gamma(sa+k+1)),
 
-convergent on the validated window, and the fractional derivative is the same
-series with alpha -> -alpha.  Both are summed with a coefficient recurrence
-and compensated accumulation, truncated when the proven integration-by-parts
-tail bound drops below tolerance.  Integer beta >= 0 terminates the series
-naturally after m + 1 terms because the gamma ratio zeroes every later
-coefficient; that finite sum is also exposed directly and is valid for every
-real a and t, including the centered case a = d.
+convergent on the validated window, at the signed order sa: sa = +alpha gives
+the fractional integral of order alpha, and sa = -alpha the fractional
+derivative, which is the integral's series with alpha -> -alpha.  Each route
+here has one body over sa; the ``rlfi_*``/``rlfd_*`` entries only fix its
+sign.  The series are summed with a coefficient recurrence and compensated
+accumulation, truncated when the proven integration-by-parts tail bound drops
+below tolerance.  Integer beta >= 0 terminates the series naturally after
+m + 1 terms because the gamma ratio zeroes every later coefficient; that
+finite sum is also exposed directly and is valid for every real a and t,
+including the centered case a = d.
 
 Orders 0 and 1 are admitted everywhere as reduction checks: alpha = 0 is the
 identity operator and alpha = 1 gives the classical integral or derivative.
@@ -33,8 +35,8 @@ from .domain import (
     WindowSide,
     beta_value,
     branch_power,
-    check_t,
     make_window,
+    require_in_window,
 )
 from .errors import (
     BetaOutOfRange,
@@ -83,12 +85,6 @@ class SeriesResult:
     status: SeriesStatus
 
 
-def _require_in_window(win: EvalWindow, t: float) -> None:
-    if not check_t(win, t):
-        raise WindowViolation(
-            f"t={t!r} outside window [{win.t_min!r}, {win.t_sup!r})")
-
-
 def _beta_kernel_form(beta: BetaIndex) -> tuple[float, int]:
     """Float exponent plus an integer flag for the kernel's bound branches.
 
@@ -110,24 +106,24 @@ def _wrap(raw, tol: float, op_name: str) -> SeriesResult:
     return result
 
 
-def _series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
-            tol: float, max_terms: int, sigma: int, op_name: str) -> SeriesResult:
-    _require_in_window(win, t)
-    if sigma < 0 and t == win.a and 0.0 < alpha < 1.0:
+def _guard_lower_limit(a: float, sa: float, t: float) -> None:
+    # the k = 0 term carries (t-a)**sa, singular at t = a for -1 < sa < 0
+    if -1.0 < sa < 0.0 and t == a:
         raise EvalAtLowerLimit(
-            f"derivative series is singular at t = a = {t!r} for alpha={alpha!r}")
+            f"derivative series is singular at t = a = {t!r} for alpha={-sa!r}")
+
+
+def _series(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
+            tol: float, max_terms: int, op_name: str) -> SeriesResult:
+    require_in_window(win, t)
     if win.side is WindowSide.CENTERED:
-        m = pf.beta.m  # centered windows exist only for IntegerExp(m >= 0)
-        if sigma > 0:
-            value = rlfi_polynomial(pf, win.a, alpha, t)
-        else:
-            value = rlfd_polynomial(m, pf.d, win.a, alpha, t)
-        return SeriesResult(value, m + 1, 0.0, SeriesStatus.CONVERGED)
+        value = _polynomial(pf, win.a, sa, t)
+        return SeriesResult(value, pf.beta.m + 1, 0.0, SeriesStatus.CONVERGED)
+    _guard_lower_limit(win.a, sa, t)
     b, is_int = _beta_kernel_form(pf.beta)
     A = win.a - pf.d
     front = branch_power(A, pf.beta)
-    raw = kernels.power_series(front, b, A, t - win.a, sigma * alpha,
-                               is_int, tol, max_terms)
+    raw = kernels.power_series(front, b, A, t - win.a, sa, is_int, tol, max_terms)
     return _wrap(raw, tol, op_name)
 
 
@@ -139,7 +135,7 @@ def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
     t = a returns 0 (empty integration interval).  Integer beta >= 0
     terminates naturally after m + 1 terms.
     """
-    return _series(pf, win, alpha, t, tol, max_terms, +1, "rlfi_series_displaced")
+    return _series(pf, win, alpha, t, tol, max_terms, "rlfi_series_displaced")
 
 
 def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
@@ -151,7 +147,25 @@ def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
     for 0 < alpha < 1 and is reported as EvalAtLowerLimit rather than
     silently returning infinity.
     """
-    return _series(pf, win, alpha, t, tol, max_terms, -1, "rlfd_series")
+    return _series(pf, win, -alpha, t, tol, max_terms, "rlfd_series")
+
+
+def _polynomial(pf: PowerFunction, a: float, sa: float, t: float) -> float:
+    if not isinstance(pf.beta, IntegerExp) or pf.beta.m < 0:
+        raise ValueError("polynomial route requires beta = IntegerExp(m >= 0)")
+    _guard_lower_limit(a, sa, t)
+    m = pf.beta.m
+    u = t - a
+    if u < 0.0 and abs(sa - round(sa)) > _INT_TOL:
+        raise WindowViolation("t below the lower limit with non-integer order")
+    A = a - pf.d
+    total = 0.0
+    for k in range(m + 1):
+        coeff = math.perm(m, k) * gamma_ratio(1.0, sa + k + 1.0)
+        if coeff == 0.0:
+            continue
+        total += coeff * A ** (m - k) * _upow(u, sa + k)
+    return total
 
 
 def rlfi_polynomial(pf: PowerFunction, a: float, alpha: float, t: float) -> float:
@@ -160,39 +174,12 @@ def rlfi_polynomial(pf: PowerFunction, a: float, alpha: float, t: float) -> floa
     With a = d this collapses to the single centered term
     Gamma(m+1) (t-a)^(alpha+m) / Gamma(alpha+m+1).
     """
-    if not isinstance(pf.beta, IntegerExp) or pf.beta.m < 0:
-        raise ValueError("rlfi_polynomial requires beta = IntegerExp(m >= 0)")
-    m = pf.beta.m
-    u = t - a
-    if u < 0.0 and abs(alpha - round(alpha)) > _INT_TOL:
-        raise WindowViolation("t below the lower limit with non-integer order")
-    A = a - pf.d
-    total = 0.0
-    for k in range(m + 1):
-        coeff = math.perm(m, k) * gamma_ratio(1.0, alpha + k + 1.0)
-        if coeff == 0.0:
-            continue
-        total += coeff * A ** (m - k) * _upow(u, alpha + k)
-    return total
+    return _polynomial(pf, a, alpha, t)
 
 
-def rlfd_polynomial(m: int, d: float, a: float, alpha: float, t: float) -> float:
-    """Exact (m+1)-term derivative sum for beta = m >= 0."""
-    if m < 0:
-        raise ValueError("rlfd_polynomial requires m >= 0")
-    u = t - a
-    if u == 0.0 and 0.0 < alpha < 1.0:
-        raise EvalAtLowerLimit("derivative at t = a is singular for 0 < alpha < 1")
-    if u < 0.0 and abs(alpha - round(alpha)) > _INT_TOL:
-        raise WindowViolation("t below the lower limit with non-integer order")
-    A = a - d
-    total = 0.0
-    for k in range(m + 1):
-        coeff = math.perm(m, k) * gamma_ratio(1.0, k + 1.0 - alpha)
-        if coeff == 0.0:
-            continue
-        total += coeff * A ** (m - k) * _upow(u, k - alpha)
-    return total
+def rlfd_polynomial(pf: PowerFunction, a: float, alpha: float, t: float) -> float:
+    """Exact (m+1)-term derivative sum for beta = m >= 0; any real a and t."""
+    return _polynomial(pf, a, -alpha, t)
 
 
 def _upow(u: float, e: float) -> float:
@@ -211,6 +198,15 @@ def _upow(u: float, e: float) -> float:
     raise WindowViolation("negative offset with non-integer exponent")
 
 
+def _neg_integer(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
+                 tol: float, max_terms: int, op_name: str) -> SeriesResult:
+    m = _require_neg_int(pf)
+    require_in_window(win, t)
+    _guard_lower_limit(win.a, sa, t)
+    raw = kernels.neg_int_series(m, win.a - pf.d, t - win.a, sa, tol, max_terms)
+    return _wrap(raw, tol, op_name)
+
+
 def rlfi_neg_integer(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
                      tol: float = DEFAULT_TOL,
                      max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
@@ -220,26 +216,15 @@ def rlfi_neg_integer(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
     (-1)^k Gamma(-beta+k)/Gamma(-beta) = (beta)_{-k}, but accumulated along
     an independent arithmetic path.
     """
-    m = _require_neg_int(pf)
-    _require_in_window(win, t)
-    raw = kernels.neg_int_series(m, win.a - pf.d, t - win.a, alpha, tol, max_terms)
-    return _wrap(raw, tol, "rlfi_neg_integer")
+    return _neg_integer(pf, win, alpha, t, tol, max_terms, "rlfi_neg_integer")
 
 
-def rlfd_neg_integer(m: int, pf: PowerFunction, win: EvalWindow, alpha: float,
-                     t: float, tol: float = DEFAULT_TOL,
+def rlfd_neg_integer(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
+                     tol: float = DEFAULT_TOL,
                      max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
     """Alternating-form derivative series for beta = -m, with a single
     epsilon^(-(m+k)) factor."""
-    m_pf = _require_neg_int(pf)
-    if m != m_pf:
-        raise ValueError(f"m={m} does not match beta={pf.beta!r}")
-    _require_in_window(win, t)
-    if t == win.a and 0.0 < alpha < 1.0:
-        raise EvalAtLowerLimit(
-            f"derivative series is singular at t = a = {t!r} for alpha={alpha!r}")
-    raw = kernels.neg_int_series(m, win.a - pf.d, t - win.a, -alpha, tol, max_terms)
-    return _wrap(raw, tol, "rlfd_neg_integer")
+    return _neg_integer(pf, win, -alpha, t, tol, max_terms, "rlfd_neg_integer")
 
 
 def _require_neg_int(pf: PowerFunction) -> int:
@@ -273,56 +258,35 @@ def closed_centered(kind: OperatorKind, beta: float, d: float, alpha: float,
     return coeff * math.exp(exponent * math.log(x))
 
 
-def remainder_bound(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
+def remainder_bound(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
                     p: int) -> float:
-    """Explicit upper bound on the integral-series tail after p terms.
+    """Explicit upper bound on the series tail after p terms at signed order sa.
 
-    General beta uses the integration-by-parts estimate with the |x - d|
-    power integrated exactly; beta = -m uses the geometric form with the
-    side-dependent endpoint (|t - d| below the shift, |a - d| above it, the
-    latter being the sound choice on that side).  Monotone decreasing in p
-    past a computable crossover.
+    sa = +alpha bounds the integral series of order alpha, sa = -alpha the
+    derivative series.  General beta uses the integration-by-parts estimate
+    with the |x - d| power integrated exactly; beta = -m uses the geometric
+    form with the side-dependent endpoint (|t - d| below the shift, |a - d|
+    above it, the latter being the sound choice on that side).  Monotone
+    decreasing in p past a computable crossover.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    _require_in_window(win, t)
+    require_in_window(win, t)
     b, is_int = _beta_kernel_form(pf.beta)
-    return kernels.series_tail_bound(b, is_int, win.a - pf.d, t - win.a,
-                                     alpha, p)
+    return kernels.series_tail_bound(b, is_int, win.a - pf.d, t - win.a, sa, p)
 
 
-def _remainder_bound_deriv(pf: PowerFunction, win: EvalWindow, alpha: float,
-                           t: float, p: int) -> float:
-    """Derivative-series analogue of :func:`remainder_bound` (alpha -> -alpha)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    _require_in_window(win, t)
-    b, is_int = _beta_kernel_form(pf.beta)
-    return kernels.series_tail_bound(b, is_int, win.a - pf.d, t - win.a,
-                                     -alpha, p)
-
-
-def rlfi_partial_sum(pf: PowerFunction, win: EvalWindow, alpha: float,
-                     t: float, p: int) -> float:
-    """Sum of the first p integral-series terms; diagnostic companion to
+def partial_sum(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
+                p: int) -> float:
+    """Sum of the first p series terms at signed order sa (+alpha for the
+    integral, -alpha for the derivative); diagnostic companion to
     :func:`remainder_bound`."""
-    _require_in_window(win, t)
+    require_in_window(win, t)
+    _guard_lower_limit(win.a, sa, t)
     b, _ = _beta_kernel_form(pf.beta)
     A = win.a - pf.d
     front = branch_power(A, pf.beta)
-    return kernels.power_series_partial(front, b, A, t - win.a, alpha, p)
-
-
-def rlfd_partial_sum(pf: PowerFunction, win: EvalWindow, alpha: float,
-                     t: float, p: int) -> float:
-    """Sum of the first p derivative-series terms."""
-    _require_in_window(win, t)
-    if t == win.a and 0.0 < alpha < 1.0:
-        raise EvalAtLowerLimit("derivative partial sum is singular at t = a")
-    b, _ = _beta_kernel_form(pf.beta)
-    A = win.a - pf.d
-    front = branch_power(A, pf.beta)
-    return kernels.power_series_partial(front, b, A, t - win.a, -alpha, p)
+    return kernels.power_series_partial(front, b, A, t - win.a, sa, p)
 
 
 def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
@@ -339,7 +303,7 @@ def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
     if win.side is WindowSide.CENTERED:
         value = rlfi_polynomial(pf, a, alpha, t)
         return SeriesResult(value, pf.beta.m + 1, 0.0, SeriesStatus.CONVERGED)
-    _require_in_window(win, t)
+    require_in_window(win, t)
     b, is_int = _beta_kernel_form(pf.beta)
     A = a - pf.d
     u = t - a

@@ -17,7 +17,7 @@ import rlpower as rl
 from rlpower import IntegerExp, OperatorKind, RationalExp, SeriesStatus
 from rlpower.cli import main, parse_csv_records
 from rlpower.errors import EvalAtLowerLimit, WindowViolation
-from rlpower.series import rlfi_partial_sum
+from rlpower.series import partial_sum
 
 from conftest import rel_err
 
@@ -45,7 +45,7 @@ def test_criterion_1_centered_closed_forms():
                 if b in (0.0, 1.0):
                     pf = rl.power_function(d, rl.beta_int(int(b)))
                     got_j = rl.rlfi_polynomial(pf, d, alpha, t)
-                    got_d = rl.rlfd_polynomial(int(b), d, d, alpha, t)
+                    got_d = rl.rlfd_polynomial(pf, d, alpha, t)
                 else:
                     got_j = rl.closed_centered(OperatorKind.INTEGRAL, b, d, alpha, t)
                     got_d = rl.closed_centered(OperatorKind.DERIVATIVE, b, d, alpha, t)
@@ -97,7 +97,7 @@ def test_criterion_4_remainder_soundness(grid, oracle_values, deep_window_idx):
         case = grid[i]
         ref = oracle_values[i]
         for p in range(1, 51):
-            partial = rlfi_partial_sum(case.pf, case.win, case.alpha, case.t, p)
+            partial = partial_sum(case.pf, case.win, case.alpha, case.t, p)
             bound = rl.remainder_bound(case.pf, case.win, case.alpha, case.t, p)
             if abs(ref - partial) > bound:
                 violations += 1
@@ -163,7 +163,7 @@ def test_criterion_5_integer_order_reductions(grid):
         if isinstance(pf.beta, IntegerExp) and pf.beta.m < 0:
             m = -pf.beta.m
             assert rel_err(rl.rlfi_neg_integer(pf, win, 1.0, t).value, integ) <= 1e-9
-            assert rel_err(rl.rlfd_neg_integer(m, pf, win, 1.0, t).value, deriv) <= 1e-9
+            assert rel_err(rl.rlfd_neg_integer(pf, win, 1.0, t).value, deriv) <= 1e-9
 
     # E1 = E2: order-1 series equals the binomial-expansion integral
     for beta, a, t in ((rl.beta_rational(1, 2), 1.0, 1.4),
@@ -207,7 +207,7 @@ def test_criterion_6_negative_integer_alternates(grid):
         assert rel_err(alt_j.value, gen_j.value) <= 1e-10, case
         m = -case.pf.beta.m
         gen_d = rl.rlfd_series(case.pf, case.win, case.alpha, case.t)
-        alt_d = rl.rlfd_neg_integer(m, case.pf, case.win, case.alpha, case.t)
+        alt_d = rl.rlfd_neg_integer(case.pf, case.win, case.alpha, case.t)
         assert rel_err(alt_d.value, gen_d.value) <= 1e-10, case
     _report(6, f"negative-integer alternates on {len(picked)} tuples")
 

@@ -127,6 +127,14 @@ def test_compare_exit_three_on_deviation(capsys):
     assert code == 3
 
 
+def test_compare_integral_order_zero_at_lower_limit(capsys):
+    # J^0 is the identity at t = a on every route, so the routes agree there
+    code, _, _ = run(capsys, "compare", "--op", "J", "--alpha", "0",
+                     "--beta-rational", "1/2", "--d", "0", "--a", "1",
+                     "--t", "1:1.4:3", "--route", "series,hyp,oracle")
+    assert code == 0
+
+
 def test_compare_needs_two_routes(capsys):
     code, _, err = run(capsys, "compare", "--op", "J", "--alpha", "0.5",
                        "--beta-int", "2", "--d", "0", "--a", "1",
@@ -205,6 +213,21 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert base.alpha == 0.5
     assert override.alpha == 0.9
     assert override.value != base.value
+
+
+@pytest.mark.parametrize("text, err", [
+    ("beta-rational=0.5\nop=J\n",
+     "error: ValueError: --beta-rational expects p/q\n"),
+    ("beta-int=2\nop=X\n",
+     "error: ValueError: op='X': expected J or D\n"),
+    ("beta-int=2\nop=J\nformat=xml\n",
+     "error: ValueError: format='xml': expected human, csv or jsonl\n"),
+], ids=["beta-rational", "op", "format"])
+def test_config_values_are_checked_like_flags(capsys, tmp_path, text, err):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(text + "alpha=0.5\nd=0\na=1\nt=1.2\n")
+    code, out, got_err = run(capsys, "eval", "--config", str(cfg))
+    assert (code, out, got_err) == (1, "", err)
 
 
 def test_usage_error_exit_one(capsys):

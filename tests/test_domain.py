@@ -8,7 +8,11 @@ import pytest
 
 import rlpower as rl
 from rlpower import DomainSpec, WindowSide
-from rlpower.errors import CenteredNotAnalytic, LowerLimitOutsideDomain
+from rlpower.errors import (
+    CenteredNotAnalytic,
+    LowerLimitOutsideDomain,
+    WindowViolation,
+)
 
 
 def test_classify_integer_cases():
@@ -110,6 +114,16 @@ def test_check_t_half_open():
     assert rl.check_t(win, 2.0)       # t = a always accepted
     assert not rl.check_t(win, 3.0)   # open upper boundary
     assert not rl.check_t(win, 1.9)
+
+
+def test_require_in_window_raises_outside():
+    pf = rl.power_function(1.0, rl.beta_int(-1))
+    win = rl.make_window(2.0, pf)     # [2, 3)
+    rl.domain.require_in_window(win, 2.0)
+    for t in (3.0, 1.9):
+        with pytest.raises(WindowViolation) as exc:
+            rl.domain.require_in_window(win, t)
+        assert str(exc.value) == f"t={t!r} outside window [2.0, 3.0)"
 
 
 def test_branch_power_even_rational_below_shift():

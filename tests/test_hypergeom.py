@@ -117,6 +117,21 @@ def test_rlfi_hyp_form_zero_at_lower_limit():
     assert rl.rlfi_hyp_form(pf, win, 0.5, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("d, a", [(0.0, 2.0), (1.0, 0.0)],
+                         ids=["above", "below"])
+def test_integral_order_zero_at_lower_limit_is_identity(d, a):
+    # J^0 f(a) = f(a) on the hyp and oracle routes, as on the series route,
+    # which carries the gamma ratio's rounding inside its reported bound
+    pf = rl.power_function(d, rl.beta_int(3))
+    win = rl.make_window(a, pf)
+    want = pf.value(a)
+    assert want not in (0.0, 1.0)
+    assert rl.rlfi_hyp_form(pf, win, 0.0, a) == want
+    assert rl.quad_rlfi(pf, a, 0.0, a).value == want
+    res = rl.rlfi_series_displaced(pf, win, 0.0, a)
+    assert abs(res.value - want) <= res.remainder_bound
+
+
 def test_rlfi_hyp_form_terminating_matches_polynomial():
     pf = rl.power_function(0.0, rl.beta_int(2))
     win = rl.make_window(1.0, pf)
@@ -154,7 +169,7 @@ def test_rlfd_hyp_form_centered_limit_linear():
     alpha = 0.4
     win = rl.make_window(1e-9, pf)
     got = rl.rlfd_hyp_form(pf, win, alpha, 1.5e-9)
-    want = rl.rlfd_polynomial(1, 0.0, 1e-9, alpha, 1.5e-9)
+    want = rl.rlfd_polynomial(pf, 1e-9, alpha, 1.5e-9)
     assert rel_err(got, want) <= 1e-9
 
 

@@ -14,7 +14,7 @@ from rlpower.errors import (
     SeriesNotConverged,
     WindowViolation,
 )
-from rlpower.series import _remainder_bound_deriv, rlfi_partial_sum
+from rlpower.series import partial_sum
 
 from conftest import rel_err
 
@@ -47,7 +47,7 @@ def test_rlfi_at_lower_limit_is_zero():
 def test_rlfi_rational_matches_oracle():
     pf = rl.power_function(0.0, rl.beta_rational(1, 2))
     res = rl.rlfi_series_displaced(pf, _win(pf, 1.0), 0.5, 1.4)
-    assert rel_err(res.value, rl.quad_rlfi(pf, 1.0, 0.5, 1.4)) <= 1e-8
+    assert rel_err(res.value, rl.quad_rlfi(pf, 1.0, 0.5, 1.4).value) <= 1e-8
 
 
 def test_rlfi_above_log_case():
@@ -126,7 +126,7 @@ def test_neg_integer_at_lower_limit():
     pf = rl.power_function(0.0, rl.beta_int(-2))
     assert rl.rlfi_neg_integer(pf, _win(pf, 1.0), 0.5, 1.0).value == 0.0
     with pytest.raises(EvalAtLowerLimit):
-        rl.rlfd_neg_integer(2, pf, _win(pf, 1.0), 0.5, 1.0)
+        rl.rlfd_neg_integer(pf, _win(pf, 1.0), 0.5, 1.0)
 
 
 # --- derivative series -----------------------------------------------------
@@ -138,7 +138,8 @@ def test_rlfd_centered_linear():
 
 
 def test_rlfd_constant_is_not_zero():
-    got = rl.rlfd_polynomial(0, 0.0, 0.0, 0.5, 1.0)
+    pf = rl.power_function(0.0, rl.beta_int(0))
+    got = rl.rlfd_polynomial(pf, 0.0, 0.5, 1.0)
     assert got == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
 
 
@@ -150,21 +151,24 @@ def test_rlfd_alpha_one_classical_derivative():
 
 def test_rlfd_neg_integer_alpha_one():
     pf = rl.power_function(0.0, rl.beta_int(-1))
-    res = rl.rlfd_neg_integer(1, pf, _win(pf, 2.0), 1.0, 2.5)
+    res = rl.rlfd_neg_integer(pf, _win(pf, 2.0), 1.0, 2.5)
     assert res.value == pytest.approx(-0.16, rel=1e-9)
 
 
 def test_rlfd_polynomial_example():
-    assert rl.rlfd_polynomial(1, 0.0, 0.0, 0.5, 4.0) == pytest.approx(
+    pf = rl.power_function(0.0, rl.beta_int(1))
+    assert rl.rlfd_polynomial(pf, 0.0, 0.5, 4.0) == pytest.approx(
         2.0 * math.sqrt(4.0 / math.pi), rel=1e-12)
 
 
 def test_rlfd_polynomial_constant_alpha_one_is_zero():
-    assert rl.rlfd_polynomial(0, 0.0, 0.0, 1.0, 2.3) == 0.0
+    pf = rl.power_function(0.0, rl.beta_int(0))
+    assert rl.rlfd_polynomial(pf, 0.0, 1.0, 2.3) == 0.0
 
 
 def test_rlfd_polynomial_identity_alpha_zero():
-    assert rl.rlfd_polynomial(3, 0.5, 2.0, 0.0, 3.1) == pytest.approx(
+    pf = rl.power_function(0.5, rl.beta_int(3))
+    assert rl.rlfd_polynomial(pf, 2.0, 0.0, 3.1) == pytest.approx(
         (3.1 - 0.5) ** 3, rel=1e-12)
 
 
@@ -242,9 +246,9 @@ def test_remainder_bound_dominates_true_tail():
     pf = rl.power_function(0.0, rl.beta_rational(1, 2))
     win = _win(pf, 1.0)
     t = 1.8
-    exact = rl.quad_rlfi(pf, 1.0, 0.5, t)
+    exact = rl.quad_rlfi(pf, 1.0, 0.5, t).value
     for p in range(1, 30):
-        err = abs(exact - rlfi_partial_sum(pf, win, 0.5, t, p))
+        err = abs(exact - partial_sum(pf, win, 0.5, t, p))
         assert err <= rl.remainder_bound(pf, win, 0.5, t, p)
 
 
@@ -253,10 +257,9 @@ def test_remainder_bound_deriv_dominates_tail():
     win = _win(pf, 1.0)
     t = 1.8
     converged = rl.rlfd_series(pf, win, 0.5, t, tol=1e-13).value
-    from rlpower.series import rlfd_partial_sum
     for p in range(1, 25):
-        err = abs(converged - rlfd_partial_sum(pf, win, 0.5, t, p))
-        assert err <= _remainder_bound_deriv(pf, win, 0.5, t, p) + 1e-12
+        err = abs(converged - partial_sum(pf, win, -0.5, t, p))
+        assert err <= rl.remainder_bound(pf, win, -0.5, t, p) + 1e-12
 
 
 def test_term_ratio_tends_to_window_ratio():
@@ -264,9 +267,9 @@ def test_term_ratio_tends_to_window_ratio():
     pf = rl.power_function(0.0, rl.beta_real(-1.5))
     win = _win(pf, 1.0)
     t = 1.6
-    p40 = rlfi_partial_sum(pf, win, 0.5, t, 41)
-    p39 = rlfi_partial_sum(pf, win, 0.5, t, 40)
-    p38 = rlfi_partial_sum(pf, win, 0.5, t, 39)
+    p40 = partial_sum(pf, win, 0.5, t, 41)
+    p39 = partial_sum(pf, win, 0.5, t, 40)
+    p38 = partial_sum(pf, win, 0.5, t, 39)
     ratio = (p40 - p39) / (p39 - p38)
     assert abs(ratio) == pytest.approx(0.6, rel=0.05)
 
@@ -279,8 +282,8 @@ def test_recurrence_matches_fresh_gamma_coefficients():
     b = rl.beta_value(pf.beta)
     prev = 0.0
     for p in range(1, 21):
-        term = rlfi_partial_sum(pf, win, alpha, t, p) - prev
-        prev = rlfi_partial_sum(pf, win, alpha, t, p)
+        term = partial_sum(pf, win, alpha, t, p) - prev
+        prev = partial_sum(pf, win, alpha, t, p)
         direct = (rl.gamma_ratio(b + 1.0, b - (p - 1) + 1.0)
                   / float(rl.gamma(alpha + (p - 1) + 1.0))
                   * (1.0) ** (b - (p - 1)) * (t - 1.0) ** (alpha + p - 1))
@@ -315,7 +318,7 @@ def test_roundoff_floor_reported_honestly():
     pf = rl.power_function(-3.097620834595584, rl.beta_int(-9))
     win = _win(pf, -2.5142743197150135)
     alpha, t = 0.05, -1.9757011216363423
-    oracle = rl.quad_rlfi(pf, win.a, alpha, t)
+    oracle = rl.quad_rlfi(pf, win.a, alpha, t).value
     with pytest.raises(SeriesNotConverged) as exc:
         rl.rlfi_series_displaced(pf, win, alpha, t)
     res = exc.value.result
