@@ -25,7 +25,8 @@ class WindowViolation(RLPowerError, ValueError):
 
 
 class EvalAtLowerLimit(RLPowerError, ValueError):
-    """t = a requested where the derivative series is genuinely singular."""
+    """t = a requested where the derivative series is genuinely singular, or
+    from the difference oracle, whose central differences cannot straddle a."""
 
 
 class SeriesNotConverged(RLPowerError, ArithmeticError):

@@ -20,7 +20,13 @@ from typing import Callable, NamedTuple
 
 from ._backend import kernels
 from .domain import PowerFunction, beta_value
-from .errors import OutOfRadius, PoleInsideInterval, StepTooLarge, ToleranceNotMet
+from .errors import (
+    EvalAtLowerLimit,
+    OutOfRadius,
+    PoleInsideInterval,
+    StepTooLarge,
+    ToleranceNotMet,
+)
 
 # Gauss-Kronrod 15-point nodes and weights on [-1, 1] (QUADPACK dqk15).
 _XGK = (
@@ -154,6 +160,8 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
         raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     if alpha == 0.0:
         return QuadEstimate(pf.value(t), 0.0)
+    if t == a:
+        raise EvalAtLowerLimit("central differences need t > a")
     if h is None:
         h = (t - a) * 1e-4
     if h <= 0.0:

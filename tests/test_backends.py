@@ -68,6 +68,27 @@ def test_hyp2f1_series_matches():
             assert py[2] == cc[2]
 
 
+def test_hyp_forms_match_at_window_edge(monkeypatch):
+    # fraction 0.999 above the shift, where hyp2f1 takes the Pfaff branch
+    import rlpower as rl
+    from rlpower import hypergeom
+    cases = []
+    for beta in (rl.beta_real(-9.7), rl.beta_int(-3), rl.beta_rational(1, 2),
+                 rl.beta_real(-0.3), rl.beta_real(7.3)):
+        pf = rl.power_function(0.0, beta)
+        win = rl.make_window(1.0, pf)
+        for alpha in (0.05, 0.5, 0.95, 1.0):
+            cases.append((pf, win, alpha))
+    values = {}
+    for backend in (_kernels_py, cy):
+        monkeypatch.setattr(hypergeom, "kernels", backend)
+        values[backend] = [fn(pf, win, alpha, 1.999)
+                           for pf, win, alpha in cases
+                           for fn in (rl.rlfi_hyp_form, rl.rlfd_hyp_form)]
+    for py, cc in zip(values[_kernels_py], values[cy]):
+        assert _close(py, cc, rel=1e-9)
+
+
 def test_tail_bound_matches():
     for beta, is_int in ((-1.5, 0), (2.5, 0), (-2.0, 1), (3.0, 1)):
         for p in (1, 2, 5, 20):

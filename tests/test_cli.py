@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import rlpower.hypergeom
 from rlpower.cli import main, parse_csv_records
 
 
@@ -244,9 +245,10 @@ def test_missing_required_flag(capsys):
     assert "--t" in err
 
 
-def test_hyp_not_converged_exit_two(capsys):
-    # the 2F1 series of the hyp route runs into its term cap at 99.9% of
-    # the window: a truncated record and exit 2, not a traceback
+def test_hyp_not_converged_exit_two(capsys, monkeypatch):
+    # the 2F1 series of the hyp route runs into a lowered term cap: a
+    # truncated record and exit 2, not a traceback
+    monkeypatch.setattr(rlpower.hypergeom, "MAX_TERMS", 4)
     code, out, err = run(capsys, "eval", "--op", "J", "--alpha", "0.5",
                          "--beta-int", "-1", "--d", "0", "--a", "1",
                          "--t", "1.999", "--route", "hyp", "--format", "csv")
@@ -255,6 +257,26 @@ def test_hyp_not_converged_exit_two(capsys):
     rec = parse_csv_records(out)[0]
     assert rec.status == "truncated"
     assert math.isnan(rec.value)
+
+
+@pytest.mark.parametrize("route", ["series", "hyp"])
+def test_order_one_derivative_at_lower_limit(capsys, route):
+    # D^1 = f' is regular at t = a: f'(1) = 2 for f(t) = t^2
+    code, out, err = run(capsys, "eval", "--op", "D", "--alpha", "1",
+                         "--beta-int", "2", "--d", "0", "--a", "1",
+                         "--t", "1", "--route", route, "--format", "csv")
+    assert code == 0
+    assert err == ""
+    assert parse_csv_records(out)[0].value == pytest.approx(2.0, rel=1e-14)
+
+
+def test_order_one_derivative_at_lower_limit_oracle_is_typed(capsys):
+    # central differences cannot straddle t = a: exit 1, no traceback
+    code, out, err = run(capsys, "eval", "--op", "D", "--alpha", "1",
+                         "--beta-int", "2", "--d", "0", "--a", "1",
+                         "--t", "1", "--route", "oracle", "--format", "csv")
+    assert code == 1
+    assert err.startswith("error: EvalAtLowerLimit:")
 
 
 def test_domain_rejects_non_rational_like_eval(capsys):

@@ -9,6 +9,7 @@ import mpmath as mp
 import pytest
 
 import rlpower as rl
+from rlpower._backend import kernels
 from rlpower.errors import (
     ArgOutOfDisk,
     DegenerateExponentSum,
@@ -71,14 +72,21 @@ def test_hyp2f1_pole_masked_by_termination():
 
 
 def test_hyp_not_converged_is_typed():
-    # beta = -1 at 99.9% of the window above the shift: the alternating
-    # series at x -> -1 runs into the term cap
-    pf = rl.power_function(0.0, rl.beta_int(-1))
-    win = rl.make_window(1.0, pf)
+    # x -> 1 is not transformed: the series runs into the term cap
     with pytest.raises(HypNotConverged) as info:
-        rl.rlfi_hyp_form(pf, win, 0.5, 1.999)
+        rl.hyp2f1(0.5, 0.5, 1.5, 0.99999)
     assert isinstance(info.value, rl.RLPowerError)
     assert isinstance(info.value, ArithmeticError)
+
+
+@pytest.mark.parametrize("x", [-0.5, -0.9, -0.99, -0.999])
+def test_hyp2f1_pfaff_near_minus_one(x):
+    # the direct series at x -> -1 cancels or hits the term cap; b = 30.3
+    # needs the transform on b
+    for b in (30.3, 9.7, 5.0 / 3.0, 1.5, 0.3, -0.45, -7.3, -30.3):
+        for c in (1.05, 0.5, 1.95):
+            ref = float(mp.hyp2f1(1, b, c, x))
+            assert abs(rl.hyp2f1(1.0, b, c, x) - ref) <= 1e-12 * abs(ref)
 
 
 def test_euler_transform_parameter_map():
@@ -148,12 +156,113 @@ def test_rlfd_hyp_form_matches_series():
     assert rel_err(hyp, ser.value) <= 1e-8
 
 
-def test_rlfd_hyp_form_alpha_one_hits_parameter_pole():
-    # c = 1 - alpha = 0 with a non-terminating series: rejected, not silent
+def test_rlfd_hyp_form_alpha_one_is_classical_derivative():
+    # c = 1 - alpha = 0 is the removable pole of 2F1/Gamma(c): D^1 = f'
     pf = rl.power_function(0.0, rl.beta_real(0.7))
     win = rl.make_window(1.0, pf)
-    with pytest.raises(ParamPole):
-        rl.rlfd_hyp_form(pf, win, 1.0, 1.4)
+    assert rl.rlfd_hyp_form(pf, win, 1.0, 1.4) == pytest.approx(
+        0.7 * 1.4 ** -0.3, rel=1e-13)
+
+
+# (beta, its value, sign of f(t) = (t - d)^beta below the shift) for
+# D^1 = f' on both sides of the shift; 2/3 has a real power below it
+_ORDER_ONE_BETAS = (
+    (rl.beta_int(2), mp.mpf(2), 1),
+    (rl.beta_int(-3), mp.mpf(-3), -1),
+    (rl.beta_rational(2, 3), mp.mpf(2) / 3, 1),
+    (rl.beta_rational(1, 2), mp.mpf(1) / 2, None),
+    (rl.beta_real(-1.5), mp.mpf(-1.5), None),
+    (rl.beta_real(7.3), mp.mpf(7.3), None),
+    (rl.beta_real(-30.5), mp.mpf(-30.5), None),
+)
+
+
+@pytest.mark.parametrize("d, a", [(0.0, 1.0), (2.0, 1.0)])
+def test_rlfd_hyp_form_alpha_one_matches_classical_derivative(d, a):
+    checked = 0
+    for beta, b, sign_below in _ORDER_ONE_BETAS:
+        if d > a and sign_below is None:
+            continue   # no real power below the shift
+        pf = rl.power_function(d, beta)
+        win = rl.make_window(a, pf)
+        for frac in (0.0, 0.3, 0.9, 0.999):
+            t = a + frac * (win.t_sup - a)
+            x = mp.mpf(t) - d
+            f = mp.power(abs(x), b) * (sign_below if x < 0 else 1)
+            ref = float(b * f / x)
+            got = rl.rlfd_hyp_form(pf, win, 1.0, t)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (beta, frac)
+            checked += 1
+    assert checked == (28 if d < a else 12)
+
+
+def _beta(token):
+    """Exponent from its CLI token (``-3``, ``-5/3``, ``0.45``) and its
+    exact value for the mpmath reference."""
+    if "/" in token:
+        p, q = map(int, token.split("/"))
+        return rl.beta_rational(p, q), mp.mpf(p) / q
+    if "." in token:
+        return rl.beta_real(float(token)), mp.mpf(float(token))
+    return rl.beta_int(int(token)), mp.mpf(int(token))
+
+
+def _hyp_form_reference(beta, sa, a, t):
+    # d = 0 < a: a^beta (t-a)^sa / Gamma(1+sa) * 2F1(1, -beta; 1+sa; -(t-a)/a)
+    with mp.workdps(40):
+        A = mp.mpf(a)
+        u = mp.mpf(t) - A
+        sa = mp.mpf(sa)
+        return float(A ** beta * u ** sa / mp.gamma(1 + sa)
+                     * mp.hyp2f1(1, -beta, 1 + sa, -u / A))
+
+
+# (exponent, window fraction above the shift, alpha, operator), each once
+_EDGE_CELLS = list(dict.fromkeys(
+    # the direct series cancels to a wrong value here
+    [("-9.7", 0.99, alpha, op) for alpha in (0.05, 0.5) for op in "JD"]
+    # the fixed hyp-fault inputs of perfbench/workloads.py
+    + [(token, frac, 0.5, op)
+       for token, frac in (("-9.7", 0.99), ("-1", 0.999), ("-3", 0.999),
+                           ("-3/2", 0.999), ("-5/3", 0.999))
+       for op in "JD"]
+    # the direct series runs into its term cap here
+    + [(token, 0.999, alpha, op)
+       for token, ops in (("1/2", "D"), ("0.45", "D"), ("-0.3", "JD"))
+       for op in ops for alpha in (0.05, 0.5, 0.95)]
+))
+
+
+@pytest.mark.parametrize("token, frac, alpha, op", _EDGE_CELLS)
+def test_hyp_forms_near_window_edge_match_mpmath(token, frac, alpha, op):
+    beta, b = _beta(token)
+    pf = rl.power_function(0.0, beta)
+    win = rl.make_window(1.0, pf)
+    t = 1.0 + frac
+    fn, sa = (rl.rlfi_hyp_form, alpha) if op == "J" else (rl.rlfd_hyp_form, -alpha)
+    ref = _hyp_form_reference(b, sa, 1.0, t)
+    assert abs(fn(pf, win, alpha, t) - ref) <= 1e-12 * abs(ref)
+
+
+def test_hyp_form_cost_stays_flat_to_the_window_edge(monkeypatch):
+    terms = []
+    kernel = kernels.hyp2f1_series
+
+    def counting(*args):
+        result = kernel(*args)
+        terms.append(result[1])
+        return result
+
+    monkeypatch.setattr(kernels, "hyp2f1_series", counting)
+    for token in ("-9.7", "-3", "-1", "1/2", "7.3"):
+        pf = rl.power_function(0.0, _beta(token)[0])
+        win = rl.make_window(1.0, pf)
+        for frac in (0.9, 0.99, 0.999):
+            for alpha in (0.05, 0.5, 0.95):
+                for fn in (rl.rlfi_hyp_form, rl.rlfd_hyp_form):
+                    terms.clear()
+                    fn(pf, win, alpha, 1.0 + frac)
+                    assert 0 < sum(terms) <= 80, (token, frac, alpha, fn)
 
 
 def test_rlfd_hyp_form_identity_at_alpha_zero():

@@ -7,7 +7,12 @@ import math
 import pytest
 
 import rlpower as rl
-from rlpower.errors import OutOfRadius, PoleInsideInterval, StepTooLarge
+from rlpower.errors import (
+    EvalAtLowerLimit,
+    OutOfRadius,
+    PoleInsideInterval,
+    StepTooLarge,
+)
 from rlpower.oracle import QuadratureConfig
 
 SQRT_PI = 1.7724538509055160273
@@ -107,6 +112,12 @@ def test_quad_rlfd_step_too_large():
     pf = rl.power_function(0.0, rl.beta_int(2))
     with pytest.raises(StepTooLarge):
         rl.quad_rlfd(pf, 1.0, 0.5, 1.2, h=0.5)
+
+
+def test_quad_rlfd_at_lower_limit_is_typed():
+    pf = rl.power_function(0.0, rl.beta_int(2))
+    with pytest.raises(EvalAtLowerLimit):
+        rl.quad_rlfd(pf, 1.0, 1.0, 1.0)
 
 
 def test_log_reference_values():
