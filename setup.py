@@ -1,20 +1,8 @@
-"""Build script: compiles the kernel extension when Cython and a C compiler
-are available, and degrades to the pure-Python backend otherwise."""
+"""Build script: compiles the kernel extension from the shipped, generated
+``_kernels_cy.c`` when a C compiler is available, and degrades to the
+pure-Python backend otherwise."""
 
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/rlpower/_kernels_cy.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    print("Cython not available; installing with the pure-Python kernel "
-          "backend only", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("rlpower._kernels_cy",
+                             ["src/rlpower/_kernels_cy.c"], optional=True)])

@@ -8,8 +8,10 @@ deviation above the comparison tolerance.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -21,7 +23,6 @@ from .domain import (
     beta_int,
     beta_rational,
     beta_real,
-    beta_value,
     classify_domain,
     format_domain,
     make_window,
@@ -35,10 +36,21 @@ from .errors import (
     SeriesNotConverged,
     ToleranceNotMet,
 )
-from .series import OperatorKind, Route
 
 _MACHINE_FMT = "%.17g"
 _HUMAN_FMT = "%.9g"
+
+
+class OperatorKind(enum.Enum):
+    INTEGRAL = "J"
+    DERIVATIVE = "D"
+
+
+class Route(enum.Enum):
+    SERIES = "series"
+    HYPERGEOMETRIC = "hyp"
+    ORACLE = "oracle"
+    CLOSED_CENTERED = "closed"
 
 
 @dataclass
@@ -53,7 +65,7 @@ class JobSpec:
     routes: list[Route]
     tol: float = series.DEFAULT_TOL
     tol_compare: float = 1e-7
-    quad_tol: float | None = None
+    quad_tol: float = oracle.DEFAULT_TOL
     max_terms: int = series.DEFAULT_MAX_TERMS
     out_format: str = "human"    # human | csv | jsonl
     strict_window: bool = False
@@ -285,7 +297,7 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         tol_compare=_pick(getattr(args, "tol_compare", None), config,
                           "tol-compare", float, 1e-7),
         quad_tol=_pick(getattr(args, "quad_tol", None), config, "quad-tol",
-                       float, None),
+                       float, oracle.DEFAULT_TOL),
         max_terms=_pick(getattr(args, "max_terms", None), config, "max-terms",
                         int, series.DEFAULT_MAX_TERMS),
         out_format=out_format,
@@ -295,12 +307,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
                                  False)),
         out_path=_pick(getattr(args, "out", None), config, "out", str, None),
     )
-
-
-def _quad_config(job: JobSpec) -> oracle.QuadratureConfig:
-    if job.quad_tol is None:
-        return oracle.DEFAULT_CONFIG
-    return oracle.QuadratureConfig(abs_tol=job.quad_tol, rel_tol=job.quad_tol)
 
 
 def _evaluate_one(job: JobSpec, pf, win, a: float, route: Route,
@@ -323,10 +329,10 @@ def _evaluate_one(job: JobSpec, pf, win, a: float, route: Route,
             value = fn(pf, win, job.alpha, t)
         elif route is Route.ORACLE:
             fn = oracle.quad_rlfi if integral else oracle.quad_rlfd
-            value, remainder = fn(pf, a, job.alpha, t, _quad_config(job))
+            value, remainder = fn(pf, a, job.alpha, t, job.quad_tol)
         else:  # Route.CLOSED_CENTERED
-            value = series.closed_centered(kind, beta_value(pf.beta), pf.d,
-                                           job.alpha, t)
+            value = series.closed_centered(pf, job.alpha if integral
+                                           else -job.alpha, t)
     except SeriesNotConverged as exc:
         res = exc.result
         value, terms = res.value, res.terms_used
@@ -401,24 +407,6 @@ def _emit_records(records: list[EvalRecord], job: JobSpec, stream) -> None:
                          f"{'%.3g' % r.remainder:>12} {r.status:>10}\n")
 
 
-def parse_csv_records(text: str) -> list[EvalRecord]:
-    """Parse records out of an emitted CSV body (round-trip companion)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError("missing or malformed CSV header")
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(f"bad CSV record: {ln!r}")
-        records.append(EvalRecord(
-            op=parts[0], alpha=float(parts[1]), beta=parts[2], d=float(parts[3]),
-            a=float(parts[4]), t=float(parts[5]), route=parts[6],
-            value=float(parts[7]), terms=int(parts[8]),
-            remainder=float(parts[9]), status=parts[10]))
-    return records
-
-
 def cmd_eval(job: JobSpec, stream) -> int:
     records = run_job(job)
     _emit_records(records, job, stream)
@@ -466,16 +454,20 @@ def cmd_domain(beta: BetaIndex, d: float, stream) -> int:
     return 0
 
 
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
-    # argparse rejects option values like "-1/2"; fold them into --flag=value
+    # argparse mistakes option values like "-1/2" or "-1e-3" for options;
+    # fold them into --flag=value
     out = []
     skip = False
     for i, tok in enumerate(argv):
         if skip:
             skip = False
             continue
-        if tok in ("--beta-rational", "--t") and i + 1 < len(argv) \
-                and argv[i + 1].startswith("-"):
+        if tok.startswith("--") and i + 1 < len(argv) \
+                and _NEGATIVE_VALUE.match(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             skip = True
         else:

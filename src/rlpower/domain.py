@@ -193,11 +193,10 @@ class WindowSide(enum.Enum):
 
 @dataclass(frozen=True)
 class EvalWindow:
-    """Validated half-open evaluation interval [t_min, t_sup) for one lower limit."""
+    """Validated half-open evaluation interval [a, t_sup) for one lower limit."""
 
     a: float
     epsilon: float
-    t_min: float
     t_sup: float
     side: WindowSide
 
@@ -214,7 +213,7 @@ def make_window(a: float, pf: PowerFunction, strict: bool = False) -> EvalWindow
     d = pf.d
     if a == d:
         if isinstance(pf.beta, IntegerExp) and pf.beta.m >= 0:
-            return EvalWindow(a, 0.0, a, math.inf, WindowSide.CENTERED)
+            return EvalWindow(a, 0.0, math.inf, WindowSide.CENTERED)
         raise CenteredNotAnalytic(
             f"a = d = {d!r} requested but beta={pf.beta!r} is not analytic at d")
     if not pf.contains(a):
@@ -227,16 +226,11 @@ def make_window(a: float, pf: PowerFunction, strict: bool = False) -> EvalWindow
     else:
         t_sup = a + (eps / 2.0 if strict else eps)
         side = WindowSide.ABOVE_D
-    return EvalWindow(a, eps, a, t_sup, side)
-
-
-def check_t(win: EvalWindow, t: float) -> bool:
-    """True iff t_min <= t < t_sup."""
-    return win.t_min <= t < win.t_sup
+    return EvalWindow(a, eps, t_sup, side)
 
 
 def require_in_window(win: EvalWindow, t: float) -> None:
-    """Raise WindowViolation unless t_min <= t < t_sup."""
-    if not check_t(win, t):
+    """Raise WindowViolation unless a <= t < t_sup."""
+    if not win.a <= t < win.t_sup:
         raise WindowViolation(
-            f"t={t!r} outside window [{win.t_min!r}, {win.t_sup!r})")
+            f"t={t!r} outside window [{win.a!r}, {win.t_sup!r})")

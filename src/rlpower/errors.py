@@ -26,7 +26,8 @@ class WindowViolation(RLPowerError, ValueError):
 
 class EvalAtLowerLimit(RLPowerError, ValueError):
     """t = a requested where the derivative series is genuinely singular, or
-    from the difference oracle, whose central differences cannot straddle a."""
+    t <= a from the difference oracle, whose central differences cannot
+    straddle a."""
 
 
 class SeriesNotConverged(RLPowerError, ArithmeticError):
@@ -61,21 +62,9 @@ class HypNotConverged(RLPowerError, ArithmeticError):
     """Hypergeometric series stopped at its term cap or diverged."""
 
 
-class DegenerateExponentSum(RLPowerError, ValueError):
-    """Connection formula requested with an integer exponent sum."""
-
-
 class PoleInsideInterval(RLPowerError, ValueError):
     """Quadrature interval touches the integrand pole for a negative exponent."""
 
 
 class ToleranceNotMet(RLPowerError, ArithmeticError):
     """Adaptive quadrature exhausted its depth budget above tolerance."""
-
-
-class StepTooLarge(RLPowerError, ValueError):
-    """Finite-difference step would cross the lower limit."""
-
-
-class OutOfRadius(RLPowerError, ValueError):
-    """Logarithm reference requested outside the series' radius of convergence."""

@@ -15,18 +15,11 @@ speed, is the contract here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from ._backend import kernels
 from .domain import PowerFunction, beta_value
-from .errors import (
-    EvalAtLowerLimit,
-    OutOfRadius,
-    PoleInsideInterval,
-    StepTooLarge,
-    ToleranceNotMet,
-)
+from .errors import EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet
 
 # Gauss-Kronrod 15-point nodes and weights on [-1, 1] (QUADPACK dqk15).
 _XGK = (
@@ -57,20 +50,12 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_depth: int = 60
-    split_guard: float = 1e-12
-
-    def __post_init__(self):
-        floor = 100.0 * math.ulp(1.0)
-        if self.abs_tol < floor or self.rel_tol < floor:
-            raise ValueError(f"tolerances below {floor:g} are not achievable")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+DEFAULT_TOL = 1e-11
+MAX_DEPTH = 60
+# how close the shift may come to [a, t] before a negative exponent's pole
+# counts as inside the interval
+SPLIT_GUARD = 1e-12
+_TOL_FLOOR = 100.0 * math.ulp(1.0)
 
 
 class QuadEstimate(NamedTuple):
@@ -110,10 +95,17 @@ def _adaptive(f: Callable[[float], float], lo: float, hi: float,
     return v1 + v2, e1 + e2
 
 
+def _require_tol(tol: float) -> None:
+    if tol < _TOL_FLOOR:
+        raise ValueError(f"tolerances below {_TOL_FLOOR:g} are not achievable")
+
+
 def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadEstimate:
+              tol: float = DEFAULT_TOL) -> QuadEstimate:
     """Fractional integral straight from the definition, with the
-    quadrature's error estimate."""
+    quadrature's error estimate; tol is both the absolute and the relative
+    target of the adaptive panels."""
+    _require_tol(tol)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     if t < a:
@@ -121,7 +113,7 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
     for point in (a, t):
         if not pf.contains(point):
             raise ValueError(f"{point!r} outside the power function's domain")
-    if beta_value(pf.beta) < 0.0 and a - cfg.split_guard <= pf.d <= t + cfg.split_guard:
+    if beta_value(pf.beta) < 0.0 and a - SPLIT_GUARD <= pf.d <= t + SPLIT_GUARD:
         raise PoleInsideInterval(
             f"integrand pole at x={pf.d!r} touches [{a!r}, {t!r}]")
     if alpha == 0.0:
@@ -140,37 +132,30 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
             x = t
         return pf.value(x)
 
-    val, err = _adaptive(integrand, 0.0, span, cfg.abs_tol, cfg.rel_tol,
-                         cfg.max_depth)
+    val, err = _adaptive(integrand, 0.0, span, tol, tol, MAX_DEPTH)
     scale = 1.0 / kernels.gamma_value(alpha + 1.0)
     return QuadEstimate(val * scale, err * abs(scale))
 
 
 def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
-              cfg: QuadratureConfig = DEFAULT_CONFIG,
-              h: float | None = None) -> QuadEstimate:
+              tol: float = DEFAULT_TOL) -> QuadEstimate:
     """Fractional derivative as d/dt of the order-(1-alpha) integral.
 
-    Central differences at steps h and h/2 are Richardson-combined; the
-    extrapolation residual is returned as the error estimate.  The inner
-    integrals run two orders tighter than cfg so difference cancellation does
-    not surface quadrature noise.
+    Central differences at steps h = (t-a)*1e-4 and h/2 are
+    Richardson-combined; the extrapolation residual is returned as the error
+    estimate.  The inner integrals run two orders tighter than tol so
+    difference cancellation does not surface quadrature noise.
     """
+    _require_tol(tol)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     if alpha == 0.0:
         return QuadEstimate(pf.value(t), 0.0)
-    if t == a:
-        raise EvalAtLowerLimit("central differences need t > a")
-    if h is None:
-        h = (t - a) * 1e-4
+    # t - h stays above a whenever h > 0
+    h = (t - a) * 1e-4
     if h <= 0.0:
-        raise ValueError("h must be positive")
-    if t - h <= a:
-        raise StepTooLarge(f"t - h = {t - h!r} does not stay above a = {a!r}")
-    inner = replace(cfg,
-                    abs_tol=max(1e-2 * cfg.abs_tol, 250.0 * math.ulp(1.0)),
-                    rel_tol=max(1e-2 * cfg.rel_tol, 250.0 * math.ulp(1.0)))
+        raise EvalAtLowerLimit("central differences need t > a")
+    inner = max(1e-2 * tol, 250.0 * math.ulp(1.0))
 
     def g(tau: float) -> float:
         return quad_rlfi(pf, a, 1.0 - alpha, tau, inner).value
@@ -179,36 +164,3 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
     d2 = (g(t + 0.5 * h) - g(t - 0.5 * h)) / h
     value = (4.0 * d2 - d1) / 3.0
     return QuadEstimate(value, abs(d2 - d1) / 3.0)
-
-
-def log_reference(a: float, d: float, t: float) -> tuple[float, float]:
-    """Closed-form and series values of the beta = -1 integral at order 1.
-
-    Returns (ln((t-d)/(a-d)), series sum of (-1)^k/(k+1) r^(k+1)) with
-    r = (t-a)/(a-d); requires d < a <= t < 2a - d so the series converges.
-    """
-    if not d < a:
-        raise OutOfRadius("log reference requires d < a")
-    if not a <= t < a + (a - d):
-        raise OutOfRadius(
-            f"t={t!r} outside the series radius [a, 2a-d) = [{a!r}, {2 * a - d!r})")
-    closed = math.log((t - d) / (a - d))
-    r = (t - a) / (a - d)
-    total = 0.0
-    comp = 0.0
-    power = r
-    k = 0
-    while True:
-        term = power / (k + 1.0) if k % 2 == 0 else -power / (k + 1.0)
-        s = total + term
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-        power *= r
-        k += 1
-        # alternating with decreasing magnitude: tail below the next term
-        if power / (k + 1.0) <= 1e-17 * max(1.0, abs(total)) or k > 200000:
-            break
-    return closed, total + comp

@@ -1,4 +1,4 @@
-"""Gamma-function family and combinatorial identities on the extended domain.
+"""Gamma ratios on the extended domain.
 
 The gamma function is analytically extended everywhere except the non-positive
 integers, where it has poles.  Ratios of gamma values at those poles are still
@@ -17,41 +17,9 @@ nearby floats behave predictably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import NumeratorPole
-
-_POLE_TOL = 1e-12
-_PRODUCT_CUTOFF = 64
-
-
-@dataclass(frozen=True)
-class ExtendedReal:
-    """A real value, or a signed-infinity marker at a gamma pole."""
-
-    value: float
-    is_pole: bool = False
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def _pole_index(z: float) -> int:
-    """n >= 0 when z is within tolerance of -n, else -1."""
-    return kernels.nonpos_int_index(z)
-
-
-def gamma(z: float) -> ExtendedReal:
-    """Gamma(z); poles at 0, -1, -2, ... are values, not errors.
-
-    The pole marker carries the sign of the limit from the right,
-    (-1)^n at z = -n.
-    """
-    n = _pole_index(z)
-    if n >= 0:
-        return ExtendedReal(-math.inf if n & 1 else math.inf, is_pole=True)
-    return ExtendedReal(kernels.gamma_value(z))
 
 
 def gamma_ratio(num: float, den: float) -> float:
@@ -60,8 +28,8 @@ def gamma_ratio(num: float, den: float) -> float:
     Both arguments at poles -n, -m give (-1)^(m-n) m!/n!; a pole only in the
     denominator gives 0; a pole only in the numerator raises NumeratorPole.
     """
-    n = _pole_index(num)
-    m = _pole_index(den)
+    n = kernels.nonpos_int_index(num)
+    m = kernels.nonpos_int_index(den)
     if n >= 0 and m >= 0:
         sign = -1.0 if (m - n) & 1 else 1.0
         if m < 170 and n < 170:
@@ -74,66 +42,3 @@ def gamma_ratio(num: float, den: float) -> float:
             f"gamma_ratio({num!r}, {den!r}): numerator pole with finite denominator")
     sign = kernels.gamma_sign(num) * kernels.gamma_sign(den)
     return sign * math.exp(math.lgamma(num) - math.lgamma(den))
-
-
-def pochhammer_asc(z: float, k: int) -> float:
-    """Ascending factorial (z)_k = z (z+1) ... (z+k-1); empty product is 1."""
-    if k < 0:
-        raise ValueError("pochhammer_asc requires k >= 0")
-    if k == 0:
-        return 1.0
-    if k <= _PRODUCT_CUTOFF:
-        out = 1.0
-        for j in range(k):
-            out *= z + j
-        return out
-    n = _pole_index(z)
-    if n >= 0:
-        if n <= k - 1:
-            return 0.0
-        # all factors are negative integers; magnitude n!/(n-k)!
-        mag = math.exp(math.lgamma(n + 1.0) - math.lgamma(n - k + 1.0))
-        return -mag if k & 1 else mag
-    sign = kernels.gamma_sign(z + k) * kernels.gamma_sign(z)
-    return sign * math.exp(math.lgamma(z + k) - math.lgamma(z))
-
-
-def pochhammer_desc(z: float, k: int) -> float:
-    """Descending factorial (z)_{-k} = z (z-1) ... (z-k+1)."""
-    if k < 0:
-        raise ValueError("pochhammer_desc requires k >= 0")
-    if k == 0:
-        return 1.0
-    if k <= _PRODUCT_CUTOFF:
-        out = 1.0
-        for j in range(k):
-            out *= z - j
-        return out
-    # (z)_{-k} = (-1)^k (-z)_k, exact sign flip per factor
-    v = pochhammer_asc(-z, k)
-    return -v if k & 1 else v
-
-
-def gen_binomial(beta: float, k: int) -> float:
-    """Generalized binomial coefficient Gamma(beta+1)/(Gamma(beta-k+1) k!).
-
-    Routed through the descending factorial so that integer beta with k > beta
-    yields an exact 0.
-    """
-    if k < 0:
-        raise ValueError("gen_binomial requires k >= 0")
-    if k <= _PRODUCT_CUTOFF:
-        return pochhammer_desc(beta, k) / math.factorial(k)
-    n_num = _pole_index(beta + 1.0)
-    n_den = _pole_index(beta - k + 1.0)
-    if n_num >= 0 and n_den >= 0:
-        # negative integer beta: both gammas sit at poles, ratio via the
-        # factorial rule in log space
-        sign = -1.0 if (n_den - n_num) & 1 else 1.0
-        return sign * math.exp(math.lgamma(n_den + 1.0) - math.lgamma(n_num + 1.0)
-                               - math.lgamma(k + 1.0))
-    if n_den >= 0:
-        return 0.0
-    sign = kernels.gamma_sign(beta + 1.0) * kernels.gamma_sign(beta - k + 1.0)
-    return sign * math.exp(math.lgamma(beta + 1.0) - math.lgamma(beta - k + 1.0)
-                           - math.lgamma(k + 1.0))

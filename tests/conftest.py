@@ -1,13 +1,22 @@
-"""Shared fixtures: the cross-route evaluation grid and comparison helpers."""
+"""Shared fixtures: the cross-route evaluation grid, comparison helpers and
+the compiled kernel backend."""
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import math
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 import rlpower as rl
+from rlpower.domain import EvalWindow, IntegerExp, PowerFunction
 
 
 def rel_err(x: float, ref: float) -> float:
@@ -16,8 +25,8 @@ def rel_err(x: float, ref: float) -> float:
 
 
 class GridCase(NamedTuple):
-    pf: rl.PowerFunction
-    win: rl.EvalWindow
+    pf: PowerFunction
+    win: EvalWindow
     a: float
     alpha: float
     t: float
@@ -58,7 +67,7 @@ def build_grid() -> list[GridCase]:
         for d, a in placements:
             pf = rl.power_function(d, beta)
             win = rl.make_window(a, pf)
-            width = win.t_sup - win.t_min
+            width = win.t_sup - win.a
             for alpha in _ALPHAS:
                 for frac in _FRACS:
                     t = a + frac * width
@@ -82,7 +91,7 @@ def oracle_values(grid) -> list[float]:
 def nonterminating(case: GridCase) -> bool:
     """True when the integral series of this tuple is genuinely infinite."""
     beta = case.pf.beta
-    return not (isinstance(beta, rl.IntegerExp) and beta.m >= 0)
+    return not (isinstance(beta, IntegerExp) and beta.m >= 0)
 
 
 @pytest.fixture(scope="session")
@@ -94,3 +103,32 @@ def deep_window_idx(grid) -> list[int]:
               if c.frac == 0.9 and nonterminating(c)]
     assert len(picked) >= 100
     return picked[:100]
+
+
+_KERNELS_C = Path(rl.__file__).with_name("_kernels_cy.c")
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The compiled kernel module: the installed one, or the shipped
+    ``_kernels_cy.c`` built with the interpreter's compiler and flags into a
+    temporary directory.  Skips when neither is available."""
+    try:
+        return importlib.import_module("rlpower._kernels_cy")
+    except ImportError:
+        pass
+    cfg = sysconfig.get_config_var
+    cc = shlex.split(cfg("CC") or "cc")
+    if not _KERNELS_C.is_file() or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler or no shipped _kernels_cy.c")
+    target = tmp_path_factory.mktemp("kernels") / ("_kernels_cy" + cfg("EXT_SUFFIX"))
+    cmd = cc + shlex.split(cfg("CFLAGS") or "") + shlex.split(cfg("CCSHARED") or "") \
+        + ["-shared", f"-I{sysconfig.get_paths()['include']}", str(_KERNELS_C),
+           "-o", str(target)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        pytest.skip(f"compiling _kernels_cy.c failed: {proc.stderr[-2000:]}")
+    spec = importlib.util.spec_from_file_location("rlpower._kernels_cy", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

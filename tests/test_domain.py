@@ -7,7 +7,15 @@ import math
 import pytest
 
 import rlpower as rl
-from rlpower import DomainSpec, WindowSide
+from rlpower.domain import (
+    DomainSpec,
+    IntegerExp,
+    RationalExp,
+    WindowSide,
+    classify_domain,
+    format_domain,
+    require_in_window,
+)
 from rlpower.errors import (
     CenteredNotAnalytic,
     LowerLimitOutsideDomain,
@@ -16,40 +24,40 @@ from rlpower.errors import (
 
 
 def test_classify_integer_cases():
-    assert rl.classify_domain(0.0, rl.beta_int(3)) is DomainSpec.ALL_REALS
-    assert rl.classify_domain(0.0, rl.beta_int(0)) is DomainSpec.ALL_REALS
-    assert rl.classify_domain(0.0, rl.beta_int(-2)) is DomainSpec.ALL_REALS_EXCEPT_D
+    assert classify_domain(0.0, rl.beta_int(3)) is DomainSpec.ALL_REALS
+    assert classify_domain(0.0, rl.beta_int(0)) is DomainSpec.ALL_REALS
+    assert classify_domain(0.0, rl.beta_int(-2)) is DomainSpec.ALL_REALS_EXCEPT_D
 
 
 def test_classify_rational_cases():
-    assert rl.classify_domain(0.0, rl.beta_rational(1, 2)) is DomainSpec.CLOSED_FROM_D
-    assert rl.classify_domain(0.0, rl.beta_rational(-1, 2)) is DomainSpec.OPEN_FROM_D
-    assert rl.classify_domain(0.0, rl.beta_rational(2, 3)) is DomainSpec.ALL_REALS
+    assert classify_domain(0.0, rl.beta_rational(1, 2)) is DomainSpec.CLOSED_FROM_D
+    assert classify_domain(0.0, rl.beta_rational(-1, 2)) is DomainSpec.OPEN_FROM_D
+    assert classify_domain(0.0, rl.beta_rational(2, 3)) is DomainSpec.ALL_REALS
 
 
 def test_classify_real_case():
-    assert rl.classify_domain(0.0, rl.beta_real(math.sqrt(2))) is DomainSpec.OPEN_FROM_D
+    assert classify_domain(0.0, rl.beta_real(math.sqrt(2))) is DomainSpec.OPEN_FROM_D
 
 
 def test_no_float_sniffing():
     # 0.5 entered as a real is RealExp and keeps the conservative open domain
-    assert rl.classify_domain(0.0, rl.beta_real(0.5)) is DomainSpec.OPEN_FROM_D
+    assert classify_domain(0.0, rl.beta_real(0.5)) is DomainSpec.OPEN_FROM_D
 
 
 def test_rational_normalizes_to_lowest_terms():
     b = rl.beta_rational(2, 4)
-    assert isinstance(b, rl.RationalExp)
+    assert isinstance(b, RationalExp)
     assert (b.p, b.q) == (1, 2)
-    assert isinstance(rl.beta_rational(4, 2), rl.IntegerExp)
+    assert isinstance(rl.beta_rational(4, 2), IntegerExp)
     assert rl.beta_rational(4, 2).m == 2
-    assert rl.beta_rational(1, -2) == rl.RationalExp(-1, 2)
+    assert rl.beta_rational(1, -2) == RationalExp(-1, 2)
 
 
 def test_rational_q_one_rejected_directly():
     with pytest.raises(ValueError):
-        rl.RationalExp(3, 1)
+        RationalExp(3, 1)
     with pytest.raises(ValueError):
-        rl.RationalExp(1, 0)
+        RationalExp(1, 0)
 
 
 def test_make_window_rejects_a_outside_domain():
@@ -63,7 +71,7 @@ def test_make_window_above():
     win = rl.make_window(2.0, pf)
     assert win.side is WindowSide.ABOVE_D
     assert win.epsilon == 1.0
-    assert (win.t_min, win.t_sup) == (2.0, 3.0)
+    assert (win.a, win.t_sup) == (2.0, 3.0)
 
 
 def test_make_window_below():
@@ -71,7 +79,7 @@ def test_make_window_below():
     win = rl.make_window(0.0, pf)
     assert win.side is WindowSide.BELOW_D
     assert win.epsilon == 1.0
-    assert (win.t_min, win.t_sup) == (0.0, 0.5)
+    assert (win.a, win.t_sup) == (0.0, 0.5)
 
 
 def test_window_asymmetry_above_twice_below():
@@ -81,7 +89,7 @@ def test_window_asymmetry_above_twice_below():
     for eps in (0.5, 1.0, 3.0):
         wa = rl.make_window(eps, pf_above)
         wb = rl.make_window(2.0 - eps, pf_below)
-        assert (wa.t_sup - wa.t_min) == pytest.approx(2 * (wb.t_sup - wb.t_min))
+        assert (wa.t_sup - wa.a) == pytest.approx(2 * (wb.t_sup - wb.a))
 
 
 def test_strict_flag_forces_half_window_above():
@@ -110,19 +118,20 @@ def test_centered_rejected_for_nonpolynomial():
 def test_check_t_half_open():
     pf = rl.power_function(1.0, rl.beta_int(-1))
     win = rl.make_window(2.0, pf)     # eps = 1 -> [2, 3)
-    assert rl.check_t(win, 2.5)
-    assert rl.check_t(win, 2.0)       # t = a always accepted
-    assert not rl.check_t(win, 3.0)   # open upper boundary
-    assert not rl.check_t(win, 1.9)
+    require_in_window(win, 2.5)
+    require_in_window(win, 2.0)       # t = a always accepted
+    for t in (3.0, 1.9):              # open upper boundary, below a
+        with pytest.raises(WindowViolation):
+            require_in_window(win, t)
 
 
 def test_require_in_window_raises_outside():
     pf = rl.power_function(1.0, rl.beta_int(-1))
     win = rl.make_window(2.0, pf)     # [2, 3)
-    rl.domain.require_in_window(win, 2.0)
+    require_in_window(win, 2.0)
     for t in (3.0, 1.9):
         with pytest.raises(WindowViolation) as exc:
-            rl.domain.require_in_window(win, t)
+            require_in_window(win, t)
         assert str(exc.value) == f"t={t!r} outside window [2.0, 3.0)"
 
 
@@ -146,5 +155,5 @@ def test_value_outside_domain_raises():
 
 
 def test_format_domain_strings():
-    assert rl.domain.format_domain(DomainSpec.OPEN_FROM_D, 1.0) == "(1, +inf)"
-    assert rl.domain.format_domain(DomainSpec.ALL_REALS, 0.0) == "R"
+    assert format_domain(DomainSpec.OPEN_FROM_D, 1.0) == "(1, +inf)"
+    assert format_domain(DomainSpec.ALL_REALS, 0.0) == "R"

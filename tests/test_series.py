@@ -7,22 +7,37 @@ import math
 import pytest
 
 import rlpower as rl
-from rlpower import OperatorKind, SeriesStatus
+from rlpower import SeriesStatus
+from rlpower._backend import kernels
+from rlpower.domain import beta_value
 from rlpower.errors import (
     BetaOutOfRange,
     EvalAtLowerLimit,
     SeriesNotConverged,
     WindowViolation,
 )
-from rlpower.series import partial_sum
+from rlpower.special import gamma_ratio
 
 from conftest import rel_err
+from reference import (
+    partial_sum,
+    remainder_bound,
+    rlfd_neg_integer,
+    rlfd_polynomial,
+    rlfi_neg_integer,
+    rlfi_polynomial,
+    taylor_route,
+)
 
 SQRT_PI = 1.7724538509055160273
 
 
 def _win(pf, a, **kw):
     return rl.make_window(a, pf, **kw)
+
+
+def _closed(beta, d, sa, t):
+    return rl.closed_centered(rl.power_function(d, rl.beta_real(beta)), sa, t)
 
 
 # --- integral series -------------------------------------------------------
@@ -92,41 +107,41 @@ def test_natural_termination_term_count():
 
 def test_polynomial_sum_examples():
     pf0 = rl.power_function(0.0, rl.beta_int(0))
-    assert rl.rlfi_polynomial(pf0, 0.0, 0.5, 1.0) == pytest.approx(
+    assert rlfi_polynomial(pf0, 0.0, 0.5, 1.0) == pytest.approx(
         2.0 / SQRT_PI, rel=1e-13)
     pf1 = rl.power_function(0.0, rl.beta_int(1))
-    assert rl.rlfi_polynomial(pf1, 0.0, 0.5, 1.0) == pytest.approx(
+    assert rlfi_polynomial(pf1, 0.0, 0.5, 1.0) == pytest.approx(
         0.75225277806367504, rel=1e-12)    # Gamma(2)/Gamma(2.5)
     pf2 = rl.power_function(0.0, rl.beta_int(2))
-    assert rl.rlfi_polynomial(pf2, 0.0, 0.0, 1.7) == pytest.approx(1.7 ** 2, rel=1e-13)
+    assert rlfi_polynomial(pf2, 0.0, 0.0, 1.7) == pytest.approx(1.7 ** 2, rel=1e-13)
 
 
 def test_polynomial_centered_reduces_to_single_term():
     pf = rl.power_function(0.4, rl.beta_int(3))
-    got = rl.rlfi_polynomial(pf, 0.4, 0.6, 2.0)
-    want = rl.gamma_ratio(4.0, 4.6) * (2.0 - 0.4) ** 3.6
+    got = rlfi_polynomial(pf, 0.4, 0.6, 2.0)
+    want = gamma_ratio(4.0, 4.6) * (2.0 - 0.4) ** 3.6
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_neg_integer_route_agrees_with_general():
     pf = rl.power_function(0.0, rl.beta_int(-2))
     win = _win(pf, 1.0)
-    alt = rl.rlfi_neg_integer(pf, win, 0.5, 1.2)
+    alt = rlfi_neg_integer(pf, win, 0.5, 1.2)
     gen = rl.rlfi_series_displaced(pf, win, 0.5, 1.2)
     assert rel_err(alt.value, gen.value) <= 1e-12
 
 
 def test_neg_integer_log_reduction():
     pf = rl.power_function(0.0, rl.beta_int(-1))
-    res = rl.rlfi_neg_integer(pf, _win(pf, 2.0), 1.0, 2.5)
+    res = rlfi_neg_integer(pf, _win(pf, 2.0), 1.0, 2.5)
     assert res.value == pytest.approx(math.log(1.25), rel=1e-9)
 
 
 def test_neg_integer_at_lower_limit():
     pf = rl.power_function(0.0, rl.beta_int(-2))
-    assert rl.rlfi_neg_integer(pf, _win(pf, 1.0), 0.5, 1.0).value == 0.0
+    assert rlfi_neg_integer(pf, _win(pf, 1.0), 0.5, 1.0).value == 0.0
     with pytest.raises(EvalAtLowerLimit):
-        rl.rlfd_neg_integer(pf, _win(pf, 1.0), 0.5, 1.0)
+        rlfd_neg_integer(pf, _win(pf, 1.0), 0.5, 1.0)
 
 
 # --- derivative series -----------------------------------------------------
@@ -139,7 +154,7 @@ def test_rlfd_centered_linear():
 
 def test_rlfd_constant_is_not_zero():
     pf = rl.power_function(0.0, rl.beta_int(0))
-    got = rl.rlfd_polynomial(pf, 0.0, 0.5, 1.0)
+    got = rlfd_polynomial(pf, 0.0, 0.5, 1.0)
     assert got == pytest.approx(1.0 / SQRT_PI, rel=1e-12)
 
 
@@ -151,24 +166,24 @@ def test_rlfd_alpha_one_classical_derivative():
 
 def test_rlfd_neg_integer_alpha_one():
     pf = rl.power_function(0.0, rl.beta_int(-1))
-    res = rl.rlfd_neg_integer(pf, _win(pf, 2.0), 1.0, 2.5)
+    res = rlfd_neg_integer(pf, _win(pf, 2.0), 1.0, 2.5)
     assert res.value == pytest.approx(-0.16, rel=1e-9)
 
 
 def test_rlfd_polynomial_example():
     pf = rl.power_function(0.0, rl.beta_int(1))
-    assert rl.rlfd_polynomial(pf, 0.0, 0.5, 4.0) == pytest.approx(
+    assert rlfd_polynomial(pf, 0.0, 0.5, 4.0) == pytest.approx(
         2.0 * math.sqrt(4.0 / math.pi), rel=1e-12)
 
 
 def test_rlfd_polynomial_constant_alpha_one_is_zero():
     pf = rl.power_function(0.0, rl.beta_int(0))
-    assert rl.rlfd_polynomial(pf, 0.0, 1.0, 2.3) == 0.0
+    assert rlfd_polynomial(pf, 0.0, 1.0, 2.3) == 0.0
 
 
 def test_rlfd_polynomial_identity_alpha_zero():
     pf = rl.power_function(0.5, rl.beta_int(3))
-    assert rl.rlfd_polynomial(pf, 2.0, 0.0, 3.1) == pytest.approx(
+    assert rlfd_polynomial(pf, 2.0, 0.0, 3.1) == pytest.approx(
         (3.1 - 0.5) ** 3, rel=1e-12)
 
 
@@ -181,30 +196,30 @@ def test_rlfd_at_lower_limit_raises():
 # --- closed centered forms -------------------------------------------------
 
 def test_closed_centered_integral():
-    got = rl.closed_centered(OperatorKind.INTEGRAL, 1.0, 0.0, 0.5, 1.0)
+    got = _closed(1.0, 0.0, 0.5, 1.0)
     assert got == pytest.approx(0.75225277806367504, rel=1e-12)
 
 
 def test_closed_centered_derivative():
-    got = rl.closed_centered(OperatorKind.DERIVATIVE, 0.5, 0.0, 0.5, 1.0)
+    got = _closed(0.5, 0.0, -0.5, 1.0)
     assert got == pytest.approx(0.88622692545275801, rel=1e-12)  # Gamma(1.5)
 
 
 def test_closed_centered_identity_at_alpha_zero():
-    got = rl.closed_centered(OperatorKind.INTEGRAL, 0.7, 0.0, 0.0, 1.9)
+    got = _closed(0.7, 0.0, 0.0, 1.9)
     assert got == pytest.approx(1.9 ** 0.7, rel=1e-13)
 
 
 def test_closed_centered_beta_out_of_range():
     with pytest.raises(BetaOutOfRange):
-        rl.closed_centered(OperatorKind.INTEGRAL, -1.0, 0.0, 0.5, 1.0)
+        _closed(-1.0, 0.0, 0.5, 1.0)
     with pytest.raises(BetaOutOfRange):
-        rl.closed_centered(OperatorKind.INTEGRAL, -2.5, 0.0, 0.5, 1.0)
+        _closed(-2.5, 0.0, 0.5, 1.0)
 
 
 def test_closed_centered_derivative_kills_power_alpha_minus_one():
     # D^alpha (t-d)^(alpha-1) = 0 through the gamma pole
-    assert rl.closed_centered(OperatorKind.DERIVATIVE, -0.5, 0.0, 0.5, 2.0) == 0.0
+    assert _closed(-0.5, 0.0, -0.5, 2.0) == 0.0
 
 
 # --- remainder machinery ---------------------------------------------------
@@ -213,15 +228,15 @@ def test_remainder_bound_zero_at_lower_limit():
     pf = rl.power_function(0.0, rl.beta_int(-2))
     win = _win(pf, 1.0)
     for p in (1, 3, 10):
-        assert rl.remainder_bound(pf, win, 0.5, 1.0, p) == 0.0
+        assert remainder_bound(pf, win, 0.5, 1.0, p) == 0.0
 
 
 def test_remainder_bound_geometric_ratio_above():
     # above the shift the sound geometric factor is |t-a|/|a-d|
     pf = rl.power_function(0.0, rl.beta_int(-2))
     win = _win(pf, 1.0)
-    b40 = rl.remainder_bound(pf, win, 0.5, 1.2, 40)
-    b41 = rl.remainder_bound(pf, win, 0.5, 1.2, 41)
+    b40 = remainder_bound(pf, win, 0.5, 1.2, 40)
+    b41 = remainder_bound(pf, win, 0.5, 1.2, 41)
     assert b41 / b40 == pytest.approx(0.2, rel=0.1)
 
 
@@ -230,15 +245,15 @@ def test_remainder_bound_geometric_ratio_below():
     pf = rl.power_function(1.0, rl.beta_int(-2))
     win = _win(pf, 0.0)
     t = 0.3
-    b40 = rl.remainder_bound(pf, win, 0.5, t, 40)
-    b41 = rl.remainder_bound(pf, win, 0.5, t, 41)
+    b40 = remainder_bound(pf, win, 0.5, t, 40)
+    b41 = remainder_bound(pf, win, 0.5, t, 41)
     assert b41 / b40 == pytest.approx(0.3 / 0.7, rel=0.1)
 
 
 def test_remainder_bound_monotone_past_crossover():
     pf = rl.power_function(0.0, rl.beta_real(-1.5))
     win = _win(pf, 1.0)
-    bounds = [rl.remainder_bound(pf, win, 0.5, 1.6, p) for p in range(3, 40)]
+    bounds = [remainder_bound(pf, win, 0.5, 1.6, p) for p in range(3, 40)]
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
 
 
@@ -249,7 +264,7 @@ def test_remainder_bound_dominates_true_tail():
     exact = rl.quad_rlfi(pf, 1.0, 0.5, t).value
     for p in range(1, 30):
         err = abs(exact - partial_sum(pf, win, 0.5, t, p))
-        assert err <= rl.remainder_bound(pf, win, 0.5, t, p)
+        assert err <= remainder_bound(pf, win, 0.5, t, p)
 
 
 def test_remainder_bound_deriv_dominates_tail():
@@ -259,7 +274,7 @@ def test_remainder_bound_deriv_dominates_tail():
     converged = rl.rlfd_series(pf, win, 0.5, t, tol=1e-13).value
     for p in range(1, 25):
         err = abs(converged - partial_sum(pf, win, -0.5, t, p))
-        assert err <= rl.remainder_bound(pf, win, -0.5, t, p) + 1e-12
+        assert err <= remainder_bound(pf, win, -0.5, t, p) + 1e-12
 
 
 def test_term_ratio_tends_to_window_ratio():
@@ -279,13 +294,13 @@ def test_recurrence_matches_fresh_gamma_coefficients():
     pf = rl.power_function(0.0, rl.beta_real(-1.5))
     win = _win(pf, 1.0)
     alpha, t = 0.5, 1.7
-    b = rl.beta_value(pf.beta)
+    b = beta_value(pf.beta)
     prev = 0.0
     for p in range(1, 21):
         term = partial_sum(pf, win, alpha, t, p) - prev
         prev = partial_sum(pf, win, alpha, t, p)
-        direct = (rl.gamma_ratio(b + 1.0, b - (p - 1) + 1.0)
-                  / float(rl.gamma(alpha + (p - 1) + 1.0))
+        direct = (gamma_ratio(b + 1.0, b - (p - 1) + 1.0)
+                  / kernels.gamma_value(alpha + (p - 1) + 1.0)
                   * (1.0) ** (b - (p - 1)) * (t - 1.0) ** (alpha + p - 1))
         assert term == pytest.approx(direct, rel=1e-10, abs=1e-250)
 
@@ -294,21 +309,21 @@ def test_recurrence_matches_fresh_gamma_coefficients():
 
 def test_taylor_route_matches_displaced_series():
     pf = rl.power_function(0.0, rl.beta_real(math.pi))
-    tay = rl.taylor_route(pf, 1.0, 0.3, 1.3)
+    tay = taylor_route(pf, 1.0, 0.3, 1.3)
     ser = rl.rlfi_series_displaced(pf, _win(pf, 1.0), 0.3, 1.3)
     assert rel_err(tay.value, ser.value) <= 1e-10
 
 
 def test_taylor_route_alpha_one_antiderivative():
     pf = rl.power_function(0.0, rl.beta_rational(1, 2))
-    tay = rl.taylor_route(pf, 1.0, 1.0, 1.4)
+    tay = taylor_route(pf, 1.0, 1.0, 1.4)
     want = (1.4 ** 1.5 - 1.0) / 1.5
     assert tay.value == pytest.approx(want, rel=1e-9)
 
 
 def test_taylor_route_alpha_zero_is_taylor_sum():
     pf = rl.power_function(0.0, rl.beta_real(-0.7))
-    tay = rl.taylor_route(pf, 1.0, 0.0, 1.35)
+    tay = taylor_route(pf, 1.0, 0.0, 1.35)
     assert tay.value == pytest.approx(1.35 ** -0.7, rel=1e-9)
 
 
@@ -337,8 +352,8 @@ def test_route_equivalence_pairwise():
     alpha, t = 0.6, 1.5
     values = [
         rl.rlfi_series_displaced(pf, win, alpha, t).value,
-        rl.taylor_route(pf, 1.0, alpha, t).value,
-        rl.rlfi_neg_integer(pf, win, alpha, t).value,
+        taylor_route(pf, 1.0, alpha, t).value,
+        rlfi_neg_integer(pf, win, alpha, t).value,
         rl.rlfi_hyp_form(pf, win, alpha, t),
     ]
     for i in range(len(values)):
@@ -347,7 +362,7 @@ def test_route_equivalence_pairwise():
 
     # centered polynomial: finite sum against the closed gamma form
     pfm = rl.power_function(0.5, rl.beta_int(3))
-    poly = rl.rlfi_polynomial(pfm, 0.5, alpha, 2.0)
-    closed = rl.closed_centered(OperatorKind.INTEGRAL, 3.0, 0.5, alpha, 2.0)
+    poly = rlfi_polynomial(pfm, 0.5, alpha, 2.0)
+    closed = _closed(3.0, 0.5, alpha, 2.0)
     assert rel_err(poly, closed) <= 1e-12
 
