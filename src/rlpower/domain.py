@@ -147,6 +147,13 @@ class PowerFunction:
 
 
 def power_function(d: float, beta: BetaIndex) -> PowerFunction:
+    """The pair (d, beta); raises ValueError unless both are finite floats."""
+    try:
+        finite = math.isfinite(d) and math.isfinite(beta_value(beta))
+    except OverflowError:  # an int or p/q beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError("the shift d and the exponent beta must be finite floats")
     return PowerFunction(float(d), beta, classify_domain(d, beta))
 
 

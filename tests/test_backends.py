@@ -121,18 +121,16 @@ def test_tail_bound_matches(cy):
 
 
 def test_forced_pure_python_env(tmp_path):
-    import os
     import subprocess
     import sys
+
+    import rlpower
     code = ("import rlpower, sys; "
             "sys.exit(0 if rlpower.backend_name() == 'pure-python' else 1)")
-    # the parent's PYTHONPATH, made absolute for the child's other cwd, so
-    # the child imports the same rlpower
-    pythonpath = os.pathsep.join(
-        os.path.abspath(p)
-        for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
+    # the directory this rlpower was imported from, so the child imports the
+    # same package whatever its cwd and however the parent found it
     env = {"RLPOWER_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin",
-           "PYTHONPATH": pythonpath}
+           "PYTHONPATH": str(Path(rlpower.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           cwd=str(tmp_path))
     assert proc.returncode == 0

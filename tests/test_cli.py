@@ -236,19 +236,127 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert override.value != base.value
 
 
-@pytest.mark.parametrize("text, err", [
-    ("beta-rational=0.5\nop=J\n",
-     "error: ValueError: --beta-rational expects p/q\n"),
-    ("beta-int=2\nop=X\n",
-     "error: ValueError: op='X': expected J or D\n"),
-    ("beta-int=2\nop=J\nformat=xml\n",
-     "error: ValueError: format='xml': expected human, csv or jsonl\n"),
-], ids=["beta-rational", "op", "format"])
-def test_config_values_are_checked_like_flags(capsys, tmp_path, text, err):
+def _config_job(capsys, tmp_path, text, *flags):
     cfg = tmp_path / "job.cfg"
-    cfg.write_text(text + "alpha=0.5\nd=0\na=1\nt=1.2\n")
-    code, out, got_err = run(capsys, "eval", "--config", str(cfg))
-    assert (code, out, got_err) == (1, "", err)
+    cfg.write_text(text)
+    return run(capsys, "eval", "--config", str(cfg), *flags)
+
+
+_JOB = {"op": "J", "alpha": "0.5", "beta-int": "2", "d": "0", "a": "1",
+        "t": "1.2", "format": "csv"}
+_CFG = "".join(f"{key}={value}\n" for key, value in _JOB.items())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("op", "X"), ("format", "xml"), ("alpha", "abc"), ("beta-rational", "0.5"),
+], ids=["op", "format", "alpha", "beta-rational"])
+def test_config_values_are_checked_like_flags(capsys, tmp_path, key, value):
+    # a config line parses as the flag it names: same exit code, same message
+    job = dict(_JOB)
+    if key.startswith("beta"):
+        del job["beta-int"]
+    job[key] = value
+    code, out, err = _config_job(
+        capsys, tmp_path, "".join(f"{k}={v}\n" for k, v in job.items()))
+    flag_code, flag_out, flag_err = run(
+        capsys, "eval", *(tok for k, v in job.items() for tok in (f"--{k}", v)))
+    assert (code, out) == (flag_code, flag_out) == (1, "")
+    assert err.splitlines()[-1] == flag_err.splitlines()[-1]
+
+
+def test_config_with_two_exponents_is_an_error(capsys, tmp_path):
+    code, out, err = _config_job(capsys, tmp_path, _CFG + "beta-real=0.5\n")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].endswith(
+        "argument --beta-real: not allowed with argument --beta-int")
+
+
+def test_config_ignores_unknown_and_abbreviated_keys(capsys, tmp_path):
+    code, base, _ = _config_job(capsys, tmp_path, _CFG)
+    assert code == 0
+    # "rout" would abbreviate --route on the command line; in a file only
+    # exact keys count
+    code, out, err = _config_job(capsys, tmp_path,
+                                 _CFG + "rout=hyp\ncolour=blue\n")
+    assert (code, out, err) == (0, base, "")
+    assert parse_csv_records(out)[0].route == "series"
+
+
+def test_exponent_flag_overrides_config_exponent_of_another_class(
+        capsys, tmp_path):
+    code, out, err = _config_job(capsys, tmp_path, _CFG,
+                                 "--beta-rational", "1/2")
+    assert (code, err) == (0, "")
+    assert parse_csv_records(out)[0].beta == "1/2"
+
+
+def test_config_lower_limit_and_dplus_flag_conflict(capsys, tmp_path):
+    code, _, err = _config_job(capsys, tmp_path, _CFG, "--dplus", "0.5")
+    assert code == 1
+    assert err == ("error: ValueError: only one of --a / --dplus / --centered "
+                   "may be given\n")
+
+
+def test_bad_config_line_overridden_by_flag_is_ignored(capsys, tmp_path):
+    code, out, err = _config_job(capsys, tmp_path,
+                                 _CFG.replace("alpha=0.5", "alpha=abc"),
+                                 "--alpha", "0.25")
+    assert (code, err) == (0, "")
+    assert parse_csv_records(out)[0].alpha == 0.25
+
+
+_FINITE_JOB = ["--op", "J", "--alpha", "0.5", "--beta-int", "2", "--d", "0",
+               "--a", "1", "--t", "1.2", "--route", "series,oracle"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "nan"), ("--d", "inf"), ("--a", "-inf"), ("--dplus", "inf"),
+    ("--tol", "inf"), ("--quad-tol", "nan"), ("--tol-compare", "nan"),
+    ("--t", "nan"), ("--t", "inf"), ("--t", "1:inf:3"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, flag, value,
+                                             source):
+    job = list(_FINITE_JOB)
+    if flag in job:
+        del job[job.index(flag):job.index(flag) + 2]
+    if flag == "--dplus":
+        del job[job.index("--a"):job.index("--a") + 2]
+    if source == "flag":
+        code, out, err = run(capsys, "compare", *job, f"{flag}={value}")
+    else:
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n")
+        code, out, err = run(capsys, "compare", *job, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "finite" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("exponent", [
+    ["--beta-real=-inf"], ["--beta-real", "inf"], ["--beta-real", "nan"],
+    ["--beta-real", "inf", "--route", "hyp"], ["--beta-int", str(10**309)],
+    ["--beta-rational", f"{10**400}/3"],
+], ids=["-inf", "inf", "nan", "inf-hyp", "huge-int", "huge-rational"])
+def test_exponent_beyond_floats_is_a_usage_error(capsys, exponent):
+    code, out, err = run(capsys, "eval", "--op", "J", "--alpha", "0.5",
+                         "--d", "0", "--a", "1", "--t", "1.2", *exponent)
+    assert (code, out) == (1, "")
+    assert err == ("error: ValueError: the shift d and the exponent beta "
+                   "must be finite floats\n")
+
+
+@pytest.mark.parametrize("command, job", [
+    ("eval", ["--beta-int", "2", "--t", "5", "--format", "csv"]),
+    ("compare", ["--beta-int", "2", "--t", "1.2", "--route", "series"]),
+    ("eval", ["--beta-rational", "0.5", "--t", "1.2"]),
+], ids=["window", "one-route", "bad-exponent"])
+def test_failed_job_leaves_out_file_untouched(capsys, tmp_path, command, job):
+    out_file = tmp_path / "results.csv"
+    out_file.write_text("earlier results\n")
+    code, _, _ = run(capsys, command, "--op", "J", "--alpha", "0.5",
+                     "--d", "0", "--a", "1", *job, "--out", str(out_file))
+    assert code == 1
+    assert out_file.read_text() == "earlier results\n"
 
 
 def test_usage_error_exit_one(capsys):

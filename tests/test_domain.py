@@ -157,3 +157,20 @@ def test_value_outside_domain_raises():
 def test_format_domain_strings():
     assert format_domain(DomainSpec.OPEN_FROM_D, 1.0) == "(1, +inf)"
     assert format_domain(DomainSpec.ALL_REALS, 0.0) == "R"
+
+
+@pytest.mark.parametrize("d, beta", [
+    (math.inf, rl.beta_int(2)),
+    (math.nan, rl.beta_int(2)),
+    (0.0, rl.beta_real(math.inf)),
+    (0.0, rl.beta_real(-math.inf)),
+    (0.0, rl.beta_real(math.nan)),
+    (0.0, rl.beta_int(10**309)),
+    (0.0, rl.beta_rational(10**400, 3)),
+], ids=["d-inf", "d-nan", "beta-inf", "beta-neg-inf", "beta-nan",
+        "beta-huge-int", "beta-huge-rational"])
+def test_power_function_rejects_non_finite(d, beta):
+    # an exponent a float cannot hold is a ValueError, not an OverflowError
+    # from a kernel further down
+    with pytest.raises(ValueError, match="finite"):
+        rl.power_function(d, beta)
