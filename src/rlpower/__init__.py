@@ -23,11 +23,13 @@ from .errors import (
     EvalAtLowerLimit,
     HypNotConverged,
     LowerLimitOutsideDomain,
+    OrderOutOfRange,
     ParamPole,
     PoleInsideInterval,
     RLPowerError,
     SeriesNotConverged,
     ToleranceNotMet,
+    ValueOverflow,
     WindowViolation,
 )
 from .hypergeom import hyp2f1, rlfd_hyp_form, rlfi_hyp_form
@@ -49,6 +51,7 @@ __all__ = [
     "EvalAtLowerLimit",
     "HypNotConverged",
     "LowerLimitOutsideDomain",
+    "OrderOutOfRange",
     "ParamPole",
     "PoleInsideInterval",
     "QuadEstimate",
@@ -57,6 +60,7 @@ __all__ = [
     "SeriesResult",
     "SeriesStatus",
     "ToleranceNotMet",
+    "ValueOverflow",
     "WindowViolation",
     "backend_name",
     "beta_int",

@@ -100,50 +100,55 @@ def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
     on both sides of the shift.  For negative integer exponents the simpler
     geometric form is used with the side-dependent endpoint: |t - d| below the
     shift, |a - d| above it (the below-side factor is not an upper bound above
-    the shift).
+    the shift).  A bound beyond the float range is inf, as in the compiled
+    twin.
     """
-    if u <= 0.0:
-        return 0.0
-    abs_a = abs(A)
-    abs_td = abs(A + u)
-    if sa + p - 1.0 < 0.0:
-        # First derivative-side truncation: integrate (t-x)^sa exactly and
-        # bound |x-d|^(beta-1) by its endpoint maximum.
-        if sa <= -1.0 + _INT_TOL:
-            return math.inf
-        w = max(abs_a ** (beta - 1.0), abs_td ** (beta - 1.0))
-        return abs(beta) * w * u ** (1.0 + sa) / math.exp(math.lgamma(2.0 + sa))
-    if beta_is_int:
-        m = int(math.floor(beta + 0.5))
-        if m >= 0:
-            if p >= m + 1:
-                return 0.0
-            ln_ratio = math.lgamma(m + 1.0) - math.lgamma(m - p + 2.0)
+    try:
+        if u <= 0.0:
+            return 0.0
+        abs_a = abs(A)
+        abs_td = abs(A + u)
+        if sa + p - 1.0 < 0.0:
+            # First derivative-side truncation: integrate (t-x)^sa exactly and
+            # bound |x-d|^(beta-1) by its endpoint maximum.
+            if sa <= -1.0 + _INT_TOL:
+                return math.inf
+            w = max(abs_a ** (beta - 1.0), abs_td ** (beta - 1.0))
+            return abs(beta) * w * u ** (1.0 + sa) / math.exp(math.lgamma(2.0 + sa))
+        if beta_is_int:
+            m = int(math.floor(beta + 0.5))
+            if m >= 0:
+                if p >= m + 1:
+                    return 0.0
+                ln_ratio = math.lgamma(m + 1.0) - math.lgamma(m - p + 2.0)
+            else:
+                mm = float(-m)
+                omega = abs_td if A < 0.0 else abs_a
+                ln_b = (math.lgamma(mm + p) - math.lgamma(mm) - math.lgamma(sa + p)
+                        + sa * math.log(u) + p * (math.log(u) - math.log(omega))
+                        - mm * math.log(omega))
+                return math.exp(ln_b)
         else:
-            mm = float(-m)
-            omega = abs_td if A < 0.0 else abs_a
-            ln_b = (math.lgamma(mm + p) - math.lgamma(mm) - math.lgamma(sa + p)
-                    + sa * math.log(u) + p * (math.log(u) - math.log(omega))
-                    - mm * math.log(omega))
-            return math.exp(ln_b)
-    else:
-        if p <= beta + 1.0:
-            ln_ratio = math.lgamma(beta + 1.0) - math.lgamma(beta - p + 2.0)
+            if p <= beta + 1.0:
+                ln_ratio = math.lgamma(beta + 1.0) - math.lgamma(beta - p + 2.0)
+            else:
+                # |Gamma(beta-p+2)| rewritten through reflection so no huge
+                # intermediate gamma is ever formed.
+                ln_ratio = (math.lgamma(beta + 1.0) + math.log(abs(sinpi(beta)))
+                            - math.log(math.pi) + math.lgamma(p - beta - 1.0))
+        nu = beta - p + 1.0
+        e1 = nu * math.log(abs_td)
+        e2 = nu * math.log(abs_a)
+        if e1 >= e2:
+            big, small = e1, e2
         else:
-            # |Gamma(beta-p+2)| rewritten through reflection so no huge
-            # intermediate gamma is ever formed.
-            ln_ratio = (math.lgamma(beta + 1.0) + math.log(abs(sinpi(beta)))
-                        - math.log(math.pi) + math.lgamma(p - beta - 1.0))
-    nu = beta - p + 1.0
-    e1 = nu * math.log(abs_td)
-    e2 = nu * math.log(abs_a)
-    if e1 >= e2:
-        big, small = e1, e2
-    else:
-        big, small = e2, e1
-    brace = -math.expm1(small - big)
-    return math.exp(ln_ratio - math.lgamma(sa + p)
-                    + (sa + p - 1.0) * math.log(u) + big) * brace
+            big, small = e2, e1
+        brace = -math.expm1(small - big)
+        return math.exp(ln_ratio - math.lgamma(sa + p)
+                        + (sa + p - 1.0) * math.log(u) + big) * brace
+    except OverflowError:
+        # exp, ** and lgamma past the float range: C returns inf there
+        return math.inf
 
 
 def _start_index(sa: float) -> int:

@@ -15,7 +15,11 @@ conservative open domain, and a caller that wants the closed one must pass
 The series representations converge on a half-open window attached to the
 lower limit a: [a, a + eps/2) when a sits below the shift and [a, a + eps)
 when it sits above, with eps = |d - a|.  A ``strict`` flag forces eps/2 on
-both sides for callers that want the narrower uniform window.
+both sides for callers that want the narrower uniform window.  A lower limit
+at the shift, a = d, is allowed for polynomial exponents only and gives the
+centered window [d, +inf).
+
+Every route checks its order with ``require_order``: 0 <= alpha <= 1.
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CenteredNotAnalytic, LowerLimitOutsideDomain, WindowViolation
+from .errors import (
+    CenteredNotAnalytic,
+    LowerLimitOutsideDomain,
+    OrderOutOfRange,
+    ValueOverflow,
+    WindowViolation,
+)
 
 
 @dataclass(frozen=True)
@@ -162,50 +172,56 @@ def branch_power(x: float, beta: BetaIndex) -> float:
 
     Negative bases are legal only for integer exponents and for reduced
     rationals with odd denominator; the domain rules guarantee callers stay
-    inside those cases.
+    inside those cases.  A power beyond the float range raises
+    ValueOverflow.
     """
-    if isinstance(beta, IntegerExp):
-        if x == 0.0 and beta.m < 0:
-            raise ValueError("0 raised to a negative integer power")
-        return float(x) ** beta.m
-    if isinstance(beta, RationalExp):
-        b = beta.p / beta.q
+    try:
+        if isinstance(beta, IntegerExp):
+            if x == 0.0 and beta.m < 0:
+                raise ValueError("0 raised to a negative integer power")
+            return float(x) ** beta.m
+        if isinstance(beta, RationalExp):
+            b = beta.p / beta.q
+            if x > 0.0:
+                return x ** b
+            if x == 0.0:
+                if beta.p > 0:
+                    return 0.0
+                raise ValueError("0 raised to a negative rational power")
+            if beta.q % 2 == 0:
+                raise ValueError("negative base with even root is not real")
+            mag = (-x) ** b
+            return mag if beta.p % 2 == 0 else -mag
+        b = beta.x
         if x > 0.0:
             return x ** b
         if x == 0.0:
-            if beta.p > 0:
+            if b > 0.0:
                 return 0.0
-            raise ValueError("0 raised to a negative rational power")
-        if beta.q % 2 == 0:
-            raise ValueError("negative base with even root is not real")
-        mag = (-x) ** b
-        return mag if beta.p % 2 == 0 else -mag
-    b = beta.x
-    if x > 0.0:
-        return x ** b
-    if x == 0.0:
-        if b > 0.0:
-            return 0.0
-        if b == 0.0:
-            return 1.0
-        raise ValueError("0 raised to a negative real power")
-    raise ValueError("negative base with a declared-real exponent is not real")
+            if b == 0.0:
+                return 1.0
+            raise ValueError("0 raised to a negative real power")
+        raise ValueError("negative base with a declared-real exponent is not real")
+    except OverflowError:
+        raise ValueOverflow(f"({x!r})**{beta_value(beta)!r} is beyond the "
+                            "float range") from None
 
 
-class WindowSide(enum.Enum):
-    BELOW_D = "below"
-    ABOVE_D = "above"
-    CENTERED = "centered"
+def require_order(alpha: float) -> float:
+    """alpha, once checked to lie in [0, 1]; NaN and every other value raise
+    OrderOutOfRange."""
+    if not 0.0 <= alpha <= 1.0:
+        raise OrderOutOfRange(f"alpha={alpha!r} outside [0, 1]")
+    return alpha
 
 
 @dataclass(frozen=True)
 class EvalWindow:
-    """Validated half-open evaluation interval [a, t_sup) for one lower limit."""
+    """Validated half-open evaluation interval [a, t_sup) for one lower limit;
+    the window is centered when a equals the shift d."""
 
     a: float
-    epsilon: float
     t_sup: float
-    side: WindowSide
 
 
 def make_window(a: float, pf: PowerFunction, strict: bool = False) -> EvalWindow:
@@ -220,20 +236,16 @@ def make_window(a: float, pf: PowerFunction, strict: bool = False) -> EvalWindow
     d = pf.d
     if a == d:
         if isinstance(pf.beta, IntegerExp) and pf.beta.m >= 0:
-            return EvalWindow(a, 0.0, math.inf, WindowSide.CENTERED)
+            return EvalWindow(a, math.inf)
         raise CenteredNotAnalytic(
             f"a = d = {d!r} requested but beta={pf.beta!r} is not analytic at d")
     if not pf.contains(a):
         raise LowerLimitOutsideDomain(
             f"a={a!r} outside domain {format_domain(pf.domain, d)}")
     eps = abs(d - a)
-    if a < d:
-        t_sup = a + eps / 2.0
-        side = WindowSide.BELOW_D
-    else:
-        t_sup = a + (eps / 2.0 if strict else eps)
-        side = WindowSide.ABOVE_D
-    return EvalWindow(a, eps, t_sup, side)
+    if a < d or strict:
+        return EvalWindow(a, a + eps / 2.0)
+    return EvalWindow(a, a + eps)
 
 
 def require_in_window(win: EvalWindow, t: float) -> None:

@@ -20,6 +20,10 @@ class CenteredNotAnalytic(RLPowerError, ValueError):
     """a = d requested for an exponent whose power function is not analytic at d."""
 
 
+class OrderOutOfRange(RLPowerError, ValueError):
+    """Order alpha outside [0, 1], NaN included."""
+
+
 class WindowViolation(RLPowerError, ValueError):
     """Evaluation point t lies outside the validated convergence window."""
 
@@ -46,8 +50,8 @@ class BetaOutOfRange(RLPowerError, ValueError):
     """Exponent outside the validity range of the centered closed forms."""
 
 
-class NumeratorPole(RLPowerError, ArithmeticError):
-    """Gamma ratio with a pole in the numerator only: the ratio is infinite."""
+class ValueOverflow(RLPowerError, OverflowError):
+    """A power of finite inputs, or a centered value, beyond the float range."""
 
 
 class ArgOutOfDisk(RLPowerError, ValueError):

@@ -36,6 +36,7 @@ from .domain import (
     beta_value,
     branch_power,
     require_in_window,
+    require_order,
 )
 from .errors import (
     ArgOutOfDisk,
@@ -82,7 +83,7 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float, t: float) -> float:
     # J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa
     require_in_window(win, t)
     A = win.a - pf.d
-    if A == 0.0:
+    if A == 0.0:  # the centered window
         raise WindowViolation(
             "hypergeometric forms need a displaced lower limit (a != d); "
             "use the polynomial or closed centered routes at the shift")
@@ -106,11 +107,11 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float, t: float) -> float:
 def rlfi_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float) -> float:
     """Fractional integral through the closed 2F1 form; real inside the window."""
-    return _hyp_form(pf, win, alpha, t)
+    return _hyp_form(pf, win, require_order(alpha), t)
 
 
 def rlfd_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float) -> float:
     """Fractional derivative: the integral's 2F1 form at order -alpha;
     at alpha = 1 the removable pole c = 0 gives f'(t)."""
-    return _hyp_form(pf, win, -alpha, t)
+    return _hyp_form(pf, win, -require_order(alpha), t)

@@ -18,7 +18,7 @@ import math
 from typing import Callable, NamedTuple
 
 from ._backend import kernels
-from .domain import PowerFunction, beta_value
+from .domain import PowerFunction, beta_value, require_order
 from .errors import EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet
 
 # Gauss-Kronrod 15-point nodes and weights on [-1, 1] (QUADPACK dqk15).
@@ -106,8 +106,7 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
     quadrature's error estimate; tol is both the absolute and the relative
     target of the adaptive panels."""
     _require_tol(tol)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha={alpha!r} outside [0, 1]")
+    require_order(alpha)
     if t < a:
         raise ValueError("quad_rlfi requires a <= t")
     for point in (a, t):
@@ -147,8 +146,7 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
     difference cancellation does not surface quadrature noise.
     """
     _require_tol(tol)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha={alpha!r} outside [0, 1]")
+    require_order(alpha)
     if alpha == 0.0:
         return QuadEstimate(pf.value(t), 0.0)
     # t - h stays above a whenever h > 0

@@ -12,10 +12,11 @@ here has one body over sa; the ``rlfi_*``/``rlfd_*`` entries only fix its
 sign.  The series are summed with a coefficient recurrence and compensated
 accumulation, truncated when the proven integration-by-parts tail bound drops
 below tolerance.  Integer beta >= 0 terminates the series naturally after
-m + 1 terms because the gamma ratio zeroes every later coefficient; on the
-centered window a = d that finite sum is what the series entries evaluate.
-The centered gamma-ratio forms, valid for beta > -1, take the signed order
-too.
+m + 1 terms because the gamma ratio zeroes every later coefficient.  On the
+centered window a = d only the k = m term survives, and it is the centered
+gamma-ratio form Gamma(beta+1)/Gamma(beta+sa+1) (t-d)^(beta+sa), so there the
+series entries return ``closed_centered``.  That form, valid for beta > -1,
+takes the signed order too.
 
 Orders 0 and 1 are admitted everywhere as reduction checks: alpha = 0 is the
 identity operator and alpha = 1 gives the classical integral or derivative.
@@ -31,20 +32,19 @@ from ._backend import kernels
 from .domain import (
     BetaIndex,
     EvalWindow,
-    IntegerExp,
     PowerFunction,
-    WindowSide,
     beta_value,
     branch_power,
     require_in_window,
+    require_order,
 )
 from .errors import (
     BetaOutOfRange,
     EvalAtLowerLimit,
     SeriesNotConverged,
+    ValueOverflow,
     WindowViolation,
 )
-from .special import gamma_ratio
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_TERMS = 10000
@@ -104,9 +104,9 @@ def _guard_lower_limit(a: float, sa: float, t: float) -> None:
 def _series(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
             tol: float, max_terms: int, op_name: str) -> SeriesResult:
     require_in_window(win, t)
-    if win.side is WindowSide.CENTERED:
-        value = _polynomial(pf, win.a, sa, t)
-        return SeriesResult(value, pf.beta.m + 1, 0.0, SeriesStatus.CONVERGED)
+    if win.a == pf.d:
+        return SeriesResult(closed_centered(pf, sa, t), pf.beta.m + 1, 0.0,
+                            SeriesStatus.CONVERGED)
     _guard_lower_limit(win.a, sa, t)
     b, is_int = _beta_kernel_form(pf.beta)
     A = win.a - pf.d
@@ -123,7 +123,8 @@ def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
     t = a returns 0 (empty integration interval).  Integer beta >= 0
     terminates naturally after m + 1 terms.
     """
-    return _series(pf, win, alpha, t, tol, max_terms, "rlfi_series_displaced")
+    return _series(pf, win, require_order(alpha), t, tol, max_terms,
+                   "rlfi_series_displaced")
 
 
 def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
@@ -133,46 +134,11 @@ def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
 
     The k = 0 term carries (t-a)**(-alpha), so t = a is genuinely singular
     for 0 < alpha < 1 and is reported as EvalAtLowerLimit rather than
-    silently returning infinity.
+    silently returning infinity.  On the centered window the one term left
+    carries (t-d)**(m-alpha), which is 0 at t = a for m >= 1.
     """
-    return _series(pf, win, -alpha, t, tol, max_terms, "rlfd_series")
-
-
-def _polynomial(pf: PowerFunction, a: float, sa: float, t: float) -> float:
-    """Exact (m+1)-term sum for beta = m >= 0 at signed order sa; any real a
-    and t.  With a = d it collapses to the single centered term
-    Gamma(m+1) (t-a)^(sa+m) / Gamma(sa+m+1)."""
-    if not isinstance(pf.beta, IntegerExp) or pf.beta.m < 0:
-        raise ValueError("polynomial route requires beta = IntegerExp(m >= 0)")
-    _guard_lower_limit(a, sa, t)
-    m = pf.beta.m
-    u = t - a
-    if u < 0.0 and abs(sa - round(sa)) > _INT_TOL:
-        raise WindowViolation("t below the lower limit with non-integer order")
-    A = a - pf.d
-    total = 0.0
-    for k in range(m + 1):
-        coeff = math.perm(m, k) * gamma_ratio(1.0, sa + k + 1.0)
-        if coeff == 0.0:
-            continue
-        total += coeff * A ** (m - k) * _upow(u, sa + k)
-    return total
-
-
-def _upow(u: float, e: float) -> float:
-    # real power with the integral-exponent cases kept exact for u <= 0
-    if u > 0.0:
-        return u ** e
-    if u == 0.0:
-        if e > 0.0:
-            return 0.0
-        if e == 0.0:
-            return 1.0
-        return math.inf
-    n = round(e)
-    if abs(e - n) <= _INT_TOL:
-        return float(u) ** int(n)
-    raise WindowViolation("negative offset with non-integer exponent")
+    return _series(pf, win, -require_order(alpha), t, tol, max_terms,
+                   "rlfd_series")
 
 
 def closed_centered(pf: PowerFunction, sa: float, t: float) -> float:
@@ -183,19 +149,30 @@ def closed_centered(pf: PowerFunction, sa: float, t: float) -> float:
     that, which is exactly what the displaced series exist to work around.
     """
     beta = beta_value(pf.beta)
-    if beta <= -1.0:
+    # within 1e-12 of -1 counts as the numerator pole of Gamma(beta+1)
+    if beta + 1.0 <= _INT_TOL:
         raise BetaOutOfRange(f"centered closed form requires beta > -1, got {beta!r}")
-    if not -1.0 <= sa <= 1.0:
-        raise ValueError(f"order sa={sa!r} outside [-1, 1]")
+    require_order(abs(sa))
     x = t - pf.d
     if x < 0.0:
         raise WindowViolation("centered forms need t >= d")
     exponent = beta + sa
-    coeff = gamma_ratio(beta + 1.0, exponent + 1.0)
-    if x == 0.0:
-        if exponent > 0.0 or coeff == 0.0:
-            return 0.0
-        if exponent == 0.0:
-            return coeff
-        raise EvalAtLowerLimit("centered value is singular at t = d")
-    return coeff * math.exp(exponent * math.log(x))
+    try:
+        if kernels.nonpos_int_index(exponent + 1.0) >= 0:
+            coeff = 0.0  # a pole of Gamma(beta+sa+1)
+        else:
+            coeff = kernels.gamma_sign(exponent + 1.0) * math.exp(
+                math.lgamma(beta + 1.0) - math.lgamma(exponent + 1.0))
+        value = coeff * math.exp(exponent * math.log(x)) if x > 0.0 else 0.0
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ValueOverflow(f"centered value at t - d = {x!r} with beta={beta!r}, "
+                            f"sa={sa!r} is beyond the float range")
+    if x > 0.0:
+        return value
+    if exponent > 0.0 or coeff == 0.0:
+        return 0.0
+    if exponent == 0.0:
+        return coeff
+    raise EvalAtLowerLimit("centered value is singular at t = d")

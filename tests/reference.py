@@ -3,9 +3,11 @@
 Each evaluates a quantity of the package along another arithmetic path, or
 exposes an intermediate the package does not return:
 
-* Pochhammer products and the generalized binomial;
+* the pole-aware gamma ratio, Pochhammer products and the generalized
+  binomial;
 * the polynomial sums for beta = m >= 0 at either sign of the order and any
-  lower limit;
+  lower limit, term by term where the package evaluates the centered window
+  as one closed term;
 * the alternating series for beta = -m, m >= 1;
 * the truncated displaced series and its explicit tail bound after p terms;
 * the Taylor route, which integrates the binomial expansion of f at a term by
@@ -27,12 +29,11 @@ from rlpower.domain import (
     EvalWindow,
     IntegerExp,
     PowerFunction,
-    WindowSide,
     branch_power,
     make_window,
     require_in_window,
 )
-from rlpower.errors import ArgOutOfDisk, SeriesNotConverged
+from rlpower.errors import ArgOutOfDisk, SeriesNotConverged, WindowViolation
 from rlpower.hypergeom import hyp2f1
 from rlpower.series import (
     DEFAULT_MAX_TERMS,
@@ -41,17 +42,43 @@ from rlpower.series import (
     SeriesStatus,
     _beta_kernel_form,
     _guard_lower_limit,
-    _polynomial,
-    _upow,
     _wrap,
 )
-from rlpower.special import gamma_ratio
 
 _INT_TOL = 1e-12
 _PRODUCT_CUTOFF = 64
 
 
-# --- Pochhammer products and binomials --------------------------------------
+# --- gamma ratios, Pochhammer products and binomials -------------------------
+
+class NumeratorPole(ArithmeticError):
+    """Gamma ratio with a pole in the numerator only: the ratio is infinite."""
+
+
+def gamma_ratio(num: float, den: float) -> float:
+    """Gamma(num)/Gamma(den), defined through the pole rules.
+
+    The gamma function has poles at the non-positive integers (within 1e-12
+    of one counts), but ratios there are still defined,
+    Gamma(-n)/Gamma(-m) = (-1)^(m-n) m!/n!.  Both arguments at poles -n, -m
+    give that; a pole only in the denominator gives 0; a pole only in the
+    numerator raises NumeratorPole.
+    """
+    n = kernels.nonpos_int_index(num)
+    m = kernels.nonpos_int_index(den)
+    if n >= 0 and m >= 0:
+        sign = -1.0 if (m - n) & 1 else 1.0
+        if m < 170 and n < 170:
+            return sign * math.factorial(m) / math.factorial(n)
+        return sign * math.exp(math.lgamma(m + 1.0) - math.lgamma(n + 1.0))
+    if m >= 0:
+        return 0.0
+    if n >= 0:
+        raise NumeratorPole(
+            f"gamma_ratio({num!r}, {den!r}): numerator pole with finite denominator")
+    sign = kernels.gamma_sign(num) * kernels.gamma_sign(den)
+    return sign * math.exp(math.lgamma(num) - math.lgamma(den))
+
 
 def pochhammer_asc(z: float, k: int) -> float:
     """Ascending factorial (z)_k = z (z+1) ... (z+k-1); empty product is 1."""
@@ -117,6 +144,43 @@ def gen_binomial(beta: float, k: int) -> float:
 
 
 # --- series paths -----------------------------------------------------------
+
+def _polynomial(pf: PowerFunction, a: float, sa: float, t: float) -> float:
+    """Exact (m+1)-term sum for beta = m >= 0 at signed order sa; any real a
+    and t.  With a = d it collapses to the single centered term
+    Gamma(m+1) (t-a)^(sa+m) / Gamma(sa+m+1)."""
+    if not isinstance(pf.beta, IntegerExp) or pf.beta.m < 0:
+        raise ValueError("polynomial route requires beta = IntegerExp(m >= 0)")
+    _guard_lower_limit(a, sa, t)
+    m = pf.beta.m
+    u = t - a
+    if u < 0.0 and abs(sa - round(sa)) > _INT_TOL:
+        raise WindowViolation("t below the lower limit with non-integer order")
+    A = a - pf.d
+    total = 0.0
+    for k in range(m + 1):
+        coeff = math.perm(m, k) * gamma_ratio(1.0, sa + k + 1.0)
+        if coeff == 0.0:
+            continue
+        total += coeff * A ** (m - k) * _upow(u, sa + k)
+    return total
+
+
+def _upow(u: float, e: float) -> float:
+    # real power with the integral-exponent cases kept exact for u <= 0
+    if u > 0.0:
+        return u ** e
+    if u == 0.0:
+        if e > 0.0:
+            return 0.0
+        if e == 0.0:
+            return 1.0
+        return math.inf
+    n = round(e)
+    if abs(e - n) <= _INT_TOL:
+        return float(u) ** int(n)
+    raise WindowViolation("negative offset with non-integer exponent")
+
 
 def rlfi_polynomial(pf: PowerFunction, a: float, alpha: float, t: float) -> float:
     """Exact (m+1)-term integral sum for beta = m >= 0; any real a and t.
@@ -205,7 +269,7 @@ def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
     independent arithmetic path that must reproduce the displaced series.
     """
     win = make_window(a, pf)
-    if win.side is WindowSide.CENTERED:
+    if a == pf.d:
         value = rlfi_polynomial(pf, a, alpha, t)
         return SeriesResult(value, pf.beta.m + 1, 0.0, SeriesStatus.CONVERGED)
     require_in_window(win, t)

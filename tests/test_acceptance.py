@@ -19,11 +19,11 @@ from rlpower._backend import kernels
 from rlpower.cli import main
 from rlpower.domain import IntegerExp, RationalExp, beta_value, branch_power
 from rlpower.errors import EvalAtLowerLimit, WindowViolation
-from rlpower.special import gamma_ratio
 
 from conftest import rel_err
 from reference import (
     connection_a6,
+    gamma_ratio,
     gen_binomial,
     parse_csv_records,
     partial_sum,

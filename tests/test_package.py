@@ -17,6 +17,7 @@ PUBLIC = [
     "EvalAtLowerLimit",
     "HypNotConverged",
     "LowerLimitOutsideDomain",
+    "OrderOutOfRange",
     "ParamPole",
     "PoleInsideInterval",
     "QuadEstimate",
@@ -25,6 +26,7 @@ PUBLIC = [
     "SeriesResult",
     "SeriesStatus",
     "ToleranceNotMet",
+    "ValueOverflow",
     "WindowViolation",
     "backend_name",
     "beta_int",

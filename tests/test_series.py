@@ -16,10 +16,11 @@ from rlpower.errors import (
     SeriesNotConverged,
     WindowViolation,
 )
-from rlpower.special import gamma_ratio
 
 from conftest import rel_err
 from reference import (
+    _polynomial,
+    gamma_ratio,
     partial_sum,
     remainder_bound,
     rlfd_neg_integer,
@@ -215,11 +216,46 @@ def test_closed_centered_beta_out_of_range():
         _closed(-1.0, 0.0, 0.5, 1.0)
     with pytest.raises(BetaOutOfRange):
         _closed(-2.5, 0.0, 0.5, 1.0)
+    # within 1e-12 of -1 is the pole of Gamma(beta+1), for every order
+    for sa in (0.5, 0.0, -1.0):
+        with pytest.raises(BetaOutOfRange):
+            _closed(-1.0 + 1e-13, 0.0, sa, 1.0)
 
 
 def test_closed_centered_derivative_kills_power_alpha_minus_one():
     # D^alpha (t-d)^(alpha-1) = 0 through the gamma pole
     assert _closed(-0.5, 0.0, -0.5, 2.0) == 0.0
+
+
+# --- centered window -------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(6))
+def test_centered_series_is_closed_centered(m):
+    # the m + 1 polynomial terms collapse to the one centered term
+    pf = rl.power_function(0.3, rl.beta_int(m))
+    win = _win(pf, 0.3)
+    for alpha in (0.0, 0.35, 1.0):
+        for t in (0.8, 2.0, 5.3):
+            for entry, sa in ((rl.rlfi_series_displaced, alpha),
+                              (rl.rlfd_series, -alpha)):
+                res = entry(pf, win, alpha, t)
+                closed = rl.closed_centered(pf, sa, t)
+                assert res.value == closed
+                assert (res.terms_used, res.remainder_bound, res.status) == \
+                    (m + 1, 0.0, SeriesStatus.CONVERGED)
+                assert rel_err(closed, _polynomial(pf, 0.3, sa, t)) <= 1e-14
+
+
+def test_centered_derivative_at_lower_limit():
+    # (t-d)^(m-alpha) vanishes at t = a = d for m >= 1; for m = 0 the one
+    # term is singular there
+    for m in (1, 2, 5):
+        pf = rl.power_function(0.3, rl.beta_int(m))
+        for alpha in (0.35, 0.5):
+            assert rl.rlfd_series(pf, _win(pf, 0.3), alpha, 0.3).value == 0.0
+    pf = rl.power_function(0.3, rl.beta_int(0))
+    with pytest.raises(EvalAtLowerLimit):
+        rl.rlfd_series(pf, _win(pf, 0.3), 0.35, 0.3)
 
 
 # --- remainder machinery ---------------------------------------------------

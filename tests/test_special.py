@@ -11,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlpower._backend import kernels
-from rlpower.errors import NumeratorPole
-from rlpower.special import gamma_ratio
 
-from reference import gen_binomial, pochhammer_asc, pochhammer_desc
+from reference import (
+    NumeratorPole,
+    gamma_ratio,
+    gen_binomial,
+    pochhammer_asc,
+    pochhammer_desc,
+)
 
 mp.mp.dps = 30
 
