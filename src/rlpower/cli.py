@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import math
 import re
 import sys
@@ -33,7 +32,6 @@ from .errors import (
     EvalAtLowerLimit,
     HypNotConverged,
     RLPowerError,
-    SeriesNotConverged,
     ToleranceNotMet,
 )
 
@@ -82,6 +80,16 @@ class EvalRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(EvalRecord))
+
+# One record per line, as csv and as json.dumps(vars(record)) write it.  JSON
+# floats are their repr, with nan, inf and -inf respelled NaN, Infinity and
+# -Infinity; the strings of a record hold no character that JSON escapes.
+_CSV_LINE = "%s,%.17g,%s,%.17g,%.17g,%.17g,%s,%.17g,%s,%.17g,%s\n"
+_JSONL_LINE = ('{"op": "%s", "alpha": %r, "beta": "%s", "d": %r, "a": %r, '
+               '"t": %r, "route": "%s", "value": %r, "terms": %d, '
+               '"remainder": %r, "status": "%s"}\n')
+_JSON_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"),
+                   (": -inf", ": -Infinity"))
 
 
 def format_beta(beta: BetaIndex) -> str:
@@ -296,35 +304,41 @@ def _job_from(values: dict) -> JobSpec:
         out_path=values["out"])
 
 
-def _evaluate_one(job: JobSpec, pf, win, route: str,
-                  t: float) -> tuple[float, int, float, str]:
-    """(value, terms, remainder, status) of one (t, route) pair; a convergence
-    failure becomes a truncated record."""
-    integral = job.op == "J"
-    try:
-        if route == "series":
-            fn = series.rlfi_series_displaced if integral else series.rlfd_series
-            res = fn(pf, win, job.alpha, t, job.tol, job.max_terms)
-        elif route == "hyp":
-            fn = hypergeom.rlfi_hyp_form if integral else hypergeom.rlfd_hyp_form
-            return fn(pf, win, job.alpha, t), 0, 0.0, "converged"
-        elif route == "oracle":
-            fn = oracle.quad_rlfi if integral else oracle.quad_rlfd
+def _route_values(job: JobSpec, pf, win, route: str,
+                  ts: list[float]) -> list[tuple[float, int, float, str]]:
+    """(value, terms, remainder, status) at each of the sorted points ts on
+    one route.  The series, hyp and closed routes evaluate ts in one call of
+    their body, the oracle point by point; a convergence failure becomes a
+    truncated record."""
+    sa = job.alpha if job.op == "J" else -job.alpha
+    if route == "series":
+        return [(r.value, r.terms_used, r.remainder_bound, r.status.value)
+                for r in series._series(pf, win, sa, ts, job.tol, job.max_terms)]
+    if route == "closed":
+        return [(value, 0, 0.0, "converged") for value in series._closed(pf, sa, ts)]
+    if route == "hyp":
+        try:
+            return [(value, 0, 0.0, "converged")
+                    for value in hypergeom._hyp_form(pf, win, sa, ts)]
+        except HypNotConverged:
+            if len(ts) == 1:
+                return [(math.nan, 0, 0.0, "truncated")]
+            # only the points whose 2F1 failed are truncated
+            return [v for t in ts for v in _route_values(job, pf, win, route, [t])]
+    fn = oracle.quad_rlfi if job.op == "J" else oracle.quad_rlfd
+    values = []
+    for t in ts:
+        try:
             value, remainder = fn(pf, job.a, job.alpha, t, job.quad_tol)
-            return value, 0, remainder, "converged"
-        else:  # closed
-            value = series.closed_centered(pf, job.alpha if integral
-                                           else -job.alpha, t)
-            return value, 0, 0.0, "converged"
-    except SeriesNotConverged as exc:
-        res = exc.result
-    except (HypNotConverged, ToleranceNotMet):
-        return math.nan, 0, 0.0, "truncated"
-    return res.value, res.terms_used, res.remainder_bound, res.status.value
+            values.append((value, 0, remainder, "converged"))
+        except ToleranceNotMet:
+            values.append((math.nan, 0, 0.0, "truncated"))
+    return values
 
 
 def run_job(job: JobSpec) -> list[EvalRecord]:
-    """Validate the job, then evaluate every (t, route) pair.
+    """Validate the job, then evaluate it route by route over its sorted
+    points; the records list every (t, route) pair, t-major.
 
     Domain and window checks run before any computation, so validation errors
     propagate with nothing half-emitted (exit 1); convergence failures become
@@ -348,10 +362,20 @@ def run_job(job: JobSpec) -> list[EvalRecord]:
             raise EvalAtLowerLimit(
                 f"t = a = {t!r} is singular for the derivative at alpha={job.alpha!r}")
 
+    ts = sorted(job.t_values)
+    routes = sorted(job.routes)
+    try:
+        columns = [_route_values(job, pf, win, route, ts) for route in routes]
+    except Exception:
+        # raise the error that comes first in t-major order, where a
+        # point-by-point pass meets it
+        for t in ts:
+            for route in routes:
+                _route_values(job, pf, win, route, [t])
+        raise
     beta = format_beta(job.beta)
-    return [EvalRecord(job.op, job.alpha, beta, pf.d, job.a, t, route,
-                       *_evaluate_one(job, pf, win, route, t))
-            for t in sorted(job.t_values) for route in sorted(job.routes)]
+    return [EvalRecord(job.op, job.alpha, beta, pf.d, job.a, t, route, *column[i])
+            for i, t in enumerate(ts) for route, column in zip(routes, columns)]
 
 
 def _output(job: JobSpec):
@@ -365,14 +389,17 @@ def _emit_records(records: list[EvalRecord], job: JobSpec, stream) -> None:
     if job.out_format == "csv":
         stream.write(",".join(CSV_COLUMNS) + "\n")
         for r in records:
-            stream.write(",".join((
-                r.op, _MACHINE_FMT % r.alpha, r.beta, _MACHINE_FMT % r.d,
-                _MACHINE_FMT % r.a, _MACHINE_FMT % r.t, r.route,
-                _MACHINE_FMT % r.value, str(r.terms), _MACHINE_FMT % r.remainder,
-                r.status)) + "\n")
+            stream.write(_CSV_LINE % (r.op, r.alpha, r.beta, r.d, r.a, r.t,
+                                      r.route, r.value, r.terms, r.remainder,
+                                      r.status))
     elif job.out_format == "jsonl":
         for r in records:
-            stream.write(json.dumps(vars(r)) + "\n")
+            line = _JSONL_LINE % (r.op, r.alpha, r.beta, r.d, r.a, r.t, r.route,
+                                  r.value, r.terms, r.remainder, r.status)
+            if "nan" in line or "inf" in line:
+                for old, new in _JSON_NONFINITE:
+                    line = line.replace(old, new)
+            stream.write(line)
     else:
         header = f"{'t':>14} {'route':>8} {'value':>16} {'terms':>6} " \
                  f"{'remainder':>12} {'status':>10}"

@@ -29,6 +29,8 @@ D = (a-d)^beta beta/(a-d) 2F1(2, 1-beta; 2; -w) = f'(t), regular at t = a.
 
 from __future__ import annotations
 
+import operator
+
 from ._backend import kernels
 from .domain import (
     EvalWindow,
@@ -58,60 +60,82 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     the Pfaff transformation to x/(x-1) in (0, 1/2).  Errors name the
     caller's parameters, not the transformed ones.
     """
-    if -1.0 < x < 0.0 and kernels.nonpos_int_index(a) < 0 \
-            and kernels.nonpos_int_index(b) < 0:
-        # transform on the larger parameter when c - b < -1 would cancel
-        p, q = (b, a) if c - b < -1.0 and b > a else (a, b)
-        front = (1.0 - x) ** -p
-        raw = kernels.hyp2f1_series(p, c - q, c, x / (x - 1.0), DEFAULT_TOL,
-                                    MAX_TERMS)
-    else:
-        front = 1.0
-        raw = kernels.hyp2f1_series(a, b, c, x, DEFAULT_TOL, MAX_TERMS)
-    value, _, status = raw
-    if status == kernels.STATUS_CONVERGED:
-        return front * value
-    if status == kernels.STATUS_PARAM_POLE:
-        raise ParamPole(f"c={c!r} hits a non-positive integer before termination")
-    if status == kernels.STATUS_ARG_OUT:
-        raise ArgOutOfDisk(f"|arg|={abs(x)!r} >= 1 with no termination")
-    raise HypNotConverged(
-        f"2F1 series failed to converge for a={a!r}, b={b!r}, c={c!r}, arg={x!r}")
+    return _hyp2f1(a, b, c, [x])[0]
 
 
-def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float, t: float) -> float:
-    # J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa
-    require_in_window(win, t)
+def _hyp2f1(a: float, b: float, c: float, xs: list[float]) -> list[float]:
+    # hyp2f1 at every argument of xs; the Pfaff decision is made once
+    pfaff = kernels.nonpos_int_index(a) < 0 and kernels.nonpos_int_index(b) < 0
+    # transform on the larger parameter when c - b < -1 would cancel
+    p, q = (b, a) if c - b < -1.0 and b > a else (a, b)
+    cq = c - q
+    values = []
+    for x in xs:
+        if pfaff and -1.0 < x < 0.0:
+            front = (1.0 - x) ** -p
+            value, _, status = kernels.hyp2f1_series(p, cq, c, x / (x - 1.0),
+                                                     DEFAULT_TOL, MAX_TERMS)
+        else:
+            front = 1.0
+            value, _, status = kernels.hyp2f1_series(a, b, c, x, DEFAULT_TOL,
+                                                     MAX_TERMS)
+        if status == kernels.STATUS_PARAM_POLE:
+            raise ParamPole(f"c={c!r} hits a non-positive integer before termination")
+        if status == kernels.STATUS_ARG_OUT:
+            raise ArgOutOfDisk(f"|arg|={abs(x)!r} >= 1 with no termination")
+        if status != kernels.STATUS_CONVERGED:
+            raise HypNotConverged(f"2F1 series failed to converge for a={a!r}, "
+                                  f"b={b!r}, c={c!r}, arg={x!r}")
+        values.append(front * value)
+    return values
+
+
+def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
+              ts: list[float]) -> list[float]:
+    """J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa, over the
+    sorted points ts.  The checks, (a-d)^beta, Gamma(c) and the Pfaff
+    decision are made once; each point costs one 2F1 series."""
+    for t in ts:
+        require_in_window(win, t)
     A = win.a - pf.d
     if A == 0.0:  # the centered window
         raise WindowViolation(
             "hypergeometric forms need a displaced lower limit (a != d); "
             "use the polynomial or closed centered routes at the shift")
-    u = t - win.a
     beta = beta_value(pf.beta)
     c = 1.0 + sa
     if kernels.nonpos_int_index(c) == 0:
         # the removable pole c = 0 of 2F1/Gamma(c): D of order 1 is f'(t)
-        return branch_power(A, pf.beta) * beta / A \
-            * hyp2f1(2.0, 1.0 - beta, 2.0, -(u / A))
-    if u == 0.0:
-        if sa > 0.0:
-            return 0.0
-        if sa == 0.0:
-            return branch_power(A, pf.beta)
-        raise EvalAtLowerLimit("derivative form is singular at t = a")
-    front = branch_power(A, pf.beta) * u ** sa
-    return front / kernels.gamma_value(c) * hyp2f1(1.0, -beta, c, -(u / A))
+        lead = branch_power(A, pf.beta) * beta / A
+        return [lead * h for h in
+                _hyp2f1(2.0, 1.0 - beta, 2.0, [-((t - win.a) / A) for t in ts])]
+    values = []
+    for t in ts:  # the points on the lower limit lead the sorted list
+        if t != win.a:
+            break
+        if sa < 0.0:
+            raise EvalAtLowerLimit("derivative form is singular at t = a")
+        values.append(0.0 if sa > 0.0 else branch_power(A, pf.beta))
+    if len(values) < len(ts):
+        front = branch_power(A, pf.beta)
+        gamma_c = kernels.gamma_value(c)
+        scales, xs = [], []
+        for t in ts[len(values):]:
+            u = t - win.a
+            scales.append(front * u ** sa / gamma_c)
+            xs.append(-(u / A))
+        values += map(operator.mul, scales, _hyp2f1(1.0, -beta, c, xs))
+    return values
 
 
 def rlfi_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float) -> float:
     """Fractional integral through the closed 2F1 form; real inside the window."""
-    return _hyp_form(pf, win, require_order(alpha), t)
+    return _hyp_form(pf, win, require_order(alpha), [t])[0]
 
 
 def rlfd_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float) -> float:
     """Fractional derivative: the integral's 2F1 form at order -alpha;
     at alpha = 1 the removable pole c = 0 gives f'(t)."""
-    return _hyp_form(pf, win, -require_order(alpha), t)
+    return _hyp_form(pf, win, -require_order(alpha), [t])[0]

@@ -18,7 +18,7 @@ import math
 from typing import Callable, NamedTuple
 
 from ._backend import kernels
-from .domain import PowerFunction, beta_value, require_order
+from .domain import PowerFunction, beta_value, branch_power, require_order
 from .errors import EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet
 
 # Gauss-Kronrod 15-point nodes and weights on [-1, 1] (QUADPACK dqk15).
@@ -121,15 +121,18 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
         return QuadEstimate(0.0, 0.0)
     span = (t - a) ** alpha
     inv = 1.0 / alpha
+    # the integrand works in offsets y = x - d from the shift: x = t - s**inv
+    # itself would round to a staircase where |d| is large next to t - a
+    lo, hi = a - pf.d, t - pf.d
 
     def integrand(s: float) -> float:
-        x = t - s ** inv
-        # clamp float excursions from the substitution back into [a, t]
-        if x < a:
-            x = a
-        elif x > t:
-            x = t
-        return pf.value(x)
+        y = hi - s ** inv
+        # clamp float excursions from the substitution back into [a-d, t-d]
+        if y < lo:
+            y = lo
+        elif y > hi:
+            y = hi
+        return branch_power(y, pf.beta)
 
     val, err = _adaptive(integrand, 0.0, span, tol, tol, MAX_DEPTH)
     scale = 1.0 / kernels.gamma_value(alpha + 1.0)

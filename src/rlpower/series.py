@@ -8,10 +8,10 @@ For f(t) = (t - d)**beta with lower limit a != d, both operators expand as
 convergent on the validated window, at the signed order sa: sa = +alpha gives
 the fractional integral of order alpha, and sa = -alpha the fractional
 derivative, which is the integral's series with alpha -> -alpha.  Each route
-here has one body over sa; the ``rlfi_*``/``rlfd_*`` entries only fix its
-sign.  The series are summed with a coefficient recurrence and compensated
-accumulation, truncated when the proven integration-by-parts tail bound drops
-below tolerance.  Integer beta >= 0 terminates the series naturally after
+here has one body over sa and a sorted list of points; the ``rlfi_*``/
+``rlfd_*`` entries fix its sign and pass it one point.  The series are summed
+with a coefficient recurrence and compensated accumulation, truncated when the
+proven integration-by-parts tail bound drops below tolerance.  Integer beta >= 0 terminates the series naturally after
 m + 1 terms because the gamma ratio zeroes every later coefficient.  On the
 centered window a = d only the k = m term survives, and it is the centered
 gamma-ratio form Gamma(beta+1)/Gamma(beta+sa+1) (t-d)^(beta+sa), so there the
@@ -84,13 +84,16 @@ def _beta_kernel_form(beta: BetaIndex) -> tuple[float, int]:
     return b, is_int
 
 
-def _wrap(raw, tol: float, op_name: str) -> SeriesResult:
+def _result(raw) -> SeriesResult:
     value, terms, bound, code = raw
-    result = SeriesResult(value, terms, bound, _STATUS_FROM_CODE[code])
+    return SeriesResult(value, terms, bound, _STATUS_FROM_CODE[code])
+
+
+def _wrap(result: SeriesResult, tol: float, op_name: str) -> SeriesResult:
     if result.status is not SeriesStatus.CONVERGED:
         raise SeriesNotConverged(
-            f"{op_name}: {result.status.value} after {terms} terms "
-            f"(bound {bound:.3e} > tol {tol:.3e})", result)
+            f"{op_name}: {result.status.value} after {result.terms_used} terms "
+            f"(bound {result.remainder_bound:.3e} > tol {tol:.3e})", result)
     return result
 
 
@@ -101,18 +104,30 @@ def _guard_lower_limit(a: float, sa: float, t: float) -> None:
             f"derivative series is singular at t = a = {t!r} for alpha={-sa!r}")
 
 
-def _series(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
-            tol: float, max_terms: int, op_name: str) -> SeriesResult:
-    require_in_window(win, t)
+def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
+            tol: float, max_terms: int) -> list[SeriesResult]:
+    """The series route at the signed order sa over the sorted points ts.
+
+    The checks, the exponent's kernel form and the front factor (a-d)^beta
+    are made once; each point costs one kernel call.  Statuses are returned
+    as they come: the scalar entries raise on a non-converged one.
+    """
+    for t in ts:
+        require_in_window(win, t)
     if win.a == pf.d:
-        return SeriesResult(closed_centered(pf, sa, t), pf.beta.m + 1, 0.0,
-                            SeriesStatus.CONVERGED)
-    _guard_lower_limit(win.a, sa, t)
+        terms = pf.beta.m + 1
+        return [SeriesResult(value, terms, 0.0, SeriesStatus.CONVERGED)
+                for value in _closed(pf, sa, ts)]
+    for t in ts:
+        _guard_lower_limit(win.a, sa, t)
     b, is_int = _beta_kernel_form(pf.beta)
     A = win.a - pf.d
     front = branch_power(A, pf.beta)
-    raw = kernels.power_series(front, b, A, t - win.a, sa, is_int, tol, max_terms)
-    return _wrap(raw, tol, op_name)
+    results = []
+    for t in ts:
+        results.append(_result(kernels.power_series(front, b, A, t - win.a, sa,
+                                                    is_int, tol, max_terms)))
+    return results
 
 
 def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
@@ -123,8 +138,8 @@ def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
     t = a returns 0 (empty integration interval).  Integer beta >= 0
     terminates naturally after m + 1 terms.
     """
-    return _series(pf, win, require_order(alpha), t, tol, max_terms,
-                   "rlfi_series_displaced")
+    result = _series(pf, win, require_order(alpha), [t], tol, max_terms)[0]
+    return _wrap(result, tol, "rlfi_series_displaced")
 
 
 def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
@@ -137,8 +152,8 @@ def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
     silently returning infinity.  On the centered window the one term left
     carries (t-d)**(m-alpha), which is 0 at t = a for m >= 1.
     """
-    return _series(pf, win, -require_order(alpha), t, tol, max_terms,
-                   "rlfd_series")
+    result = _series(pf, win, -require_order(alpha), [t], tol, max_terms)[0]
+    return _wrap(result, tol, "rlfd_series")
 
 
 def closed_centered(pf: PowerFunction, sa: float, t: float) -> float:
@@ -148,14 +163,16 @@ def closed_centered(pf: PowerFunction, sa: float, t: float) -> float:
     Valid for beta > -1 only; the Euler-beta argument behind them fails below
     that, which is exactly what the displaced series exist to work around.
     """
+    return _closed(pf, sa, [t])[0]
+
+
+def _closed(pf: PowerFunction, sa: float, ts: list[float]) -> list[float]:
+    # closed_centered over the sorted points ts; the coefficient is made once
     beta = beta_value(pf.beta)
     # within 1e-12 of -1 counts as the numerator pole of Gamma(beta+1)
     if beta + 1.0 <= _INT_TOL:
         raise BetaOutOfRange(f"centered closed form requires beta > -1, got {beta!r}")
     require_order(abs(sa))
-    x = t - pf.d
-    if x < 0.0:
-        raise WindowViolation("centered forms need t >= d")
     exponent = beta + sa
     try:
         if kernels.nonpos_int_index(exponent + 1.0) >= 0:
@@ -163,16 +180,26 @@ def closed_centered(pf: PowerFunction, sa: float, t: float) -> float:
         else:
             coeff = kernels.gamma_sign(exponent + 1.0) * math.exp(
                 math.lgamma(beta + 1.0) - math.lgamma(exponent + 1.0))
-        value = coeff * math.exp(exponent * math.log(x)) if x > 0.0 else 0.0
     except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        raise ValueOverflow(f"centered value at t - d = {x!r} with beta={beta!r}, "
-                            f"sa={sa!r} is beyond the float range")
-    if x > 0.0:
-        return value
-    if exponent > 0.0 or coeff == 0.0:
-        return 0.0
-    if exponent == 0.0:
-        return coeff
-    raise EvalAtLowerLimit("centered value is singular at t = d")
+        coeff = math.inf  # every point's value is beyond the float range
+    values = []
+    for t in ts:
+        x = t - pf.d
+        if x < 0.0:
+            raise WindowViolation("centered forms need t >= d")
+        try:
+            value = coeff * math.exp(exponent * math.log(x)) if x > 0.0 else 0.0
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value) or math.isinf(coeff):
+            raise ValueOverflow(f"centered value at t - d = {x!r} with beta={beta!r}, "
+                                f"sa={sa!r} is beyond the float range")
+        if x > 0.0:
+            values.append(value)
+        elif exponent > 0.0 or coeff == 0.0:
+            values.append(0.0)
+        elif exponent == 0.0:
+            values.append(coeff)
+        else:
+            raise EvalAtLowerLimit("centered value is singular at t = d")
+    return values

@@ -42,6 +42,7 @@ from rlpower.series import (
     SeriesStatus,
     _beta_kernel_form,
     _guard_lower_limit,
+    _result,
     _wrap,
 )
 
@@ -204,7 +205,7 @@ def _neg_integer(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
     _guard_lower_limit(win.a, sa, t)
     raw = kernels.neg_int_series(-pf.beta.m, win.a - pf.d, t - win.a, sa, tol,
                                  max_terms)
-    return _wrap(raw, tol, op_name)
+    return _wrap(_result(raw), tol, op_name)
 
 
 def rlfi_neg_integer(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,

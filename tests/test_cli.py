@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import types
 
 import pytest
 
 import rlpower.hypergeom
-from rlpower.cli import main
+import rlpower.oracle
+from rlpower.cli import EvalRecord, _emit_records, main
 
 from reference import parse_csv_records
 
@@ -415,3 +418,73 @@ def test_domain_rejects_non_rational_like_eval(capsys):
                                  "--a", "1", "--t", "1.2")
     assert eval_code == 1
     assert err == eval_err == "error: ValueError: --beta-rational expects p/q\n"
+
+
+def test_first_error_in_t_major_order_is_kept(capsys):
+    # at t = 0 the difference oracle cannot straddle t = a, and from
+    # t = 250 on the closed value 250**299 overflows: evaluated t by t, as
+    # the records list them, the oracle's error comes first
+    job = ("eval", "--op", "D", "--alpha", "1", "--beta-int", "300", "--d", "0",
+           "--centered", "--t", "0:1000:5", "--format", "csv")
+    code, out, err = run(capsys, *job, "--route", "closed")
+    assert (code, out) == (1, "")
+    assert err == ("error: ValueOverflow: centered value at t - d = 250.0 with "
+                   "beta=300.0, sa=-1.0 is beyond the float range\n")
+    code, out, err = run(capsys, *job, "--route", "closed,oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: EvalAtLowerLimit: central differences need t > a\n"
+
+
+def test_hyp_not_converged_at_some_points_only(capsys, monkeypatch):
+    # with the 2F1 term cap lowered, the point next to the lower limit still
+    # converges and the one at the window edge does not: one truncated record
+    monkeypatch.setattr(rlpower.hypergeom, "MAX_TERMS", 4)
+    code, out, err = run(capsys, "eval", "--op", "J", "--alpha", "0.5",
+                         "--beta-int", "-1", "--d", "0", "--a", "1",
+                         "--t", "1.00001:1.9:2", "--route", "hyp,series",
+                         "--format", "csv")
+    assert code == 2
+    assert err == ""
+    records = parse_csv_records(out)
+    assert [(r.route, r.status) for r in records] == [
+        ("hyp", "converged"), ("series", "converged"),
+        ("hyp", "truncated"), ("series", "converged")]
+    pf = rlpower.power_function(0.0, rlpower.beta_int(-1))
+    win = rlpower.make_window(1.0, pf)
+    assert records[0].value == rlpower.rlfi_hyp_form(pf, win, 0.5, 1.00001)
+    assert math.isnan(records[2].value)
+
+
+def _record(route, status, value, remainder, t=0.1):
+    return EvalRecord("J", 0.35, "-3/2", -2.5, -1.0, t, route, value, 7,
+                      remainder, status)
+
+
+def test_jsonl_writer_is_json_dumps_byte_for_byte():
+    specials = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7,
+                0.1, -1.5e300, 2.0 ** 0.5)
+    records = [_record(route, status, value, specials[-1 - i], t=specials[i])
+               for i, value in enumerate(specials)
+               for route in ("closed", "hyp", "oracle", "series")
+               for status in ("converged", "truncated", "diverged")]
+    records.append(EvalRecord("D", 1.0, "0.45000000000000001", 1e16, 5e-324,
+                              -0.0, "series", 1.0, 0, math.nan, "converged"))
+    stream = io.StringIO()
+    _emit_records(records, types.SimpleNamespace(out_format="jsonl"), stream)
+    assert stream.getvalue() == "".join(json.dumps(vars(r)) + "\n"
+                                        for r in records)
+
+
+def test_oracle_with_a_far_shift_is_fast_and_exact(capsys, monkeypatch):
+    # |d| = 5e15 next to t - a = 4e5: x = t - s**(1/alpha) would round to a
+    # staircase that the adaptive panels keep splitting; a shallow depth
+    # cap turns that into a truncated record instead of minutes
+    monkeypatch.setattr(rlpower.oracle, "MAX_DEPTH", 8)
+    code, out, err = run(capsys, "eval", "--op", "J", "--alpha",
+                         "0.3103265718398221", "--beta-int", "1",
+                         "--d", "-5354913003596034", "--centered",
+                         "--t", "-5354913003216613", "--route", "closed,oracle",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    closed, quad = parse_csv_records(out)
+    assert abs(quad.value - closed.value) <= 1e-13 * abs(closed.value)

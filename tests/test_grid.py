@@ -1,0 +1,106 @@
+"""The route bodies over a list of points: every scalar entry is their
+one-point case, bit for bit, errors included."""
+
+from __future__ import annotations
+
+import struct
+
+import pytest
+
+import rlpower as rl
+from rlpower import hypergeom, series
+from rlpower.errors import RLPowerError, SeriesNotConverged
+
+ALPHAS = (0.0, 0.35, 1.0)
+FRACS = (0.0, 0.3, 0.7, 0.99)
+
+# (d, a, beta): above the shift, below it, and centered
+PLACEMENTS = (
+    (0.0, 1.0, rl.beta_int(-3)),
+    (0.5, 1.5, rl.beta_rational(-3, 2)),
+    (-1.0, 0.2, rl.beta_real(0.45)),
+    (2.0, 1.0, rl.beta_rational(2, 3)),
+    (2.0, 1.0, rl.beta_int(-1)),
+    (1.5, 1.5, rl.beta_int(2)),
+    (1.5, 1.5, rl.beta_int(0)),
+)
+
+
+def _bits(x):
+    if isinstance(x, rl.SeriesResult):
+        return (_bits(x.value), x.terms_used, _bits(x.remainder_bound), x.status)
+    return struct.pack("<d", x)
+
+
+def _outcome(fn, *args):
+    """What a scalar entry gives: its value, a non-converged series result,
+    or the typed error it raises."""
+    try:
+        return _bits(fn(*args))
+    except SeriesNotConverged as exc:
+        return _bits(exc.result)
+    except RLPowerError as exc:
+        return type(exc), str(exc)
+
+
+def _grid_outcomes(body, ts):
+    """The body's values, or the error it raises in place of the first
+    point's outcome that is an error."""
+    try:
+        return [_bits(v) for v in body(ts)]
+    except RLPowerError as exc:
+        return type(exc), str(exc)
+
+
+def _expected(scalars):
+    errors = [o for o in scalars if isinstance(o, tuple) and len(o) == 2]
+    return errors[0] if errors else scalars
+
+
+def _points(win, pf):
+    width = (win.t_sup - win.a) if win.t_sup != float("inf") else 3.0
+    return sorted({win.a + f * width for f in FRACS} | {pf.d + 2.5})
+
+
+@pytest.mark.parametrize("d,a,beta", PLACEMENTS)
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("op", ["J", "D"])
+def test_scalar_entries_are_the_one_point_grid(d, a, beta, alpha, op):
+    pf = rl.power_function(d, beta)
+    win = rl.make_window(a, pf)
+    ts = [t for t in _points(win, pf) if t < win.t_sup]
+    sa = alpha if op == "J" else -alpha
+    integral = op == "J"
+    series_entry = rl.rlfi_series_displaced if integral else rl.rlfd_series
+    hyp_entry = rl.rlfi_hyp_form if integral else rl.rlfd_hyp_form
+    cases = (
+        (series_entry, lambda xs: series._series(pf, win, sa, xs, series.DEFAULT_TOL,
+                                                 series.DEFAULT_MAX_TERMS)),
+        (hyp_entry, lambda xs: hypergeom._hyp_form(pf, win, sa, xs)),
+    )
+    for entry, body in cases:
+        scalars = [_outcome(entry, pf, win, alpha, t) for t in ts]
+        assert _grid_outcomes(body, ts) == _expected(scalars)
+        assert [_grid_outcomes(body, [t]) for t in ts] == \
+            [s if isinstance(s, tuple) and len(s) == 2 else [s] for s in scalars]
+
+
+@pytest.mark.parametrize("beta", [rl.beta_int(0), rl.beta_int(2),
+                                  rl.beta_rational(1, 2), rl.beta_real(-0.5),
+                                  rl.beta_int(300)])
+@pytest.mark.parametrize("sa", [0.0, 0.35, 1.0, -0.35, -1.0])
+def test_closed_centered_is_the_one_point_grid(beta, sa):
+    pf = rl.power_function(-0.75, beta)
+    ts = [pf.d, pf.d + 0.5, pf.d + 0.99, pf.d + 3.0, pf.d + 1e3]
+    scalars = [_outcome(rl.closed_centered, pf, sa, t) for t in ts]
+    assert _grid_outcomes(lambda xs: series._closed(pf, sa, xs), ts) == \
+        _expected(scalars)
+
+
+def test_hyp2f1_is_the_one_point_grid():
+    # both sides of x = 0, the Pfaff transform on either parameter, and a
+    # terminating series
+    for a, b, c in ((1.0, 3.0, 1.5), (1.0, 12.7, 0.65), (1.0, -2.0, 1.35)):
+        xs = [-0.999, -0.5, -1e-9, 0.0, 0.25, 0.49]
+        assert [_bits(v) for v in hypergeom._hyp2f1(a, b, c, xs)] == \
+            [_bits(rl.hyp2f1(a, b, c, x)) for x in xs]

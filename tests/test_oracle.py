@@ -140,3 +140,17 @@ def test_quadrature_config_floor():
     for quad in (rl.quad_rlfi, rl.quad_rlfd):
         with pytest.raises(ValueError, match="not achievable"):
             quad(pf, 1.0, 0.0, 1.2, 1e-17)
+
+
+def test_quad_far_shift_is_not_a_staircase(monkeypatch):
+    # t - a = 4e5 next to |d| = 5e15: the integrand is evaluated in offsets
+    # from the shift, so rounding leaves it smooth; the shallow depth cap
+    # makes a staircase fail fast instead of running for minutes
+    monkeypatch.setattr(rl.oracle, "MAX_DEPTH", 8)
+    d = -5354913003596034.0
+    alpha = 0.3103265718398221
+    pf = rl.power_function(d, rl.beta_int(1))
+    t = d + 379420.59870354056
+    exact = math.exp(-math.lgamma(2.0 + alpha)) * (t - d) ** (1.0 + alpha)
+    got = rl.quad_rlfi(pf, d, alpha, t)
+    assert abs(got.value - exact) <= 1e-13 * exact
