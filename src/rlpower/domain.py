@@ -207,6 +207,14 @@ def branch_power(x: float, beta: BetaIndex) -> float:
                             "float range") from None
 
 
+def float_power(x: float, p: float) -> float:
+    """x**p for x >= 0; a power beyond the float range raises ValueOverflow."""
+    try:
+        return x ** p
+    except OverflowError:
+        raise ValueOverflow(f"({x!r})**{p!r} is beyond the float range") from None
+
+
 def require_order(alpha: float) -> float:
     """alpha, once checked to lie in [0, 1]; NaN and every other value raise
     OrderOutOfRange."""

@@ -37,6 +37,7 @@ from .domain import (
     PowerFunction,
     beta_value,
     branch_power,
+    float_power,
     require_in_window,
     require_order,
 )
@@ -122,7 +123,7 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
         scales, xs = [], []
         for t in ts[len(values):]:
             u = t - win.a
-            scales.append(front * u ** sa / gamma_c)
+            scales.append(front * float_power(u, sa) / gamma_c)
             xs.append(-(u / A))
         values += map(operator.mul, scales, _hyp2f1(1.0, -beta, c, xs))
     return values

@@ -14,6 +14,7 @@ exposes an intermediate the package does not return:
   term;
 * the logarithm series of the beta = -1 integral at order 1;
 * the z <-> 1-z connection split of 2F1;
+* the exact operator value above the shift, at 40 digits;
 * the reader of the CLI's csv records.
 
 The package itself calls none of them.
@@ -22,6 +23,8 @@ The package itself calls none of them.
 from __future__ import annotations
 
 import math
+
+import mpmath as mp
 
 from rlpower._backend import kernels
 from rlpower.cli import CSV_COLUMNS, EvalRecord
@@ -389,3 +392,19 @@ def parse_csv_records(text: str) -> list[EvalRecord]:
             value=float(parts[7]), terms=int(parts[8]),
             remainder=float(parts[9]), status=parts[10]))
     return records
+
+
+def upper_limit_exact(b, d: float, a: float, sa: float, t: float) -> mp.mpf:
+    """J^sa (t-d)^b above the shift (a > d), at 40 digits from the float
+    inputs, by the paper's form (a-d)^b (t-a)^sa / Gamma(1+sa)
+    2F1(1, -b; 1+sa; -(t-a)/(a-d)), not the package's upper-limit expansion.
+    b may be an mpf.  sa = -1 gives f'(t), the removable pole c = 0."""
+    with mp.workdps(40):
+        t, a, d, b, sa = (mp.mpf(x) for x in (t, a, d, b, sa))
+        A, u = a - d, t - a
+        if sa == -1:
+            return +(b * (t - d) ** (b - 1))
+        if u == 0:
+            return +(A ** b) if sa == 0 else mp.mpf(0)
+        return +(A ** b * u ** sa / mp.gamma(1 + sa)
+                 * mp.hyp2f1(1, -b, 1 + sa, -u / A))

@@ -42,6 +42,33 @@ def test_cli_overflow_exits_one_with_error_line(argv, capsys):
     assert "Traceback" not in err
 
 
+# (t-a)**(-alpha) at a subnormal t - a, above the shift (d = -1) and below
+# it (d = 1), with a = 0
+_SUBNORMAL_ARGV = ("eval --op D --alpha 0.99 --beta-int -1 --d {d} --a 0 "
+                   "--t 5e-324 --route {route}")
+
+
+@pytest.mark.parametrize("route", ["hyp", "series"])
+@pytest.mark.parametrize("d", ["-1", "1"])
+def test_cli_subnormal_offset_overflow_is_one_error_line(route, d, capsys):
+    assert main(_SUBNORMAL_ARGV.format(d=d, route=route).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValueOverflow: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("d", [-1.0, 1.0])
+def test_subnormal_offset_overflow_is_typed_on_both_backends(d, compiled_kernels):
+    pf = rl.power_function(d, rl.beta_int(-1))
+    win = rl.make_window(0.0, pf)
+    for kernels in (_kernels_py, compiled_kernels):
+        for entry in (rl.rlfd_series, rl.rlfd_hyp_form):
+            with _backend(kernels), pytest.raises(rl.ValueOverflow):
+                entry(pf, win, 0.99, 5e-324)
+
+
 def test_branch_power_overflow_is_typed():
     for x, beta in ((1e200, rl.beta_int(2)), (1e-200, rl.beta_int(-2)),
                     (-1e200, rl.beta_rational(5, 3)), (1e300, rl.beta_real(1.5))):
@@ -156,6 +183,7 @@ def _outcome(entry, *args) -> str:
 @example(beta=rl.beta_int(400), d=1.0, gap=0.0, alpha=0.035, frac=0.999)
 @example(beta=rl.beta_int(-400), d=0.03164480437265205, gap=-2.0,
          alpha=0.4415, frac=0.9916282032320572)
+@example(beta=rl.beta_int(-1), d=-1.0, gap=1.0, alpha=0.99, frac=5e-324)
 @example(beta=rl.beta_real(-1.5), d=0.0, gap=1.0, alpha=math.nan, frac=0.5)
 @example(beta=rl.beta_real(-1.5), d=0.0, gap=1.0, alpha=math.inf, frac=0.5)
 @example(beta=rl.beta_real(-1.5), d=0.0, gap=1.0, alpha=2.0, frac=0.5)

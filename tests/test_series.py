@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import pytest
 
 import rlpower as rl
@@ -28,6 +29,7 @@ from reference import (
     rlfi_neg_integer,
     rlfi_polynomial,
     taylor_route,
+    upper_limit_exact,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -98,12 +100,14 @@ def test_series_not_converged_carries_partial_result():
 
 
 def test_natural_termination_term_count():
-    # integer beta >= 0: exactly m+1 terms; only the roundoff floor remains
+    # integer beta >= 0: exactly m+1 terms, and only the roundoff floor
+    # remains, which bounds the error
     for m in (0, 1, 2, 5):
         pf = rl.power_function(0.0, rl.beta_int(m))
         res = rl.rlfi_series_displaced(pf, _win(pf, 1.0), 0.7, 1.6)
         assert res.terms_used == m + 1
-        assert res.remainder_bound <= 1e-14
+        err = abs(mp.mpf(res.value) - upper_limit_exact(m, 0.0, 1.0, 0.7, 1.6))
+        assert err <= res.remainder_bound
 
 
 def test_polynomial_sum_examples():
@@ -125,11 +129,16 @@ def test_polynomial_centered_reduces_to_single_term():
 
 
 def test_neg_integer_route_agrees_with_general():
+    # each route lies within its own bound of the exact value, so they agree
+    # within the sum of their bounds
     pf = rl.power_function(0.0, rl.beta_int(-2))
     win = _win(pf, 1.0)
     alt = rlfi_neg_integer(pf, win, 0.5, 1.2)
     gen = rl.rlfi_series_displaced(pf, win, 0.5, 1.2)
-    assert rel_err(alt.value, gen.value) <= 1e-12
+    exact = upper_limit_exact(-2, 0.0, 1.0, 0.5, 1.2)
+    for res in (alt, gen):
+        assert abs(mp.mpf(res.value) - exact) <= res.remainder_bound
+    assert abs(alt.value - gen.value) <= alt.remainder_bound + gen.remainder_bound
 
 
 def test_neg_integer_log_reduction():
@@ -364,11 +373,12 @@ def test_taylor_route_alpha_zero_is_taylor_sum():
 
 
 def test_roundoff_floor_reported_honestly():
-    # steep exponent near the window edge: alternating terms grow ~3e7 above
-    # the result, so double precision cannot reach 1e-10 and must say so
-    pf = rl.power_function(-3.097620834595584, rl.beta_int(-9))
-    win = _win(pf, -2.5142743197150135)
-    alpha, t = 0.05, -1.9757011216363423
+    # steep exponent near the window edge below the shift: alternating terms
+    # grow ~4e6 above the result, so double precision cannot reach 1e-10 and
+    # must say so
+    pf = rl.power_function(0.0, rl.beta_rational(80, 3))
+    win = _win(pf, -4.0)
+    alpha, t = 0.05, -2.2
     oracle = rl.quad_rlfi(pf, win.a, alpha, t).value
     with pytest.raises(SeriesNotConverged) as exc:
         rl.rlfi_series_displaced(pf, win, alpha, t)
@@ -379,6 +389,19 @@ def test_roundoff_floor_reported_honestly():
     assert loose.status is SeriesStatus.CONVERGED
     assert abs(loose.value - oracle) <= loose.remainder_bound
     assert loose.remainder_bound <= 1e-3 * max(1.0, abs(loose.value))
+
+
+def test_steep_exponent_above_the_shift_converges():
+    # beta = -9 near the window edge above the shift: the upper-limit
+    # expansion sums terms of one sign after the first and converges within
+    # its bound
+    pf = rl.power_function(-3.097620834595584, rl.beta_int(-9))
+    win = _win(pf, -2.5142743197150135)
+    alpha, t = 0.05, -1.9757011216363423
+    oracle = rl.quad_rlfi(pf, win.a, alpha, t).value
+    res = rl.rlfi_series_displaced(pf, win, alpha, t)
+    assert res.status is SeriesStatus.CONVERGED
+    assert abs(res.value - oracle) <= res.remainder_bound
 
 
 def test_route_equivalence_pairwise():
