@@ -30,8 +30,8 @@ class WindowViolation(RLPowerError, ValueError):
 
 class EvalAtLowerLimit(RLPowerError, ValueError):
     """t = a requested where the derivative series is genuinely singular, or
-    t <= a from the difference oracle, whose central differences cannot
-    straddle a."""
+    t <= a from the oracle's derivative, whose head term (t-a)^-alpha and
+    central differences both need t > a."""
 
 
 class SeriesNotConverged(RLPowerError, ArithmeticError):

@@ -14,7 +14,8 @@ exposes an intermediate the package does not return:
   term;
 * the logarithm series of the beta = -1 integral at order 1;
 * the z <-> 1-z connection split of 2F1;
-* the exact operator value above the shift, at 40 digits;
+* the exact operator value above the shift, and on either side of it, at 40
+  digits;
 * the reader of the CLI's csv records.
 
 The package itself calls none of them.
@@ -32,6 +33,7 @@ from rlpower.domain import (
     EvalWindow,
     IntegerExp,
     PowerFunction,
+    RationalExp,
     branch_power,
     make_window,
     require_in_window,
@@ -407,4 +409,23 @@ def upper_limit_exact(b, d: float, a: float, sa: float, t: float) -> mp.mpf:
         if u == 0:
             return +(A ** b) if sa == 0 else mp.mpf(0)
         return +(A ** b * u ** sa / mp.gamma(1 + sa)
+                 * mp.hyp2f1(1, -b, 1 + sa, -u / A))
+
+
+def displaced_exact(beta, d: float, a: float, sa: float, t: float) -> mp.mpf:
+    """J^sa (t-d)^beta for a lower limit on either side of the shift, at 40
+    digits from the float inputs: the form of upper_limit_exact with (a-d)^beta
+    on the real branch that beta's exact class selects.  beta is an
+    IntegerExp, RationalExp or RealExp; t > a."""
+    with mp.workdps(40):
+        if isinstance(beta, IntegerExp):
+            b, odd = mp.mpf(beta.m), beta.m % 2
+        elif isinstance(beta, RationalExp):
+            b, odd = mp.mpf(beta.p) / beta.q, beta.p % 2
+        else:
+            b, odd = mp.mpf(beta.x), 0
+        t, a, d, sa = (mp.mpf(x) for x in (t, a, d, sa))
+        A, u = a - d, t - a
+        front = abs(A) ** b * (-1 if A < 0 and odd else 1)
+        return +(front * u ** sa / mp.gamma(1 + sa)
                  * mp.hyp2f1(1, -b, 1 + sa, -u / A))

@@ -95,7 +95,7 @@ def test_criterion_2_series_vs_oracle(grid, oracle_values):
     _report(2, f"series vs oracle on {len(grid)} tuples")
 
 
-# -- criterion 3: derivative series vs finite-difference oracle -------------
+# -- criterion 3: derivative series vs the oracle's derivative --------------
 
 def test_criterion_3_derivative_vs_oracle(grid):
     for case in grid:

@@ -402,7 +402,7 @@ def test_order_one_derivative_at_lower_limit(capsys, route):
 
 
 def test_order_one_derivative_at_lower_limit_oracle_is_typed(capsys):
-    # central differences cannot straddle t = a: exit 1, no traceback
+    # the oracle's derivative needs t > a: exit 1, no traceback
     code, out, err = run(capsys, "eval", "--op", "D", "--alpha", "1",
                          "--beta-int", "2", "--d", "0", "--a", "1",
                          "--t", "1", "--route", "oracle", "--format", "csv")
@@ -421,7 +421,7 @@ def test_domain_rejects_non_rational_like_eval(capsys):
 
 
 def test_first_error_in_t_major_order_is_kept(capsys):
-    # at t = 0 the difference oracle cannot straddle t = a, and from
+    # at t = 0 the oracle's derivative needs t > a, and from
     # t = 250 on the closed value 250**299 overflows: evaluated t by t, as
     # the records list them, the oracle's error comes first
     job = ("eval", "--op", "D", "--alpha", "1", "--beta-int", "300", "--d", "0",

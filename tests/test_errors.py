@@ -153,20 +153,6 @@ _ENTRIES = (
 )
 
 
-@contextlib.contextmanager
-def _shallow_oracle(depth: int = 6):
-    """Cap the oracle's panel tree at depth levels.  Where |a - d| or t - a
-    is tiny next to |d|, rounding leaves f(x) = (x - d)**beta a staircase,
-    and at the full depth one quadrature then takes minutes before it
-    converges or raises ToleranceNotMet."""
-    saved = oracle.MAX_DEPTH
-    oracle.MAX_DEPTH = depth
-    try:
-        yield
-    finally:
-        oracle.MAX_DEPTH = saved
-
-
 def _outcome(entry, *args) -> str:
     try:
         entry(*args)
@@ -200,6 +186,6 @@ def test_every_failure_is_typed_on_both_backends(compiled_kernels, beta, d,
     for entry in _ENTRIES:
         outcomes = []
         for kernels in (_kernels_py, compiled_kernels):
-            with _backend(kernels), _shallow_oracle():
+            with _backend(kernels):
                 outcomes.append(_outcome(entry, pf, win, alpha, t))
         assert outcomes[0] == outcomes[1]

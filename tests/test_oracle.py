@@ -1,16 +1,20 @@
-"""Quadrature oracle: substitution correctness, derivative estimates, log case."""
+"""Quadrature oracle: substitution correctness, the derivative by parts and
+its estimate against 40-digit mpmath on both backends, the log case."""
 
 from __future__ import annotations
 
 import math
+import time
 
+import mpmath as mp
 import pytest
 
 import rlpower as rl
+from rlpower import _kernels_py, oracle
 from rlpower.domain import IntegerExp, RationalExp, beta_value, branch_power
 from rlpower.errors import EvalAtLowerLimit, PoleInsideInterval
 
-from reference import log_reference
+from reference import displaced_exact, log_reference
 
 SQRT_PI = 1.7724538509055160273
 
@@ -106,8 +110,9 @@ def test_quad_rlfd_alpha_one_classical():
 
 def test_quad_rlfd_at_lower_limit_is_typed():
     pf = rl.power_function(0.0, rl.beta_int(2))
-    with pytest.raises(EvalAtLowerLimit):
-        rl.quad_rlfd(pf, 1.0, 1.0, 1.0)
+    for alpha, t in ((1.0, 1.0), (0.5, 1.0), (0.5, 0.5)):
+        with pytest.raises(EvalAtLowerLimit):
+            rl.quad_rlfd(pf, 1.0, alpha, t)
 
 
 def test_log_reference_values():
@@ -154,3 +159,138 @@ def test_quad_far_shift_is_not_a_staircase(monkeypatch):
     exact = math.exp(-math.lgamma(2.0 + alpha)) * (t - d) ** (1.0 + alpha)
     got = rl.quad_rlfi(pf, d, alpha, t)
     assert abs(got.value - exact) <= 1e-13 * exact
+
+
+def test_quad_small_order_sees_the_lower_end():
+    # at order 0.001 every node of a whole-range panel sits next to t, where
+    # f is 5e-10; the value, 3.5e-5, comes from x next to a
+    pf = rl.power_function(0.0, rl.beta_int(-31))
+    got = rl.quad_rlfi(pf, 1.0, 0.001, 1.99)
+    ref = displaced_exact(pf.beta, 0.0, 1.0, 0.001, 1.99)
+    assert ref == pytest.approx(3.4957811e-5, rel=1e-7)
+    assert abs(got.value - ref) <= got.error_estimate
+
+
+def test_quad_steep_centered_integral_is_fast():
+    # global error control: panels next to x = d, where f = (x-d)^33 is
+    # nothing next to the total, are not refined to their own relative tol
+    d = 0.5118673749031352
+    alpha = 0.35205802831600513
+    t = 511867.88677051006
+    pf = rl.power_function(d, rl.beta_int(33))
+    start = time.perf_counter()
+    got = rl.quad_rlfi(pf, d, alpha, t)
+    assert time.perf_counter() - start < 1.0
+    with mp.workdps(40):
+        exact = mp.gamma(34) / mp.gamma(34 + mp.mpf(alpha)) \
+            * (mp.mpf(t) - d) ** (33 + mp.mpf(alpha))
+    assert abs(got.value - exact) <= got.error_estimate
+
+
+# the in-domain sweep of displaced derivative cells: exponents of every
+# class from -30 to 40/3, both sides of the shift where the domain allows
+_SWEEP_TOKENS = ("-30", "-9.7", "-3", "-3/2", "-1", "-1/3", "0", "1/2", "2/3",
+                 "4/3", "2", "0.45", "5", "7.3", "40/3")
+_SWEEP_ALPHAS = (0.001, 0.05, 0.3, 0.7, 0.95, 0.999)
+_SWEEP_FRACS = (0.1, 0.5, 0.9, 0.99)
+
+
+def _token_beta(token):
+    if "/" in token:
+        return rl.beta_rational(*map(int, token.split("/")))
+    if "." in token:
+        return rl.beta_real(float(token))
+    return rl.beta_int(int(token))
+
+
+def _sweep_cells():
+    """120 of the 576 (exponent, side, alpha, fraction) cells: five orders
+    per exponent and side, the fraction turning with the order."""
+    placements = []
+    for token in _SWEEP_TOKENS:
+        beta = _token_beta(token)
+        placements.append((beta, 0.0, 1.0, 1.0))
+        if isinstance(beta, IntegerExp) or (
+                isinstance(beta, RationalExp) and beta.p % 2 == 0):
+            placements.append((beta, 0.0, -1.0, 0.5))
+    cells = []
+    for i, (beta, d, a, width) in enumerate(placements):
+        for j, alpha in enumerate(_SWEEP_ALPHAS):
+            if (i + j) % 6 != 2:
+                frac = _SWEEP_FRACS[(i + 3 * j) % 4]
+                cells.append((beta, d, a, alpha, a + frac * width))
+    return cells
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return [(cell, displaced_exact(cell[0], cell[1], cell[2], -cell[3], cell[4]))
+            for cell in _sweep_cells()]
+
+
+def test_sweep_holds_the_hard_cells(sweep):
+    cells = [cell for cell, _ in sweep]
+    assert len(cells) == 120
+    # head and body cancel to 1 part in 6e4 at beta = -30, alpha = 0.999,
+    # and beta = 0 is the head alone
+    assert (rl.beta_int(-30), 0.0, 1.0, 0.999, 1.99) in cells
+    assert sum(beta == rl.beta_int(0) for beta, *_ in cells) == 10
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_quad_rlfd_within_estimate_of_2f1(sweep, backend, monkeypatch,
+                                          compiled_kernels):
+    kernels = _kernels_py if backend == "pure" else compiled_kernels
+    monkeypatch.setattr(oracle, "kernels", kernels)
+    for (beta, d, a, alpha, t), ref in sweep:
+        got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
+        assert abs(got.value - ref) <= got.error_estimate, (beta, a, alpha, t)
+
+
+def test_quad_rlfd_order_zero_is_f():
+    pf = rl.power_function(0.0, rl.beta_rational(-3, 2))
+    assert rl.quad_rlfd(pf, 1.0, 0.0, 1.7) == (pf.value(1.7), 0.0)
+
+
+@pytest.mark.parametrize("beta, a, t, sign", [
+    (rl.beta_int(-3), 1.0, 1.6, 1),
+    (rl.beta_int(0), 1.0, 1.6, 1),
+    (rl.beta_rational(2, 3), -1.0, -0.6, -1),
+    (rl.beta_real(7.3), 1.0, 1.6, 1),
+])
+def test_quad_rlfd_order_one_is_f_prime(beta, a, t, sign):
+    got = rl.quad_rlfd(rl.power_function(0.0, beta), a, 1.0, t)
+    with mp.workdps(40):
+        b = mp.mpf(beta.p) / beta.q if isinstance(beta, RationalExp) \
+            else mp.mpf(beta_value(beta))
+        want = sign * b * abs(mp.mpf(t)) ** (b - 1)
+    assert abs(got.value - want) <= got.error_estimate
+    assert got.error_estimate <= 1e-14 * abs(got.value)
+
+
+def test_quad_rlfd_centered_fractional_exponent_keeps_richardson(monkeypatch):
+    # f' = (x-d)^-1/2 / 2 is singular at a = d: no integration by parts
+    calls = []
+    richardson = oracle._richardson
+    monkeypatch.setattr(oracle, "_richardson",
+                        lambda *args: calls.append(args) or richardson(*args))
+    pf = rl.power_function(0.0, rl.beta_rational(1, 2))
+    start = time.perf_counter()
+    got = rl.quad_rlfd(pf, 0.0, 0.3, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert len(calls) == 1
+    exact = math.gamma(1.5) / math.gamma(1.2)
+    assert got.value == pytest.approx(exact, rel=1e-8)
+
+
+def test_quad_rlfd_centered_polynomial_is_by_parts(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Richardson path taken")
+    monkeypatch.setattr(oracle, "_richardson", refuse)
+    d, alpha, t = 0.25, 0.4, 2.0
+    pf = rl.power_function(d, rl.beta_int(3))
+    got = rl.quad_rlfd(pf, d, alpha, t)
+    with mp.workdps(40):
+        sa = -mp.mpf(alpha)
+        exact = 6 / mp.gamma(4 + sa) * (mp.mpf(t) - d) ** (3 + sa)
+    assert abs(got.value - exact) <= got.error_estimate
