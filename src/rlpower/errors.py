@@ -30,8 +30,8 @@ class WindowViolation(RLPowerError, ValueError):
 
 class EvalAtLowerLimit(RLPowerError, ValueError):
     """t = a requested where the derivative series is genuinely singular, or
-    t <= a from the oracle's derivative, whose head term (t-a)^-alpha and
-    central differences both need t > a."""
+    t <= a from the oracle's derivative, whose head term (t-a)^-alpha needs
+    t > a."""
 
 
 class SeriesNotConverged(RLPowerError, ArithmeticError):
@@ -71,4 +71,6 @@ class PoleInsideInterval(RLPowerError, ValueError):
 
 
 class ToleranceNotMet(RLPowerError, ArithmeticError):
-    """Adaptive quadrature exhausted its depth budget above tolerance."""
+    """Adaptive quadrature exhausted its depth budget above tolerance, or
+    met an integrand no panel resolves (the oracle's derivative at t = d of
+    a fractional exponent)."""

@@ -25,6 +25,8 @@ in a and b); in the forms above that is beta < -2 - sa.
 At sa = -1 (D of order 1) c = 0 is a removable pole:
 2F1(a, b; c; x)/Gamma(c) -> a b x 2F1(a+1, b+1; 2; x), which makes
 D = (a-d)^beta beta/(a-d) 2F1(2, 1-beta; 2; -w) = f'(t), regular at t = a.
+A c within 1e-12 of 0 but not 0 would be taken as that pole, so it raises
+HypNotConverged instead.
 """
 
 from __future__ import annotations
@@ -106,6 +108,9 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
     beta = beta_value(pf.beta)
     c = 1.0 + sa
     if kernels.nonpos_int_index(c) == 0:
+        if c != 0.0:
+            # next to the pole the series would be taken as the limit f'(t)
+            raise HypNotConverged(f"c={c!r} within 1e-12 of the pole c = 0")
         # the removable pole c = 0 of 2F1/Gamma(c): D of order 1 is f'(t)
         lead = branch_power(A, pf.beta) * beta / A
         return [lead * h for h in

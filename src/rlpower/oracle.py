@@ -17,17 +17,18 @@ Nodes in the upper half of the range are placed by their distance from its
 top, so x next to a keeps the digits that s**(1/alpha) would lose there.
 Every error estimate adds a roundoff floor measured against 40-digit mpmath.
 
-The fractional derivative is the integral of f' wherever f is C^1 on [a, t]:
-the shift lies outside [a, t], or beta is an integer >= 0.  Integration by
-parts then gives
+The fractional derivative is the Marchaud form (Samko, Kilbas and Marichev,
+Fractional Integrals and Derivatives, 1993, section 13),
 
-    D^alpha f(t) = f(a) (t-a)^-alpha / Gamma(1-alpha) + J^(1-alpha) f'(t),
+    D^alpha f(t) = f(t) (t-a)^-alpha / Gamma(1-alpha)
+                   + alpha/Gamma(1-alpha)
+                     * integral_a^t (f(t) - f(x)) / (t-x)^(1+alpha) dx,
 
-and f' = beta (x-d)^(beta-1) is in the same power family, so the value is
-one head term plus one quadrature of the same substituted integrand.  Where
-f' is singular inside [a, t] (a fractional exponent with the shift at or
-inside the interval) the derivative stays a Richardson-extrapolated central
-difference of the order-(1-alpha) integral.  Deliberately simple;
+which needs no f' and so holds with the shift at a or inside [a, t] as well.
+The substitution s = (t-x)^(1-alpha) turns the integral into
+(1/(1-alpha)) * integral_0^((t-a)^(1-alpha)) (f(t) - f(t-r)) / r ds, r = t - x,
+whose divided difference is bounded wherever f'(t) is finite: one head term
+plus one quadrature of the integral's substitution.  Deliberately simple;
 accuracy, not speed, is the contract here.
 """
 
@@ -40,9 +41,10 @@ import sys
 from typing import Callable, NamedTuple
 
 from ._backend import kernels
-from .domain import (BetaIndex, IntegerExp, PowerFunction, RationalExp, RealExp,
-                     beta_value, branch_power, float_power, require_order)
-from .errors import EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet
+from .domain import (BetaIndex, IntegerExp, PowerFunction, beta_value,
+                     branch_power, float_power, require_order)
+from .errors import (EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet,
+                     ValueOverflow)
 
 # Gauss-Kronrod 15-point nodes and weights on [-1, 1] (QUADPACK dqk15).
 _XGK = (
@@ -75,6 +77,10 @@ _WG = (
 
 DEFAULT_TOL = 1e-11
 MAX_DEPTH = 60
+# an integrand whose rounding noise stays above the tolerance is halved
+# everywhere at once; this many panels end it (the cells measured need
+# at most about 120)
+MAX_PANELS = 10000
 # how close the shift may come to [a, t] before a negative exponent's pole
 # counts as inside the interval
 SPLIT_GUARD = 1e-12
@@ -88,9 +94,12 @@ _TAIL_MIN = 1e-3
 _LN2 = math.log(2.0)
 # roundoff floor of an estimate, in ulps of the magnitude summed, plus |beta|
 # ulps for the rounding of the offsets from the shift.  Measured against
-# 40-digit mpmath on 21 000 random displaced J and D cells: the worst need
-# was 10.2 ulps (J of beta = 0, where the panels are exact)
+# 40-digit mpmath: J on 21 000 random displaced cells needed 10.2 ulps (beta
+# = 0, where the panels are exact), D on 20 000 random displaced cells and
+# on shifts at and inside [a, t] 5.4 + |beta|
 _FLOOR_ULPS = 16.0
+# below r = _LIMIT |t - d| the derivative's divided difference is its limit
+_LIMIT = 1e-8
 
 
 class QuadEstimate(NamedTuple):
@@ -131,7 +140,8 @@ def _adaptive(pieces: list[tuple[Callable[[float], float], list[float]]],
     Each interval between cuts starts as one panel; the panel with the
     largest error is halved until the summed error is at most tol times the
     running integral of |f| (or the float range's floor times the width).
-    Halving a panel already MAX_DEPTH levels deep raises ToleranceNotMet.
+    Halving a panel already MAX_DEPTH levels deep, or past MAX_PANELS
+    panels, raises ToleranceNotMet.
     """
     seq = itertools.count()  # breaks ties between equal errors
     heap = []
@@ -147,10 +157,10 @@ def _adaptive(pieces: list[tuple[Callable[[float], float], list[float]]],
     floor = width * sys.float_info.min
     while error > max(tol * magnitude, floor):
         neg_err, _, f, lo, hi, val, mag, depth = heapq.heappop(heap)
-        if depth >= MAX_DEPTH:
+        if depth >= MAX_DEPTH or len(heap) >= MAX_PANELS:
             raise ToleranceNotMet(
                 f"panel [{lo!r}, {hi!r}] still at error {-neg_err:.3e} "
-                "at maximum depth")
+                f"at depth {depth} of {len(heap) + 1} panels")
         mid = 0.5 * (lo + hi)
         v1, e1, m1 = _gk15(f, lo, mid)
         v2, e2, m2 = _gk15(f, mid, hi)
@@ -167,11 +177,17 @@ def _adaptive(pieces: list[tuple[Callable[[float], float], list[float]]],
             math.fsum(p[6] for p in heap))
 
 
-def _substituted(beta: BetaIndex, lo: float, hi: float, u: float,
-                 order: float, tol: float) -> tuple[float, float, float]:
-    """Gamma(order+1) times the order-`order` integral of y**beta from lo to
-    hi, u = hi - lo: integral_0^(u**order) y**beta ds at y = hi - s**(1/order),
-    with _adaptive's error and magnitude.
+def _substituted(f: Callable[[float], float], lo: float, hi: float, u: float,
+                 order: float, tol: float,
+                 mirror: bool = False) -> tuple[float, float, float]:
+    """integral_0^(u**order) f(y) ds at the offset y = hi - s**(1/order) from
+    the shift, u = hi - lo, with _adaptive's error and magnitude: for
+    f(y) = y**beta, Gamma(order+1) times the order-`order` integral from lo
+    to hi.  The range is cut at the shift when it lies inside (lo, hi), and
+    with `mirror` a shift above hi, closer to it than u, cuts it at y = 2 hi:
+    an integrand that varies on the scale |hi| in hi - y, as the
+    derivative's divided difference does, turns there from its value next
+    to hi to its decay.
 
     The integrand works in offsets y = x - d from the shift: x = t - s**inv
     itself would round to a staircase where |d| is large next to t - a.  The
@@ -184,20 +200,17 @@ def _substituted(beta: BetaIndex, lo: float, hi: float, u: float,
     span = u ** order
     half = 0.5 * span
 
-    def clamped(y: float) -> float:
-        # clamp float excursions from the substitution back into [lo, hi],
-        # and the NaN of sigma = 0 at an order so small that inv is inf
-        if not y > lo:
-            return branch_power(lo, beta)
-        return branch_power(hi if y > hi else y, beta)
-
+    # both halves stay in [lo, hi]: t - x is at most u/2 in the lower one and
+    # at least u/2 in the upper one
     def near_t(s: float) -> float:
-        return clamped(hi - s ** inv)
+        return f(hi - s ** inv)
 
     def near_a(sigma: float) -> float:
-        w = math.log1p(-sigma / span) * inv
+        # sigma = 0 is x = a, where log1p(0) * inv is NaN at an order so
+        # small that inv is inf
+        w = math.log1p(-sigma / span) * inv if sigma else 0.0
         # the nearer end gives y its full precision
-        return clamped(lo - u * math.expm1(w) if w > -_LN2 else hi - u * math.exp(w))
+        return f(lo - u * math.expm1(w) if w > -_LN2 else hi - u * math.exp(w))
 
     # the cuts as log((t-x)/u)
     logs = []
@@ -205,9 +218,10 @@ def _substituted(beta: BetaIndex, lo: float, hi: float, u: float,
     tail = _TAIL_LOGS + math.log(u / abs(hi)) if u > abs(hi) > 0.0 else _TAIL_LOGS
     if math.exp(-tail * order) > _TAIL_MIN:
         logs += [-tail, -_LN2]
-    if lo < 0.0 < hi:
-        # f is not smooth at the shift: no panel may straddle it
-        logs.append(math.log(hi / u))
+    if lo < 0.0 < hi or (mirror and 0.0 < -hi < u):
+        # f is not smooth at the shift: no panel may straddle it, nor, with
+        # mirror, the point as far below t as the shift is above it
+        logs.append(math.log(abs(hi) / u))
     t_cuts, a_cuts = [0.0, half], [0.0, half]
     for log in logs:
         s = span * math.exp(order * log)
@@ -227,7 +241,10 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tolerances below {_TOL_FLOOR:g} are not achievable")
 
 
-def _require_domain(pf: PowerFunction, a: float, t: float) -> None:
+def _require_interval(pf: PowerFunction, a: float, t: float) -> None:
+    if beta_value(pf.beta) < 0.0 and a - SPLIT_GUARD <= pf.d <= t + SPLIT_GUARD:
+        raise PoleInsideInterval(
+            f"integrand pole at x={pf.d!r} touches [{a!r}, {t!r}]")
     for point in (a, t):
         if not pf.contains(point):
             raise ValueError(f"{point!r} outside the power function's domain")
@@ -242,107 +259,97 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
     require_order(alpha)
     if t < a:
         raise ValueError("quad_rlfi requires a <= t")
-    _require_domain(pf, a, t)
-    if beta_value(pf.beta) < 0.0 and a - SPLIT_GUARD <= pf.d <= t + SPLIT_GUARD:
-        raise PoleInsideInterval(
-            f"integrand pole at x={pf.d!r} touches [{a!r}, {t!r}]")
+    _require_interval(pf, a, t)
     if alpha == 0.0:
         return QuadEstimate(pf.value(t), 0.0)
     if a == t:
         return QuadEstimate(0.0, 0.0)
-    val, err, mag = _substituted(pf.beta, a - pf.d, t - pf.d, t - a, alpha, tol)
+    beta = pf.beta
+    val, err, mag = _substituted(lambda y: branch_power(y, beta), a - pf.d,
+                                 t - pf.d, t - a, alpha, tol)
     scale = 1.0 / kernels.gamma_value(alpha + 1.0)
-    return QuadEstimate(val * scale,
-                        (err + _floor(pf.beta, mag)) * abs(scale))
-
-
-def _lowered(beta: BetaIndex) -> BetaIndex:
-    """The exponent beta - 1 of f' = beta (x-d)**(beta-1), in beta's class;
-    its domain may be smaller than beta's (2/3 against -1/3), so callers
-    check the domain of f, not of f'."""
-    if isinstance(beta, IntegerExp):
-        return IntegerExp(beta.m - 1)
-    if isinstance(beta, RationalExp):
-        return RationalExp(beta.p - beta.q, beta.q)
-    return RealExp(beta.x - 1.0)
+    return QuadEstimate(val * scale, (err + _floor(beta, mag)) * abs(scale))
 
 
 def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
               tol: float = DEFAULT_TOL) -> QuadEstimate:
-    """Fractional derivative, by parts where f is C^1 on [a, t].
+    """Fractional derivative in the Marchaud form.
 
-    When the shift lies outside [a - SPLIT_GUARD, t + SPLIT_GUARD], or beta is
-    an integer >= 0, the value is the head f(a) (t-a)^-alpha / Gamma(1-alpha)
-    plus the body J^(1-alpha) f'(t), one quadrature of quad_rlfi's
-    substituted integrand with the exponent beta - 1.  The error estimate is
-    the body's, scaled, plus the roundoff floor on |head| + |body|.  Where
-    head and body cancel, the body is run again with tol divided by the
+    The value is the head f(t) (t-a)^-alpha / Gamma(1-alpha) plus
+    alpha / Gamma(2-alpha) times the integral over s in [0, (t-a)^(1-alpha)]
+    of the divided difference (f(t) - f(t-r)) / r, r = s^(1/(1-alpha)):
+    one quadrature of quad_rlfi's substitution.  The error estimate is the
+    body's, scaled, plus the roundoff floor on |head| + |body|.  Where head
+    and body cancel, the body is run again with tol divided by the
     cancellation ratio (|head| + |body|) / |value|, down to the tolerance
-    floor.  alpha = 1 gives f'(t) and beta = 0 the head alone.
+    floor.
 
-    Elsewhere f' is singular inside [a, t] (a fractional exponent with the
-    shift at or inside the interval), and the value stays d/dt of the
-    order-(1-alpha) integral: central differences at steps h = (t-a)*1e-4
-    and h/2, Richardson-combined, with the inner integrals two orders
-    tighter than tol and the extrapolation residual as the error estimate.
-
-    alpha = 0 gives f(t); t <= a raises EvalAtLowerLimit.
+    alpha = 0 gives f(t) and alpha = 1 gives f'(t).  t <= a raises
+    EvalAtLowerLimit, and a negative beta's pole at or inside [a, t] raises
+    PoleInsideInterval.  A shift at t with a fractional beta, where f is
+    not smooth, raises ToleranceNotMet.
     """
     _require_tol(tol)
     require_order(alpha)
     if alpha == 0.0:
         return QuadEstimate(pf.value(t), 0.0)
     if t <= a:
-        raise EvalAtLowerLimit("central differences need t > a")
-    beta = pf.beta
-    if (isinstance(beta, IntegerExp) and beta.m >= 0) or not (
-            a - SPLIT_GUARD <= pf.d <= t + SPLIT_GUARD):
-        return _by_parts(pf, a, alpha, t, tol)
-    return _richardson(pf, a, alpha, t, tol)
-
-
-def _by_parts(pf: PowerFunction, a: float, alpha: float, t: float,
-              tol: float) -> QuadEstimate:
-    _require_domain(pf, a, t)
+        raise EvalAtLowerLimit("the head term (t-a)^-alpha needs t > a")
+    _require_interval(pf, a, t)
     beta = pf.beta
     b = beta_value(beta)
     lo, hi, u = a - pf.d, t - pf.d, t - a
-    lowered = _lowered(beta)
+    if hi == 0.0 and not isinstance(beta, IntegerExp):
+        # the divided difference is r^(beta-1) at t = d, with no scale at
+        # which the panels could stop resolving it
+        raise ToleranceNotMet(f"f is not smooth at t = d = {t!r}")
+    ft = branch_power(hi, beta)
+    # f'(t); at t = d only integers come here, with f'(d) = 1 for beta = 1
+    slope = b * ft / hi if hi else float(b == 1.0)
+
+    near, mid = _LIMIT * abs(hi), 0.5 * abs(hi)
+    curve = 0.5 * (b - 1.0) / hi if hi else 0.0
+    # f(x) = f(t) |y/hi|^beta on t's side of the shift, and on both sides
+    # for an even f
+    even = lo < 0.0 < hi and branch_power(-1.0, beta) > 0.0
+
+    def quotient(y: float) -> float:
+        # (f(t) - f(x)) / r at the offset y = x - d, r = t - x >= 0
+        r = hi - y
+        if r <= near:
+            # the limit f'(t) next to x = t, to first order in r
+            return slope * (1.0 - curve * r)
+        if r < mid:
+            e = b * math.log1p(-r / hi)
+        elif y * hi > 0.0 or (even and y):
+            e = b * math.log(abs(y / hi))
+        else:
+            return (ft - branch_power(y, beta)) / r
+        if -1.0 < e < 1.0:
+            # f(x) = f(t) e^e, and expm1 keeps the digits that f(t) - f(x)
+            # would cancel
+            return -ft * math.expm1(e) / r
+        return (ft - branch_power(y, beta)) / r
+
     if alpha == 1.0:
-        # the head's 1/Gamma(0) vanishes, and J^0 f' = f'
-        value = b * branch_power(hi, lowered) if b else 0.0
-        return QuadEstimate(value, _floor(beta, abs(value)))
-    head = (branch_power(lo, beta) * float_power(u, -alpha)
-            / kernels.gamma_value(1.0 - alpha))
-    if b == 0.0:
-        return QuadEstimate(head, _floor(beta, abs(head)))
-    scale = b / kernels.gamma_value(2.0 - alpha)
-    val, err, mag = _substituted(lowered, lo, hi, u, 1.0 - alpha, tol)
-    magnitude = abs(head) + abs(scale) * mag
-    value = head + val * scale
-    if magnitude > 2.0 * abs(value):
-        # head and body cancel: tol relative to the value asks that much more
-        # of the body
-        val, err, mag = _substituted(
-            lowered, lo, hi, u, 1.0 - alpha,
-            max(tol * abs(value) / magnitude, _TOL_FLOOR))
-        magnitude = abs(head) + abs(scale) * mag
-    return QuadEstimate(head + val * scale,
-                        err * abs(scale) + _floor(beta, magnitude))
+        # the head's 1/Gamma(0) vanishes, and the body tends to f'(t)
+        value, err, magnitude = slope, 0.0, abs(slope)
+    else:
+        head = ft * float_power(u, -alpha) / kernels.gamma_value(1.0 - alpha)
+        scale = alpha / kernels.gamma_value(2.0 - alpha)
 
+        def with_body(tol: float) -> tuple[float, float, float]:
+            val, err, mag = _substituted(quotient, lo, hi, u, 1.0 - alpha, tol,
+                                         mirror=True)
+            return (head + val * scale, err * abs(scale),
+                    abs(head) + abs(scale) * mag)
 
-def _richardson(pf: PowerFunction, a: float, alpha: float, t: float,
-                tol: float) -> QuadEstimate:
-    # t - h stays above a whenever h > 0
-    h = (t - a) * 1e-4
-    if h <= 0.0:
-        raise EvalAtLowerLimit("central differences need t > a")
-    inner = max(1e-2 * tol, 250.0 * math.ulp(1.0))
-
-    def g(tau: float) -> float:
-        return quad_rlfi(pf, a, 1.0 - alpha, tau, inner).value
-
-    d1 = (g(t + h) - g(t - h)) / (2.0 * h)
-    d2 = (g(t + 0.5 * h) - g(t - 0.5 * h)) / h
-    value = (4.0 * d2 - d1) / 3.0
-    return QuadEstimate(value, abs(d2 - d1) / 3.0)
+        value, err, magnitude = with_body(tol)
+        if magnitude > 2.0 * abs(value):
+            # head and body cancel: tol relative to the value asks that much
+            # more of the body
+            value, err, magnitude = with_body(
+                max(tol * abs(value) / magnitude, _TOL_FLOOR))
+    if not math.isfinite(value):
+        raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")
+    return QuadEstimate(value, err + _floor(beta, magnitude))

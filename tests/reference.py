@@ -16,6 +16,8 @@ exposes an intermediate the package does not return:
 * the z <-> 1-z connection split of 2F1;
 * the exact operator value above the shift, and on either side of it, at 40
   digits;
+* the derivative of an even-numerator rational exponent with the shift
+  inside [a, t], at 40 digits;
 * the reader of the CLI's csv records.
 
 The package itself calls none of them.
@@ -429,3 +431,26 @@ def displaced_exact(beta, d: float, a: float, sa: float, t: float) -> mp.mpf:
         front = abs(A) ** b * (-1 if A < 0 and odd else 1)
         return +(front * u ** sa / mp.gamma(1 + sa)
                  * mp.hyp2f1(1, -b, 1 + sa, -u / A))
+
+
+def shift_inside_exact(beta: RationalExp, d: float, a: float, alpha: float,
+                       t: float) -> mp.mpf:
+    """D^alpha (t-d)^beta from a < d < t, at 40 digits, for a positive
+    rational beta = p/q with p even, so that (x-d)^beta = (d-x)^beta below
+    the shift: the centered value from d, Gamma(beta+1)/Gamma(beta+1-alpha)
+    (t-d)^(beta-alpha), minus alpha/Gamma(1-alpha) times the quadrature of
+    (t-x)^(-alpha-1) (d-x)^beta over [a, d], the part of the lower limit's
+    integral below the shift differentiated in t."""
+    if beta.p <= 0 or beta.p % 2:
+        raise ValueError("shift_inside_exact needs p/q with p even and positive")
+    with mp.workdps(40):
+        b = mp.mpf(beta.p) / beta.q
+        d, a, alpha, t = (mp.mpf(x) for x in (d, a, alpha, t))
+        centered = (mp.gamma(b + 1) / mp.gamma(b + 1 - alpha)
+                    * (t - d) ** (b - alpha))
+        below, error = mp.quad(lambda x: (t - x) ** (-alpha - 1) * (d - x) ** b,
+                               [a, d], error=True)
+        if error > mp.mpf(10) ** -30 * abs(below):
+            # steep exponents with the shift next to t defeat mp.quad
+            raise ArithmeticError(f"mp.quad error {error} on {below}")
+        return +(centered - alpha / mp.gamma(1 - alpha) * below)

@@ -410,6 +410,31 @@ def test_order_one_derivative_at_lower_limit_oracle_is_typed(capsys):
     assert err.startswith("error: EvalAtLowerLimit:")
 
 
+@pytest.mark.parametrize("alpha", ["0.3", "1"])
+def test_oracle_derivative_at_the_shift_is_not_converged(capsys, alpha):
+    # t = d, where f' of (t-1)^(2/3) is infinite: a truncated record, not a
+    # converged value (D^0.3 is -0.63031, and D^1 is infinite)
+    code, out, err = run(capsys, "eval", "--op", "D", "--alpha", alpha,
+                         "--beta-rational", "2/3", "--d", "1", "--a", "0",
+                         "--t", "1", "--route", "oracle", "--format", "csv")
+    assert (code, err) == (2, "")
+    rec, = parse_csv_records(out)
+    assert rec.status == "truncated"
+    assert math.isnan(rec.value)
+
+
+def test_hyp_order_next_to_one_is_not_converged(capsys):
+    # c = 1 - alpha = 9e-13 is no pole: the hyp route does not return the
+    # order-1 limit f'(t), 4.5e-7 off, as converged
+    code, out, err = run(capsys, "eval", "--op", "D", "--alpha",
+                         "0.9999999999991", "--beta-int", "-2", "--d", "0",
+                         "--a", "1", "--t", "1.000001", "--route", "hyp,series",
+                         "--format", "csv")
+    assert (code, err) == (2, "")
+    assert [(r.route, r.status) for r in parse_csv_records(out)] == [
+        ("hyp", "truncated"), ("series", "truncated")]
+
+
 def test_domain_rejects_non_rational_like_eval(capsys):
     code, _, err = run(capsys, "domain", "--beta-rational", "0.5")
     assert code == 1
@@ -432,7 +457,8 @@ def test_first_error_in_t_major_order_is_kept(capsys):
                    "beta=300.0, sa=-1.0 is beyond the float range\n")
     code, out, err = run(capsys, *job, "--route", "closed,oracle")
     assert (code, out) == (1, "")
-    assert err == "error: EvalAtLowerLimit: central differences need t > a\n"
+    assert err == ("error: EvalAtLowerLimit: the head term (t-a)^-alpha "
+                   "needs t > a\n")
 
 
 def test_hyp_not_converged_at_some_points_only(capsys, monkeypatch):

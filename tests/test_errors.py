@@ -189,3 +189,48 @@ def test_every_failure_is_typed_on_both_backends(compiled_kernels, beta, d,
             with _backend(kernels):
                 outcomes.append(_outcome(entry, pf, win, alpha, t))
         assert outcomes[0] == outcomes[1]
+
+
+# the oracles need no window: the shift may sit at a, inside (a, t), at t,
+# or within SPLIT_GUARD of either end
+_SHIFT_PLACES = ("a", "inside", "t", "below a", "above a", "below t", "above t")
+
+
+def _shift(place: str, a: float, t: float, frac: float) -> float:
+    guard = frac * oracle.SPLIT_GUARD
+    return {"a": a, "inside": a + frac * (t - a), "t": t, "below a": a - guard,
+            "above a": a + guard, "below t": t - guard,
+            "above t": t + guard}[place]
+
+
+def _quad_outcome(quad, *args) -> str:
+    try:
+        value, estimate = quad(*args)
+    except rl.RLPowerError as exc:
+        return type(exc).__name__
+    assert math.isfinite(value) and 0.0 <= estimate < math.inf, (value, estimate)
+    return "returned"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(beta=_BETAS, a=st.floats(-1e6, 1e6), width=st.floats(0.0, 1e6),
+       place=st.sampled_from(_SHIFT_PLACES), frac=st.floats(0.0, 1.0),
+       alpha=st.floats(0.0, 1.0))
+@example(beta=rl.beta_rational(2, 3), a=0.0, width=1.0, place="t", frac=0.0,
+         alpha=0.3)
+@example(beta=rl.beta_rational(2, 3), a=0.0, width=1.0, place="t", frac=0.0,
+         alpha=1.0)
+@example(beta=rl.beta_real(1e-11), a=1e-11, width=1.0, place="below a",
+         frac=1e-11, alpha=0.5)
+def test_oracles_at_any_shift_are_typed_on_both_backends(
+        compiled_kernels, beta, a, width, place, frac, alpha):
+    t = a + width
+    pf = rl.power_function(_shift(place, a, t, frac), beta)
+    if not (pf.contains(a) and pf.contains(t)):
+        return
+    for quad in (rl.quad_rlfi, rl.quad_rlfd):
+        outcomes = []
+        for kernels in (_kernels_py, compiled_kernels):
+            with _backend(kernels):
+                outcomes.append(_quad_outcome(quad, pf, a, alpha, t))
+        assert outcomes[0] == outcomes[1]

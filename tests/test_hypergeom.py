@@ -176,6 +176,14 @@ def test_rlfd_hyp_form_alpha_one_is_classical_derivative():
         0.7 * 1.4 ** -0.3, rel=1e-13)
 
 
+def test_rlfd_hyp_form_next_to_order_one_is_typed():
+    # c = 1 - alpha within 1e-12 of the pole c = 0 but not on it
+    pf = rl.power_function(0.0, rl.beta_int(-2))
+    win = rl.make_window(1.0, pf)
+    with pytest.raises(rl.HypNotConverged):
+        rl.rlfd_hyp_form(pf, win, 0.9999999999991, 1.000001)
+
+
 # (beta, its value, sign of f(t) = (t - d)^beta below the shift) for
 # D^1 = f' on both sides of the shift; 2/3 has a real power below it
 _ORDER_ONE_BETAS = (

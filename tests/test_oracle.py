@@ -1,9 +1,11 @@
-"""Quadrature oracle: substitution correctness, the derivative by parts and
-its estimate against 40-digit mpmath on both backends, the log case."""
+"""Quadrature oracle: substitution correctness, the derivative in the
+Marchaud form and its estimate against 40-digit mpmath on both backends,
+the log case."""
 
 from __future__ import annotations
 
 import math
+import random
 import time
 
 import mpmath as mp
@@ -12,9 +14,9 @@ import pytest
 import rlpower as rl
 from rlpower import _kernels_py, oracle
 from rlpower.domain import IntegerExp, RationalExp, beta_value, branch_power
-from rlpower.errors import EvalAtLowerLimit, PoleInsideInterval
+from rlpower.errors import EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet
 
-from reference import displaced_exact, log_reference
+from reference import displaced_exact, log_reference, shift_inside_exact
 
 SQRT_PI = 1.7724538509055160273
 
@@ -261,32 +263,25 @@ def test_quad_rlfd_order_zero_is_f():
 def test_quad_rlfd_order_one_is_f_prime(beta, a, t, sign):
     got = rl.quad_rlfd(rl.power_function(0.0, beta), a, 1.0, t)
     with mp.workdps(40):
-        b = mp.mpf(beta.p) / beta.q if isinstance(beta, RationalExp) \
-            else mp.mpf(beta_value(beta))
+        b = _mp_beta(beta)
         want = sign * b * abs(mp.mpf(t)) ** (b - 1)
     assert abs(got.value - want) <= got.error_estimate
     assert got.error_estimate <= 1e-14 * abs(got.value)
 
 
-def test_quad_rlfd_centered_fractional_exponent_keeps_richardson(monkeypatch):
-    # f' = (x-d)^-1/2 / 2 is singular at a = d: no integration by parts
-    calls = []
-    richardson = oracle._richardson
-    monkeypatch.setattr(oracle, "_richardson",
-                        lambda *args: calls.append(args) or richardson(*args))
+def test_quad_rlfd_centered_fractional_exponent():
+    # f' = (x-d)^-1/2 / 2 is infinite at a = d; the divided difference is not
     pf = rl.power_function(0.0, rl.beta_rational(1, 2))
     start = time.perf_counter()
     got = rl.quad_rlfd(pf, 0.0, 0.3, 1.0)
     assert time.perf_counter() - start < 1.0
-    assert len(calls) == 1
     exact = math.gamma(1.5) / math.gamma(1.2)
     assert got.value == pytest.approx(exact, rel=1e-8)
+    assert abs(got.value - _centered_exact(pf.beta, 0.0, 0.3, 1.0)) \
+        <= got.error_estimate
 
 
-def test_quad_rlfd_centered_polynomial_is_by_parts(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("Richardson path taken")
-    monkeypatch.setattr(oracle, "_richardson", refuse)
+def test_quad_rlfd_centered_polynomial():
     d, alpha, t = 0.25, 0.4, 2.0
     pf = rl.power_function(d, rl.beta_int(3))
     got = rl.quad_rlfd(pf, d, alpha, t)
@@ -294,3 +289,152 @@ def test_quad_rlfd_centered_polynomial_is_by_parts(monkeypatch):
         sa = -mp.mpf(alpha)
         exact = 6 / mp.gamma(4 + sa) * (mp.mpf(t) - d) ** (3 + sa)
     assert abs(got.value - exact) <= got.error_estimate
+
+
+def _mp_beta(beta):
+    return mp.mpf(beta.p) / beta.q if isinstance(beta, RationalExp) \
+        else mp.mpf(beta_value(beta))
+
+
+def _centered_exact(beta, d, alpha, t):
+    """D^alpha (t-d)^beta from a = d: the gamma ratio at 40 digits."""
+    with mp.workdps(40):
+        b, alpha = _mp_beta(beta), mp.mpf(alpha)
+        return +(mp.gamma(b + 1) / mp.gamma(b + 1 - alpha)
+                 * (mp.mpf(t) - d) ** (b - alpha))
+
+
+# fractional exponents whose domain holds the shift, from a = d
+_CENTERED_CELLS = [
+    (rl.beta_rational(*pq), 0.25, alpha, 0.25 + width)
+    for pq in ((1, 2), (3, 2), (2, 3), (4, 3), (5, 2), (1, 3), (5, 3), (7, 2),
+               (9, 4))
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)
+    for width in (0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_quad_rlfd_centered_fractional_grid(backend, monkeypatch,
+                                            compiled_kernels):
+    monkeypatch.setattr(oracle, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    assert len(_CENTERED_CELLS) == 135
+    for beta, d, alpha, t in _CENTERED_CELLS:
+        got = rl.quad_rlfd(rl.power_function(d, beta), d, alpha, t)
+        ref = _centered_exact(beta, d, alpha, t)
+        assert abs(got.value - ref) <= got.error_estimate, (beta, alpha, t)
+
+
+# even-numerator rationals, defined on both sides of a shift inside (a, t)
+_INSIDE_CELLS = [
+    (rl.beta_rational(*pq), d, 0.0, alpha, 1.0)
+    for pq in ((2, 3), (4, 3), (2, 5), (40, 3))
+    for alpha in (0.05, 0.3, 0.5, 0.7, 0.95)
+    for d in (0.1, 0.5, 0.999)]
+
+
+@pytest.fixture(scope="module")
+def inside():
+    return [(cell, shift_inside_exact(*cell)) for cell in _INSIDE_CELLS]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_quad_rlfd_shift_inside_interval(inside, backend, monkeypatch,
+                                         compiled_kernels):
+    monkeypatch.setattr(oracle, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    for (beta, d, a, alpha, t), ref in inside:
+        got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
+        assert abs(got.value - ref) <= got.error_estimate, (beta, d, alpha)
+
+
+def _random_cells(count, seed):
+    """Displaced cells of every exponent class on either side of the shift,
+    orders from 1e-4 to 0.99999 and window fractions from 1e-6 to 0.999."""
+    rng = random.Random(seed)
+    cells = []
+    while len(cells) < count:
+        kind = rng.randrange(3)
+        if kind == 0:
+            beta = rl.beta_int(rng.randint(-30, 30))
+        elif kind == 1:
+            beta = rl.beta_rational(rng.randint(-60, 60), rng.choice((2, 3, 5, 7)))
+        else:
+            beta = rl.beta_real(rng.uniform(-20.0, 20.0))
+        d = rng.uniform(-5.0, 5.0)
+        gap = math.exp(rng.uniform(math.log(0.1), math.log(3.0)))
+        below = rl.power_function(d, beta).contains(d - gap) and rng.random() < 0.5
+        a = d - gap if below else d + gap
+        alpha = min(0.99999, math.exp(rng.uniform(math.log(1e-4), 0.0)))
+        frac = math.exp(rng.uniform(math.log(1e-6), math.log(0.999)))
+        t = a + frac * (gap / 2.0 if below else gap)
+        if t > a:
+            cells.append((beta, d, a, alpha, t))
+    return cells
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_quad_rlfd_random_displaced_cells(backend, monkeypatch,
+                                          compiled_kernels):
+    monkeypatch.setattr(oracle, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    for beta, d, a, alpha, t in _random_cells(300, 11):
+        got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
+        ref = displaced_exact(beta, d, a, -alpha, t)
+        assert abs(got.value - ref) <= got.error_estimate, (beta, d, a, alpha, t)
+
+
+@pytest.mark.parametrize("beta", [rl.beta_rational(2, 3), rl.beta_rational(4, 3)])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.999999, 1.0])
+def test_quad_rlfd_fractional_exponent_at_the_shift_is_not_a_value(beta, alpha):
+    # (x-1)^(2/3) has f' infinite at t = d = 1, and (x-1)^(4/3) a divided
+    # difference that no panel resolves at orders near 1: no value
+    with pytest.raises(ToleranceNotMet):
+        rl.quad_rlfd(rl.power_function(1.0, beta), 0.0, alpha, 1.0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.3, 0.999, 1.0])
+def test_quad_rlfd_integer_exponent_at_the_shift(m, alpha):
+    # D^alpha (x-1)^m from a = 0 at t = 1; f'(1) at order 1
+    pf = rl.power_function(1.0, rl.beta_int(m))
+    got = rl.quad_rlfd(pf, 0.0, alpha, 1.0)
+    want = float(m == 1) if alpha == 1.0 \
+        else displaced_exact(pf.beta, 1.0, 0.0, -alpha, 1.0)
+    assert abs(got.value - want) <= got.error_estimate
+
+
+def test_quad_rlfd_pole_names_the_interval():
+    # inside [a, t] and within SPLIT_GUARD of either end
+    for d in (0.5, -0.5 * oracle.SPLIT_GUARD, 1.0 + 0.5 * oracle.SPLIT_GUARD):
+        pf = rl.power_function(d, rl.beta_int(-2))
+        with pytest.raises(PoleInsideInterval, match=r"touches \[0\.0, 1\.0\]"):
+            rl.quad_rlfd(pf, 0.0, 0.5, 1.0)
+
+
+def test_noise_above_the_tolerance_stops_at_the_panel_cap():
+    # rounding noise far above tol is halved everywhere at once, never one
+    # panel deep enough for MAX_DEPTH: the panel cap ends it
+    rng = random.Random(5)
+    start = time.perf_counter()
+    with pytest.raises(ToleranceNotMet, match="panels"):
+        oracle._adaptive([(lambda x: 1.0 + 1e-8 * rng.random(), [0.0, 1.0])],
+                         1e-11)
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("beta, d, a", [
+    (rl.beta_real(1e-11), 9.999999999989999e-12, 1e-11),  # shift below a
+    (rl.beta_rational(2, 2000000001), 0.5, 0.0),  # even f, shift inside
+])
+def test_tiny_exponent_is_fast_and_exact(beta, d, a):
+    # f(t) - f(x) of (x-d)^1e-9 cancels to 1e-9 on either side of the
+    # shift: it is taken through expm1, not as a noisy difference that the
+    # panels would halve up to the panel cap
+    alpha, t = 0.5, 1.0
+    start = time.perf_counter()
+    got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
+    assert time.perf_counter() - start < 1.0
+    ref = shift_inside_exact(beta, d, a, alpha, t) if a < d \
+        else displaced_exact(beta, d, a, -alpha, t)
+    assert abs(got.value - ref) <= got.error_estimate
