@@ -81,13 +81,17 @@ class EvalRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(EvalRecord))
 
-# One record per line, as csv and as json.dumps(vars(record)) write it.  JSON
-# floats are their repr, with nan, inf and -inf respelled NaN, Infinity and
-# -Infinity; the strings of a record hold no character that JSON escapes.
-_CSV_LINE = "%s,%.17g,%s,%.17g,%.17g,%.17g,%s,%.17g,%s,%.17g,%s\n"
-_JSONL_LINE = ('{"op": "%s", "alpha": %r, "beta": "%s", "d": %r, "a": %r, '
-               '"t": %r, "route": "%s", "value": %r, "terms": %d, '
-               '"remainder": %r, "status": "%s"}\n')
+# One record per line, as csv and as json.dumps(vars(record)) write it, in
+# three pieces: the head (op, alpha, beta, d, a), formatted once for each run
+# of records that share it, the head with t, formatted once for each point,
+# and the line, which adds the record's own fields.  JSON floats are their
+# repr, with nan, inf and -inf respelled NaN, Infinity and -Infinity; the
+# strings of a record hold no character that JSON escapes.
+_CSV_PIECES = ("%s,%.17g,%s,%.17g,%.17g,", "%s%.17g,", "%s%s,%.17g,%d,%.17g,%s\n")
+_JSONL_PIECES = ('{"op": "%s", "alpha": %r, "beta": "%s", "d": %r, "a": %r, ',
+                 '%s"t": %r, ',
+                 '%s"route": "%s", "value": %r, "terms": %d, "remainder": %r, '
+                 '"status": "%s"}\n')
 _JSON_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"),
                    (": -inf", ": -Infinity"))
 
@@ -312,8 +316,7 @@ def _route_values(job: JobSpec, pf, win, route: str,
     truncated record."""
     sa = job.alpha if job.op == "J" else -job.alpha
     if route == "series":
-        return [(r.value, r.terms_used, r.remainder_bound, r.status.value)
-                for r in series._series(pf, win, sa, ts, job.tol, job.max_terms)]
+        return series._series(pf, win, sa, ts, job.tol, job.max_terms)
     if route == "closed":
         return [(value, 0, 0.0, "converged") for value in series._closed(pf, sa, ts)]
     if route == "hyp":
@@ -353,16 +356,23 @@ def run_job(job: JobSpec) -> list[EvalRecord]:
     # and oracle routes have their own domain checks.
     needs_window = "series" in job.routes or "hyp" in job.routes
     win = make_window(job.a, pf, strict=job.strict_window) if needs_window else None
-    for t in job.t_values:
-        if win is not None:
-            require_in_window(win, t)
-        elif t < job.a:
-            raise ValueError(f"t={t!r} below the lower limit {job.a!r}")
-        if job.op == "D" and t == job.a and 0.0 < job.alpha < 1.0:
-            raise EvalAtLowerLimit(
-                f"t = a = {t!r} is singular for the derivative at alpha={job.alpha!r}")
-
     ts = sorted(job.t_values)
+    # the ends of the sorted points stand for all of them; when a check
+    # fails, the points are walked in job order to name the first at fault
+    if win is not None:
+        inside = win.a <= ts[0] and ts[-1] < win.t_sup
+    else:
+        inside = ts[0] >= job.a
+    if not inside or (job.op == "D" and ts[0] == job.a and 0.0 < job.alpha < 1.0):
+        for t in job.t_values:
+            if win is not None:
+                require_in_window(win, t)
+            elif t < job.a:
+                raise ValueError(f"t={t!r} below the lower limit {job.a!r}")
+            if job.op == "D" and t == job.a and 0.0 < job.alpha < 1.0:
+                raise EvalAtLowerLimit(
+                    f"t = a = {t!r} is singular for the derivative at alpha={job.alpha!r}")
+
     routes = sorted(job.routes)
     try:
         columns = [_route_values(job, pf, win, route, ts) for route in routes]
@@ -373,9 +383,11 @@ def run_job(job: JobSpec) -> list[EvalRecord]:
             for route in routes:
                 _route_values(job, pf, win, route, [t])
         raise
-    beta = format_beta(job.beta)
-    return [EvalRecord(job.op, job.alpha, beta, pf.d, job.a, t, route, *column[i])
-            for i, t in enumerate(ts) for route, column in zip(routes, columns)]
+    op, alpha, beta, d, a = job.op, job.alpha, format_beta(job.beta), pf.d, job.a
+    return [EvalRecord(op, alpha, beta, d, a, t, route, value, terms, remainder,
+                       status)
+            for t, row in zip(ts, zip(*columns))
+            for route, (value, terms, remainder, status) in zip(routes, row)]
 
 
 def _output(job: JobSpec):
@@ -385,21 +397,48 @@ def _output(job: JobSpec):
     return contextlib.nullcontext(sys.stdout)
 
 
+def _json_spelling(text: str) -> str:
+    for old, new in _JSON_NONFINITE:
+        text = text.replace(old, new)
+    return text
+
+
+def _write_lines(records: list[EvalRecord], stream, pieces: tuple[str, str, str],
+                 json: bool) -> None:
+    """One line per record from the three pieces; with json, each piece that
+    holds a non-finite float is respelled."""
+    head_fmt, point_fmt, line_fmt = pieces
+    isfinite = math.isfinite
+    # a piece is formatted again as soon as one of its fields is another
+    # object than the previous record's: equal values, such as 0.0 and -0.0,
+    # need not share a spelling
+    op = alpha = beta = d = a = t = None
+    for r in records:
+        if r.alpha is not alpha or r.d is not d or r.a is not a \
+                or r.beta is not beta or r.op is not op:
+            op, alpha, beta, d, a = r.op, r.alpha, r.beta, r.d, r.a
+            head = head_fmt % (op, alpha, beta, d, a)
+            if json:
+                head = _json_spelling(head)
+            t = None
+        if r.t is not t:
+            t = r.t
+            point = point_fmt % (head, t)
+            if json and not isfinite(t):
+                point = _json_spelling(point)
+        value, remainder = r.value, r.remainder
+        line = line_fmt % (point, r.route, value, r.terms, remainder, r.status)
+        if json and not (isfinite(value) and isfinite(remainder)):
+            line = _json_spelling(line)
+        stream.write(line)
+
+
 def _emit_records(records: list[EvalRecord], job: JobSpec, stream) -> None:
     if job.out_format == "csv":
         stream.write(",".join(CSV_COLUMNS) + "\n")
-        for r in records:
-            stream.write(_CSV_LINE % (r.op, r.alpha, r.beta, r.d, r.a, r.t,
-                                      r.route, r.value, r.terms, r.remainder,
-                                      r.status))
+        _write_lines(records, stream, _CSV_PIECES, json=False)
     elif job.out_format == "jsonl":
-        for r in records:
-            line = _JSONL_LINE % (r.op, r.alpha, r.beta, r.d, r.a, r.t, r.route,
-                                  r.value, r.terms, r.remainder, r.status)
-            if "nan" in line or "inf" in line:
-                for old, new in _JSON_NONFINITE:
-                    line = line.replace(old, new)
-            stream.write(line)
+        _write_lines(records, stream, _JSONL_PIECES, json=True)
     else:
         header = f"{'t':>14} {'route':>8} {'value':>16} {'terms':>6} " \
                  f"{'remainder':>12} {'status':>10}"

@@ -97,9 +97,12 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
               ts: list[float]) -> list[float]:
     """J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa, over the
     sorted points ts.  The checks, (a-d)^beta, Gamma(c) and the Pfaff
-    decision are made once; each point costs one 2F1 series."""
-    for t in ts:
-        require_in_window(win, t)
+    decision are made once; the window check walks the points only when an
+    end fails, to name the first point outside.  Each point costs one 2F1
+    series."""
+    if ts and not (win.a <= ts[0] and ts[-1] < win.t_sup):
+        for t in ts:
+            require_in_window(win, t)
     A = win.a - pf.d
     if A == 0.0:  # the centered window
         raise WindowViolation(

@@ -132,6 +132,17 @@ def _gk15(f: Callable[[float], float], lo: float,
     return fk * half, abs(fk - fg) * abs(half), fa * abs(half)
 
 
+def _fsum(terms) -> float:
+    # math.fsum, with inf for a sum beyond the float range and nan for
+    # inf - inf, as plain addition has them, for the callers' finiteness check
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
 def _adaptive(pieces: list[tuple[Callable[[float], float], list[float]]],
               tol: float) -> tuple[float, float, float]:
     """Sum of the integrals of f over [cuts[0], cuts[-1]] for each (f, cuts)
@@ -152,8 +163,8 @@ def _adaptive(pieces: list[tuple[Callable[[float], float], list[float]]],
             val, err, mag = _gk15(f, lo, hi)
             heap.append((-err, next(seq), f, lo, hi, val, mag, 0))
     heapq.heapify(heap)
-    magnitude = math.fsum(p[6] for p in heap)
-    error = math.fsum(-p[0] for p in heap)
+    magnitude = _fsum(p[6] for p in heap)
+    error = _fsum(-p[0] for p in heap)
     floor = width * sys.float_info.min
     while error > max(tol * magnitude, floor):
         neg_err, _, f, lo, hi, val, mag, depth = heapq.heappop(heap)
@@ -170,11 +181,11 @@ def _adaptive(pieces: list[tuple[Callable[[float], float], list[float]]],
         if -neg_err > 0.5 * error:
             # most of the sum just left it: add the rest up again rather
             # than trust the difference
-            error = math.fsum(-p[0] for p in heap)
+            error = _fsum(-p[0] for p in heap)
         else:
             error += e1 + e2 + neg_err
-    return (math.fsum(p[5] for p in heap), math.fsum(-p[0] for p in heap),
-            math.fsum(p[6] for p in heap))
+    return (_fsum(p[5] for p in heap), _fsum(-p[0] for p in heap),
+            _fsum(p[6] for p in heap))
 
 
 def _substituted(f: Callable[[float], float], lo: float, hi: float, u: float,
@@ -254,7 +265,8 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
               tol: float = DEFAULT_TOL) -> QuadEstimate:
     """Fractional integral straight from the definition.  tol is the target
     of the summed panel error relative to the integral of |f|; the error
-    estimate is that sum plus the roundoff floor."""
+    estimate is that sum plus the roundoff floor.  A value or estimate
+    beyond the float range raises ValueOverflow."""
     _require_tol(tol)
     require_order(alpha)
     if t < a:
@@ -268,7 +280,10 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
     val, err, mag = _substituted(lambda y: branch_power(y, beta), a - pf.d,
                                  t - pf.d, t - a, alpha, tol)
     scale = 1.0 / kernels.gamma_value(alpha + 1.0)
-    return QuadEstimate(val * scale, (err + _floor(beta, mag)) * abs(scale))
+    value, estimate = val * scale, (err + _floor(beta, mag)) * abs(scale)
+    if not (math.isfinite(value) and math.isfinite(estimate)):
+        raise ValueOverflow(f"J^{alpha!r} at t={t!r} is beyond the float range")
+    return QuadEstimate(value, estimate)
 
 
 def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,

@@ -3,9 +3,11 @@
 Both operators are taken at the signed order sa: sa = +alpha gives the
 fractional integral of order alpha, and sa = -alpha the fractional
 derivative, the integral's series with alpha -> -alpha.  Each route here has
-one body over sa and a sorted list of points; the ``rlfi_*``/``rlfd_*``
-entries fix its sign and pass it one point.  For f(t) = (t - d)**beta the
-body takes one expansion per side of the shift:
+one body over sa and a sorted list of points, which returns one plain tuple
+(value, terms, bound, status name) per point; the ``rlfi_*``/``rlfd_*``
+entries fix its sign, pass it one point and wrap the tuple in a
+``SeriesResult``.  For f(t) = (t - d)**beta the body takes one expansion per
+side of the shift:
 
 * Above the shift (a > d) f is expanded at the upper limit t, and the
   operator is one Gauss series (DLMF 15.8.1 on the b parameter of the
@@ -93,10 +95,13 @@ class SeriesStatus(enum.Enum):
     DIVERGED = "diverged"
 
 
-_STATUS_FROM_CODE = {
-    kernels.STATUS_CONVERGED: SeriesStatus.CONVERGED,
-    kernels.STATUS_TRUNCATED: SeriesStatus.TRUNCATED,
-    kernels.STATUS_DIVERGED: SeriesStatus.DIVERGED,
+# the bodies name a status by its value; a dict, not SeriesStatus(name), maps
+# it back at the price of one lookup
+_STATUS = {status.value: status for status in SeriesStatus}
+_NAME_FROM_CODE = {
+    kernels.STATUS_CONVERGED: "converged",
+    kernels.STATUS_TRUNCATED: "truncated",
+    kernels.STATUS_DIVERGED: "diverged",
 }
 
 
@@ -121,7 +126,7 @@ def _beta_kernel_form(beta: BetaIndex) -> tuple[float, int]:
 
 def _result(raw) -> SeriesResult:
     value, terms, bound, code = raw
-    return SeriesResult(value, terms, bound, _STATUS_FROM_CODE[code])
+    return SeriesResult(value, terms, bound, _STATUS[_NAME_FROM_CODE[code]])
 
 
 def _wrap(result: SeriesResult, tol: float, op_name: str) -> SeriesResult:
@@ -132,6 +137,13 @@ def _wrap(result: SeriesResult, tol: float, op_name: str) -> SeriesResult:
     return result
 
 
+def _scalar(row: tuple[float, int, float, str], tol: float,
+            op_name: str) -> SeriesResult:
+    # a body's one-point tuple as the scalar entries return it
+    value, terms, bound, status = row
+    return _wrap(SeriesResult(value, terms, bound, _STATUS[status]), tol, op_name)
+
+
 def _guard_lower_limit(a: float, sa: float, t: float) -> None:
     # the k = 0 term carries (t-a)**sa, singular at t = a for -1 < sa < 0
     if -1.0 < sa < 0.0 and t == a:
@@ -140,22 +152,25 @@ def _guard_lower_limit(a: float, sa: float, t: float) -> None:
 
 
 def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
-            tol: float, max_terms: int) -> list[SeriesResult]:
-    """The series route at the signed order sa over the sorted points ts.
+            tol: float, max_terms: int) -> list[tuple[float, int, float, str]]:
+    """The series route at the signed order sa over the sorted points ts:
+    (value, terms, bound, status name) at each.
 
     The checks and the front factor (a-d)^beta are made once, the latter
     first among the numeric work, so that its ValueOverflow comes before any
-    point's.  Each point costs one kernel call.  Statuses are returned as
-    they come: the scalar entries raise on a non-converged one.
+    point's.  The window check looks at the two ends, and walks the points
+    only when one fails, to name the first point outside.  Each point costs
+    one kernel call.  Statuses are returned as they come: the scalar entries
+    raise on a non-converged one.
     """
-    for t in ts:
-        require_in_window(win, t)
+    if ts and not (win.a <= ts[0] and ts[-1] < win.t_sup):
+        for t in ts:
+            require_in_window(win, t)
     if win.a == pf.d:
         terms = pf.beta.m + 1
-        return [SeriesResult(value, terms, 0.0, SeriesStatus.CONVERGED)
-                for value in _closed(pf, sa, ts)]
-    for t in ts:
-        _guard_lower_limit(win.a, sa, t)
+        return [(value, terms, 0.0, "converged") for value in _closed(pf, sa, ts)]
+    if ts:  # only the leading points can sit on the lower limit
+        _guard_lower_limit(win.a, sa, ts[0])
     A = win.a - pf.d
     front = branch_power(A, pf.beta)
     if A > 0.0:
@@ -165,16 +180,18 @@ def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
         # the kernel's first term carries u**sa, largest at the first point
         float_power(ts[0] - win.a, sa)
     b, is_int = _beta_kernel_form(pf.beta)
+    a, power_series, names = win.a, kernels.power_series, _NAME_FROM_CODE
     results = []
     for t in ts:
-        results.append(_result(kernels.power_series(front, b, A, t - win.a, sa,
-                                                    is_int, tol, max_terms)))
+        value, terms, bound, code = power_series(front, b, A, t - a, sa, is_int,
+                                                 tol, max_terms)
+        results.append((value, terms, bound, names[code]))
     return results
 
 
 def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
                  ts: list[float], tol: float,
-                 max_terms: int) -> list[SeriesResult]:
+                 max_terms: int) -> list[tuple[float, int, float, str]]:
     """Above the shift, at each of the sorted points ts, with u = t - a,
     w = u/A and z = w/(1+w) = (t-a)/(t-d) < 1/2:
 
@@ -213,12 +230,10 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
                 raise ValueOverflow(f"f'({t!r}) with beta={b!r} is beyond the "
                                     "float range")
             if exact:
-                bound = floor_ulps * abs(value) + _TINY
-                results.append(SeriesResult(value, 1, bound,
-                                            SeriesStatus.CONVERGED))
+                results.append((value, 1, floor_ulps * abs(value) + _TINY,
+                                "converged"))
             else:
-                results.append(SeriesResult(value, 1, math.inf,
-                                            SeriesStatus.TRUNCATED))
+                results.append((value, 1, math.inf, "truncated"))
         return results
     c = 1.0 + sa
     scale = front / kernels.gamma_value(c)  # > 0
@@ -234,7 +249,7 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
     for t in ts:
         u = t - a
         if u == 0.0 and sa > 0.0:  # the empty integral
-            results.append(SeriesResult(0.0, 0, 0.0, SeriesStatus.CONVERGED))
+            results.append((0.0, 0, 0.0, "converged"))
             continue
         w = u / A
         s = 1.0 + w
@@ -278,12 +293,12 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
         bound = g * (tail + floor_sa * sm) + _TINY * (1.0 + abs(sf))
         size = abs(value)
         if not size <= _FLOAT_MAX or code == kernels.STATUS_DIVERGED:
-            status, bound = SeriesStatus.DIVERGED, math.inf
+            status, bound = "diverged", math.inf
         elif code == converged and bound <= tol * max(1.0, size):
-            status = SeriesStatus.CONVERGED
+            status = "converged"
         else:
-            status = SeriesStatus.TRUNCATED
-        results.append(SeriesResult(value, n, bound, status))
+            status = "truncated"
+        results.append((value, n, bound, status))
     return results
 
 
@@ -295,8 +310,8 @@ def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
     t = a returns 0 (empty integration interval).  Integer beta >= 0
     terminates naturally after m + 1 terms.
     """
-    result = _series(pf, win, require_order(alpha), [t], tol, max_terms)[0]
-    return _wrap(result, tol, "rlfi_series_displaced")
+    return _scalar(_series(pf, win, require_order(alpha), [t], tol, max_terms)[0],
+                   tol, "rlfi_series_displaced")
 
 
 def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
@@ -309,8 +324,8 @@ def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
     silently returning infinity.  On the centered window the one term left
     carries (t-d)**(m-alpha), which is 0 at t = a for m >= 1.
     """
-    result = _series(pf, win, -require_order(alpha), [t], tol, max_terms)[0]
-    return _wrap(result, tol, "rlfd_series")
+    return _scalar(_series(pf, win, -require_order(alpha), [t], tol, max_terms)[0],
+                   tol, "rlfd_series")
 
 
 def closed_centered(pf: PowerFunction, sa: float, t: float) -> float:

@@ -486,7 +486,16 @@ def _record(route, status, value, remainder, t=0.1):
                       remainder, status)
 
 
-def test_jsonl_writer_is_json_dumps_byte_for_byte():
+_HEAD = ("J", 0.5, "-3/2", 0.0, -0.0)
+
+
+def _writer_records():
+    """Every special float in every float field, then runs of records whose
+    heads go A, B, A, ... with each B another than A in one field only (0.0
+    against -0.0 among them), two routes at each t, t = 0.0 next to t = -0.0,
+    and each run of a head ending and starting at the same t: a writer that
+    keeps a formatted piece for records whose fields are equal but not the
+    same, or are not all equal, fails on them."""
     specials = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7,
                 0.1, -1.5e300, 2.0 ** 0.5)
     records = [_record(route, status, value, specials[-1 - i], t=specials[i])
@@ -495,10 +504,76 @@ def test_jsonl_writer_is_json_dumps_byte_for_byte():
                for status in ("converged", "truncated", "diverged")]
     records.append(EvalRecord("D", 1.0, "0.45000000000000001", 1e16, 5e-324,
                               -0.0, "series", 1.0, 0, math.nan, "converged"))
+    heads = []
+    for i, other in enumerate(("D", math.nan, "1/2", -0.0, 0.0)):
+        head = list(_HEAD)
+        head[i] = other
+        heads += [_HEAD, tuple(head)]
+    for head in heads + [_HEAD]:
+        for t in (1.5, 0.0, -0.0, 1.5):
+            for route in ("hyp", "series"):
+                records.append(EvalRecord(*head, t, route, t - 1.0, 3, 1e-17,
+                                          "converged"))
+    return records
+
+
+def test_jsonl_writer_is_json_dumps_byte_for_byte():
+    records = _writer_records()
     stream = io.StringIO()
     _emit_records(records, types.SimpleNamespace(out_format="jsonl"), stream)
     assert stream.getvalue() == "".join(json.dumps(vars(r)) + "\n"
                                         for r in records)
+
+
+def test_csv_writer_is_the_joined_fields_byte_for_byte():
+    records = _writer_records()
+    stream = io.StringIO()
+    _emit_records(records, types.SimpleNamespace(out_format="csv"), stream)
+    lines = ["op,alpha,beta,d,a,t,route,value,terms,remainder,status"]
+    for r in records:
+        lines.append(",".join(field if isinstance(field, str) else
+                              str(field) if isinstance(field, int) else
+                              "%.17g" % field for field in vars(r).values()))
+    assert stream.getvalue() == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("op, alpha, grid, routes, error", [
+    # a descending grid out of the window at both ends: the first point in
+    # job order is named, not the smallest
+    ("J", "0.5", "2.5:0.5:5", "series,hyp",
+     "WindowViolation: t=2.5 outside window [1.0, 2.0)"),
+    ("J", "0.5", "0.5:2.5:5", "series,hyp",
+     "WindowViolation: t=0.5 outside window [1.0, 2.0)"),
+    # a derivative grid whose smallest point is a
+    ("D", "0.5", "1.5:1:3", "series,hyp",
+     "EvalAtLowerLimit: t = a = 1.0 is singular for the derivative at alpha=0.5"),
+    ("D", "0.5", "1:2.5:4", "series",
+     "EvalAtLowerLimit: t = a = 1.0 is singular for the derivative at alpha=0.5"),
+    ("D", "0.5", "2.5:1:4", "hyp",
+     "WindowViolation: t=2.5 outside window [1.0, 2.0)"),
+    # the oracle alone checks the lower limit only
+    ("D", "0.5", "1.5:0.5:3", "oracle",
+     "EvalAtLowerLimit: t = a = 1.0 is singular for the derivative at alpha=0.5"),
+    ("J", "0.5", "1.5:0.5:3", "oracle",
+     "ValueError: t=0.5 below the lower limit 1.0"),
+])
+def test_grid_names_the_first_point_at_fault_in_job_order(capsys, op, alpha, grid,
+                                                          routes, error):
+    code, out, err = run(capsys, "eval", "--op", op, "--alpha", alpha,
+                         "--beta-int", "-3", "--d", "0", "--a", "1",
+                         "--t", grid, "--route", routes, "--format", "csv")
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+def test_oracle_integral_beyond_the_float_range_exits_one(capsys):
+    # the integral's (t-a)^(1+alpha) overflows: a typed error, not a
+    # converged -inf
+    code, out, err = run(capsys, "eval", "--op", "J", "--alpha", "0.99",
+                         "--beta-int", "1", "--d", "7.662552188327264e+299",
+                         "--a", "0", "--t", "7.662552188327264e+299",
+                         "--route", "oracle", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueOverflow:")
 
 
 def test_oracle_with_a_far_shift_is_fast_and_exact(capsys, monkeypatch):

@@ -27,8 +27,14 @@ PLACEMENTS = (
 
 
 def _bits(x):
+    """The bits of a value; a series result is a scalar entry's SeriesResult
+    or a body's (value, terms, bound, status name), and both give the same
+    bits."""
     if isinstance(x, rl.SeriesResult):
-        return (_bits(x.value), x.terms_used, _bits(x.remainder_bound), x.status)
+        x = (x.value, x.terms_used, x.remainder_bound, x.status.value)
+    if isinstance(x, tuple):
+        value, terms, bound, status = x
+        return (_bits(value), terms, _bits(bound), status)
     return struct.pack("<d", x)
 
 
@@ -83,6 +89,16 @@ def test_scalar_entries_are_the_one_point_grid(d, a, beta, alpha, op):
         assert _grid_outcomes(body, ts) == _expected(scalars)
         assert [_grid_outcomes(body, [t]) for t in ts] == \
             [s if isinstance(s, tuple) and len(s) == 2 else [s] for s in scalars]
+    # the scalar series entries still return a SeriesResult with an enum status
+    for t in ts:
+        try:
+            result = series_entry(pf, win, alpha, t)
+        except SeriesNotConverged as exc:
+            result = exc.result
+        except RLPowerError:
+            continue
+        assert type(result) is rl.SeriesResult
+        assert type(result.status) is rl.SeriesStatus
 
 
 @pytest.mark.parametrize("beta", [rl.beta_int(0), rl.beta_int(2),

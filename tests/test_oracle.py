@@ -14,7 +14,8 @@ import pytest
 import rlpower as rl
 from rlpower import _kernels_py, oracle
 from rlpower.domain import IntegerExp, RationalExp, beta_value, branch_power
-from rlpower.errors import EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet
+from rlpower.errors import (EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet,
+                            ValueOverflow)
 
 from reference import displaced_exact, log_reference, shift_inside_exact
 
@@ -438,3 +439,21 @@ def test_tiny_exponent_is_fast_and_exact(beta, d, a):
     ref = shift_inside_exact(beta, d, a, alpha, t) if a < d \
         else displaced_exact(beta, d, a, -alpha, t)
     assert abs(got.value - ref) <= got.error_estimate
+
+
+@pytest.mark.parametrize("d, a, t", [
+    # -inf with an infinite estimate
+    (7.662552188327264e299, 0.0, 7.662552188327264e299),
+    # panels of -inf and +inf, whose fsum raised a bare ValueError
+    (7.988667511742946e299, 5.57588800781179e299, 1.115177601562358e300),
+    # finite panels whose fsum overflowed with a bare OverflowError
+    (-6.606934480075857e154, 0.0, 6.606934480075857e154),
+])
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_quad_rlfi_beyond_the_float_range_is_typed(d, a, t, backend, monkeypatch,
+                                                   compiled_kernels):
+    # t - a next to the float range: the integral's u^(1+alpha) overflows
+    monkeypatch.setattr(oracle, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    with pytest.raises(ValueOverflow, match="beyond the float range"):
+        rl.quad_rlfi(rl.power_function(d, rl.beta_int(1)), a, 0.99, t)
