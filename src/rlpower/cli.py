@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import math
 import re
@@ -26,10 +27,10 @@ from .domain import (
     format_domain,
     make_window,
     power_function,
-    require_in_window,
+    require_order,
+    require_points,
 )
 from .errors import (
-    EvalAtLowerLimit,
     HypNotConverged,
     RLPowerError,
     ToleranceNotMet,
@@ -52,7 +53,6 @@ class JobSpec:
     beta: BetaIndex
     d: float
     a: float                     # the lower limit, resolved from --a/--dplus/--centered
-    centered: bool
     t_values: list[float]
     routes: list[str]
     tol: float
@@ -60,7 +60,6 @@ class JobSpec:
     quad_tol: float
     max_terms: int
     out_format: str              # human | csv | jsonl
-    strict_window: bool
     out_path: str | None
 
 
@@ -162,8 +161,8 @@ _EXPONENTS = {"beta_int", "beta_rational", "beta_real"}
 # what a job holds when neither a flag nor the config file sets it
 _DEFAULTS = {"d": 0.0, "centered": False, "route": "series",
              "tol": series.DEFAULT_TOL, "quad_tol": oracle.DEFAULT_TOL,
-             "max_terms": series.DEFAULT_MAX_TERMS, "strict_window": False,
-             "format": "human", "out": None, "tol_compare": 1e-7}
+             "max_terms": series.DEFAULT_MAX_TERMS, "format": "human",
+             "out": None, "tol_compare": 1e-7}
 
 
 def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
@@ -193,8 +192,6 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--quad-tol", type=_finite_float,
                    help="oracle quadrature tolerance")
     p.add_argument("--max-terms", type=int, help="series term cap")
-    p.add_argument("--strict-window", action="store_true",
-                   help="force the eps/2 window on both sides")
     p.add_argument("--format", choices=["human", "csv", "jsonl"],
                    help="output format (default human)")
     p.add_argument("--out", help="write records to this path instead of stdout")
@@ -203,8 +200,10 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
                        help="max allowed pairwise relative deviation (default 1e-7)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser; a subcommand's namespace holds only the flags given."""
+    """The CLI parser, built once; a subcommand's namespace holds only the
+    flags given."""
     parser = argparse.ArgumentParser(
         prog="rlpower",
         description="Riemann-Liouville fractional integrals and derivatives "
@@ -223,9 +222,9 @@ def _config_values(args: argparse.Namespace) -> dict:
     """The --config file parsed by the subcommand's flags.
 
     Line ``key=value`` is the token ``--key=value``, and a truthy ``centered``
-    or ``strict-window`` the bare flag.  Lines that a given flag overrides are
-    dropped first, and any exponent flag drops every exponent line.  Keys must
-    name a flag exactly; other keys, and ``help``, are ignored.
+    the bare flag.  Lines that a given flag overrides are dropped first, and
+    any exponent flag drops every exponent line.  Keys must name a flag
+    exactly; other keys, and ``help``, are ignored.
     """
     given = set(vars(args))
     tokens = []
@@ -234,15 +233,20 @@ def _config_values(args: argparse.Namespace) -> dict:
         if dest in given or dest == "help" or \
                 (dest in _EXPONENTS and given & _EXPONENTS):
             continue
-        if key not in ("centered", "strict-window"):
+        if key != "centered":
             tokens.append(f"--{key}={value}")
         elif value.lower() in ("1", "true", "yes"):
-            tokens.append(f"--{key}")
-    parser = argparse.ArgumentParser(prog=f"rlpower {args.command}",
-                                     allow_abbrev=False,
+            tokens.append("--centered")
+    return vars(_config_parser(args.command).parse_known_args(tokens)[0])
+
+
+@functools.cache
+def _config_parser(command: str) -> argparse.ArgumentParser:
+    # the subcommand's flags, matched by their exact names only
+    parser = argparse.ArgumentParser(prog=f"rlpower {command}", allow_abbrev=False,
                                      argument_default=argparse.SUPPRESS)
-    _add_flags(parser, args.command)
-    return vars(parser.parse_known_args(tokens)[0])
+    _add_flags(parser, command)
+    return parser
 
 
 def _beta_from(values: dict) -> BetaIndex:
@@ -271,9 +275,7 @@ def _job_from(values: dict) -> JobSpec:
         raise ValueError("--op J|D is required")
     if "alpha" not in values:
         raise ValueError("--alpha is required")
-    alpha = values["alpha"]
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha={alpha!r} outside [0, 1]")
+    alpha = require_order(values["alpha"])
 
     lower = [key for key in ("a", "dplus") if key in values]
     if values["centered"]:
@@ -301,20 +303,18 @@ def _job_from(values: dict) -> JobSpec:
         a = values.get("a", d)
     return JobSpec(
         op=values["op"], alpha=alpha, beta=beta, d=d, a=a,
-        centered=values["centered"], t_values=t_values, routes=routes,
+        t_values=t_values, routes=routes,
         tol=values["tol"], tol_compare=values["tol_compare"],
         quad_tol=values["quad_tol"], max_terms=values["max_terms"],
-        out_format=values["format"], strict_window=values["strict_window"],
-        out_path=values["out"])
+        out_format=values["format"], out_path=values["out"])
 
 
-def _route_values(job: JobSpec, pf, win, route: str,
+def _route_values(job: JobSpec, pf, win, sa: float, route: str,
                   ts: list[float]) -> list[tuple[float, int, float, str]]:
     """(value, terms, remainder, status) at each of the sorted points ts on
-    one route.  The series, hyp and closed routes evaluate ts in one call of
-    their body, the oracle point by point; a convergence failure becomes a
-    truncated record."""
-    sa = job.alpha if job.op == "J" else -job.alpha
+    one route, at the signed order sa.  The series, hyp and closed routes
+    evaluate ts in one call of their body, the oracle point by point; a
+    convergence failure becomes a truncated record."""
     if route == "series":
         return series._series(pf, win, sa, ts, job.tol, job.max_terms)
     if route == "closed":
@@ -327,7 +327,8 @@ def _route_values(job: JobSpec, pf, win, route: str,
             if len(ts) == 1:
                 return [(math.nan, 0, 0.0, "truncated")]
             # only the points whose 2F1 failed are truncated
-            return [v for t in ts for v in _route_values(job, pf, win, route, [t])]
+            return [v for t in ts
+                    for v in _route_values(job, pf, win, sa, route, [t])]
     fn = oracle.quad_rlfi if job.op == "J" else oracle.quad_rlfd
     values = []
     for t in ts:
@@ -348,40 +349,25 @@ def run_job(job: JobSpec) -> list[EvalRecord]:
     records (exit 2).
     """
     pf = power_function(job.d, job.beta)
-    if "closed" in job.routes and not job.centered:
+    if "closed" in job.routes and job.a != pf.d:
         raise ValueError("the closed route evaluates the centered operator; "
-                         "use --centered")
-
-    # The window is the validity contract for the analytic routes; the closed
-    # and oracle routes have their own domain checks.
-    needs_window = "series" in job.routes or "hyp" in job.routes
-    win = make_window(job.a, pf, strict=job.strict_window) if needs_window else None
+                         "it needs a = d (--centered)")
+    # only the series and hyp routes have a window
+    win = make_window(job.a, pf) if {"series", "hyp"} & set(job.routes) else None
+    sa = job.alpha if job.op == "J" else -job.alpha
+    # in job order, to name the first point at fault
+    require_points(win, job.a, pf.d, sa, job.t_values)
     ts = sorted(job.t_values)
-    # the ends of the sorted points stand for all of them; when a check
-    # fails, the points are walked in job order to name the first at fault
-    if win is not None:
-        inside = win.a <= ts[0] and ts[-1] < win.t_sup
-    else:
-        inside = ts[0] >= job.a
-    if not inside or (job.op == "D" and ts[0] == job.a and 0.0 < job.alpha < 1.0):
-        for t in job.t_values:
-            if win is not None:
-                require_in_window(win, t)
-            elif t < job.a:
-                raise ValueError(f"t={t!r} below the lower limit {job.a!r}")
-            if job.op == "D" and t == job.a and 0.0 < job.alpha < 1.0:
-                raise EvalAtLowerLimit(
-                    f"t = a = {t!r} is singular for the derivative at alpha={job.alpha!r}")
 
     routes = sorted(job.routes)
     try:
-        columns = [_route_values(job, pf, win, route, ts) for route in routes]
+        columns = [_route_values(job, pf, win, sa, route, ts) for route in routes]
     except Exception:
         # raise the error that comes first in t-major order, where a
         # point-by-point pass meets it
         for t in ts:
             for route in routes:
-                _route_values(job, pf, win, route, [t])
+                _route_values(job, pf, win, sa, route, [t])
         raise
     op, alpha, beta, d, a = job.op, job.alpha, format_beta(job.beta), pf.d, job.a
     return [EvalRecord(op, alpha, beta, d, a, t, route, value, terms, remainder,

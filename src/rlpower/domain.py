@@ -14,10 +14,9 @@ conservative open domain, and a caller that wants the closed one must pass
 
 The series representations converge on a half-open window attached to the
 lower limit a: [a, a + eps/2) when a sits below the shift and [a, a + eps)
-when it sits above, with eps = |d - a|.  A ``strict`` flag forces eps/2 on
-both sides for callers that want the narrower uniform window.  A lower limit
-at the shift, a = d, is allowed for polynomial exponents only and gives the
-centered window [d, +inf).
+when it sits above, with eps = |d - a|.  A lower limit at the shift, a = d,
+is allowed for polynomial exponents only and gives the centered window
+[d, +inf).  ``require_points`` checks evaluation points against the window.
 
 Every route checks its order with ``require_order``: 0 <= alpha <= 1.
 """
@@ -31,6 +30,7 @@ from math import gcd
 
 from .errors import (
     CenteredNotAnalytic,
+    EvalAtLowerLimit,
     LowerLimitOutsideDomain,
     OrderOutOfRange,
     ValueOverflow,
@@ -117,16 +117,6 @@ def classify_domain(d: float, beta: BetaIndex) -> DomainSpec:
     return DomainSpec.OPEN_FROM_D
 
 
-def domain_contains(spec: DomainSpec, d: float, x: float) -> bool:
-    if spec is DomainSpec.ALL_REALS:
-        return True
-    if spec is DomainSpec.ALL_REALS_EXCEPT_D:
-        return x != d
-    if spec is DomainSpec.CLOSED_FROM_D:
-        return x >= d
-    return x > d
-
-
 def format_domain(spec: DomainSpec, d: float) -> str:
     """Human-readable domain with the shift substituted, e.g. ``(1, +inf)``."""
     if spec is DomainSpec.ALL_REALS:
@@ -147,7 +137,13 @@ class PowerFunction:
     domain: DomainSpec
 
     def contains(self, x: float) -> bool:
-        return domain_contains(self.domain, self.d, x)
+        if self.domain is DomainSpec.ALL_REALS:
+            return True
+        if self.domain is DomainSpec.ALL_REALS_EXCEPT_D:
+            return x != self.d
+        if self.domain is DomainSpec.CLOSED_FROM_D:
+            return x >= self.d
+        return x > self.d
 
     def value(self, t: float) -> float:
         """f(t) on the real branch; raises ValueError outside the domain."""
@@ -232,13 +228,12 @@ class EvalWindow:
     t_sup: float
 
 
-def make_window(a: float, pf: PowerFunction, strict: bool = False) -> EvalWindow:
+def make_window(a: float, pf: PowerFunction) -> EvalWindow:
     """Window for lower limit a.
 
     a = d is allowed only for polynomial exponents (the one case analytic at
     the shift), giving an unbounded centered window.  Otherwise the side of
-    the shift fixes the window: [a, a + eps/2) below, [a, a + eps) above, and
-    ``strict=True`` narrows the above side to eps/2 as well.
+    the shift fixes the window: [a, a + eps/2) below, [a, a + eps) above.
     """
     a = float(a)
     d = pf.d
@@ -251,7 +246,7 @@ def make_window(a: float, pf: PowerFunction, strict: bool = False) -> EvalWindow
         raise LowerLimitOutsideDomain(
             f"a={a!r} outside domain {format_domain(pf.domain, d)}")
     eps = abs(d - a)
-    if a < d or strict:
+    if a < d:
         return EvalWindow(a, a + eps / 2.0)
     return EvalWindow(a, a + eps)
 
@@ -261,3 +256,25 @@ def require_in_window(win: EvalWindow, t: float) -> None:
     if not win.a <= t < win.t_sup:
         raise WindowViolation(
             f"t={t!r} outside window [{win.a!r}, {win.t_sup!r})")
+
+
+def require_points(win: EvalWindow | None, a: float, d: float, sa: float,
+                   ts: list[float]) -> None:
+    """Raise for the first point of ts, in its order, outside the window
+    (WindowViolation; with no window, below a: ValueError) or, at the signed
+    order -1 < sa < 0 and a lower limit a != d, at t = a, where (t-a)**sa is
+    singular (EvalAtLowerLimit).  ts is monotone, so its two ends stand for
+    all the points, which are walked only when an end fails."""
+    lo, hi = (ts[0], ts[-1]) if ts[0] <= ts[-1] else (ts[-1], ts[0])
+    inside = win.a <= lo and hi < win.t_sup if win is not None else lo >= a
+    singular = -1.0 < sa < 0.0 and a != d
+    if inside and not (singular and lo == a):
+        return
+    for t in ts:
+        if win is not None:
+            require_in_window(win, t)
+        elif t < a:
+            raise ValueError(f"t={t!r} below the lower limit {a!r}")
+        if singular and t == a:
+            raise EvalAtLowerLimit(
+                f"t = a = {t!r} is singular for the derivative at alpha={-sa!r}")

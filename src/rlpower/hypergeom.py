@@ -40,12 +40,11 @@ from .domain import (
     beta_value,
     branch_power,
     float_power,
-    require_in_window,
     require_order,
+    require_points,
 )
 from .errors import (
     ArgOutOfDisk,
-    EvalAtLowerLimit,
     HypNotConverged,
     ParamPole,
     WindowViolation,
@@ -97,12 +96,8 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
               ts: list[float]) -> list[float]:
     """J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa, over the
     sorted points ts.  The checks, (a-d)^beta, Gamma(c) and the Pfaff
-    decision are made once; the window check walks the points only when an
-    end fails, to name the first point outside.  Each point costs one 2F1
-    series."""
-    if ts and not (win.a <= ts[0] and ts[-1] < win.t_sup):
-        for t in ts:
-            require_in_window(win, t)
+    decision are made once.  Each point costs one 2F1 series."""
+    require_points(win, win.a, pf.d, sa, ts)
     A = win.a - pf.d
     if A == 0.0:  # the centered window
         raise WindowViolation(
@@ -122,8 +117,6 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
     for t in ts:  # the points on the lower limit lead the sorted list
         if t != win.a:
             break
-        if sa < 0.0:
-            raise EvalAtLowerLimit("derivative form is singular at t = a")
         values.append(0.0 if sa > 0.0 else branch_power(A, pf.beta))
     if len(values) < len(ts):
         front = branch_power(A, pf.beta)

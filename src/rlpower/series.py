@@ -61,8 +61,8 @@ from .domain import (
     beta_value,
     branch_power,
     float_power,
-    require_in_window,
     require_order,
+    require_points,
 )
 from .errors import (
     BetaOutOfRange,
@@ -124,31 +124,15 @@ def _beta_kernel_form(beta: BetaIndex) -> tuple[float, int]:
     return b, is_int
 
 
-def _result(raw) -> SeriesResult:
-    value, terms, bound, code = raw
-    return SeriesResult(value, terms, bound, _STATUS[_NAME_FROM_CODE[code]])
-
-
-def _wrap(result: SeriesResult, tol: float, op_name: str) -> SeriesResult:
-    if result.status is not SeriesStatus.CONVERGED:
-        raise SeriesNotConverged(
-            f"{op_name}: {result.status.value} after {result.terms_used} terms "
-            f"(bound {result.remainder_bound:.3e} > tol {tol:.3e})", result)
-    return result
-
-
 def _scalar(row: tuple[float, int, float, str], tol: float,
             op_name: str) -> SeriesResult:
-    # a body's one-point tuple as the scalar entries return it
+    # a body's one-point tuple as a SeriesResult; raises unless converged
     value, terms, bound, status = row
-    return _wrap(SeriesResult(value, terms, bound, _STATUS[status]), tol, op_name)
-
-
-def _guard_lower_limit(a: float, sa: float, t: float) -> None:
-    # the k = 0 term carries (t-a)**sa, singular at t = a for -1 < sa < 0
-    if -1.0 < sa < 0.0 and t == a:
-        raise EvalAtLowerLimit(
-            f"derivative series is singular at t = a = {t!r} for alpha={-sa!r}")
+    result = SeriesResult(value, terms, bound, _STATUS[status])
+    if status != "converged":
+        raise SeriesNotConverged(f"{op_name}: {status} after {terms} terms "
+                                 f"(bound {bound:.3e} > tol {tol:.3e})", result)
+    return result
 
 
 def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
@@ -158,19 +142,13 @@ def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
 
     The checks and the front factor (a-d)^beta are made once, the latter
     first among the numeric work, so that its ValueOverflow comes before any
-    point's.  The window check looks at the two ends, and walks the points
-    only when one fails, to name the first point outside.  Each point costs
-    one kernel call.  Statuses are returned as they come: the scalar entries
-    raise on a non-converged one.
+    point's.  Each point costs one kernel call.  Statuses are returned as
+    they come: the scalar entries raise on a non-converged one.
     """
-    if ts and not (win.a <= ts[0] and ts[-1] < win.t_sup):
-        for t in ts:
-            require_in_window(win, t)
+    require_points(win, win.a, pf.d, sa, ts)
     if win.a == pf.d:
         terms = pf.beta.m + 1
         return [(value, terms, 0.0, "converged") for value in _closed(pf, sa, ts)]
-    if ts:  # only the leading points can sit on the lower limit
-        _guard_lower_limit(win.a, sa, ts[0])
     A = win.a - pf.d
     front = branch_power(A, pf.beta)
     if A > 0.0:

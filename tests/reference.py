@@ -40,17 +40,17 @@ from rlpower.domain import (
     make_window,
     require_in_window,
 )
-from rlpower.errors import ArgOutOfDisk, SeriesNotConverged, WindowViolation
+from rlpower.errors import (ArgOutOfDisk, EvalAtLowerLimit, SeriesNotConverged,
+                            WindowViolation)
 from rlpower.hypergeom import hyp2f1
 from rlpower.series import (
     DEFAULT_MAX_TERMS,
     DEFAULT_TOL,
     SeriesResult,
     SeriesStatus,
+    _NAME_FROM_CODE,
     _beta_kernel_form,
-    _guard_lower_limit,
-    _result,
-    _wrap,
+    _scalar,
 )
 
 _INT_TOL = 1e-12
@@ -153,6 +153,12 @@ def gen_binomial(beta: float, k: int) -> float:
 
 # --- series paths -----------------------------------------------------------
 
+def _guard_lower_limit(a: float, sa: float, t: float) -> None:
+    # the k = 0 term carries (t-a)**sa, singular at t = a for -1 < sa < 0
+    if -1.0 < sa < 0.0 and t == a:
+        raise EvalAtLowerLimit(f"t = a = {t!r} is singular for the derivative")
+
+
 def _polynomial(pf: PowerFunction, a: float, sa: float, t: float) -> float:
     """Exact (m+1)-term sum for beta = m >= 0 at signed order sa; any real a
     and t.  With a = d it collapses to the single centered term
@@ -210,9 +216,9 @@ def _neg_integer(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
         raise ValueError("negative-integer route requires beta = IntegerExp(-m), m >= 1")
     require_in_window(win, t)
     _guard_lower_limit(win.a, sa, t)
-    raw = kernels.neg_int_series(-pf.beta.m, win.a - pf.d, t - win.a, sa, tol,
-                                 max_terms)
-    return _wrap(_result(raw), tol, op_name)
+    value, terms, bound, code = kernels.neg_int_series(
+        -pf.beta.m, win.a - pf.d, t - win.a, sa, tol, max_terms)
+    return _scalar((value, terms, bound, _NAME_FROM_CODE[code]), tol, op_name)
 
 
 def rlfi_neg_integer(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,

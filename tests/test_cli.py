@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import math
@@ -221,6 +222,59 @@ def test_closed_route_centered_value(capsys):
     assert code == 0
     rec = parse_csv_records(out)[0]
     assert rec.value == pytest.approx(0.75225277806367504, rel=1e-12)
+
+
+def test_centered_derivative_at_the_shift_is_zero(capsys):
+    # on the centered window the one term left is (t-d)^(2-0.5): 0 at t = a
+    code, out, err = run(capsys, "eval", "--op", "D", "--alpha", "0.5",
+                         "--beta-int", "2", "--d", "1", "--centered", "--t", "1",
+                         "--route", "series,closed", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [(r.route, r.value, r.status) for r in parse_csv_records(out)] == [
+        ("closed", 0.0, "converged"), ("series", 0.0, "converged")]
+
+
+def test_centered_derivative_of_a_constant_at_the_shift_is_rejected(capsys):
+    # (t-d)^(0-0.5) is singular at t = d
+    code, out, err = run(capsys, "eval", "--op", "D", "--alpha", "0.5",
+                         "--beta-int", "0", "--d", "1", "--centered", "--t", "1",
+                         "--route", "series,closed", "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: EvalAtLowerLimit:")
+
+
+def test_closed_route_takes_a_lower_limit_at_the_shift(capsys):
+    code, out, err = run(capsys, "eval", "--op", "J", "--alpha", "0.5",
+                         "--beta-real", "1.0", "--d", "0", "--a", "0",
+                         "--t", "1", "--route", "closed", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert parse_csv_records(out)[0].value == pytest.approx(0.75225277806367504,
+                                                            rel=1e-12)
+
+
+def test_strict_window_is_not_a_flag(capsys):
+    code, out, err = run(capsys, "eval", "--op", "J", "--alpha", "0.5",
+                         "--beta-int", "2", "--d", "0", "--a", "1", "--t", "1.5",
+                         "--strict-window")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --strict-window" in err
+
+
+def test_parsers_are_built_once(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("alpha=0.5\n")
+    job = ("eval", "--config", str(cfg), "--op", "J", "--beta-int", "2",
+           "--a", "1", "--t", "1.5")
+    assert run(capsys, *job)[0] == 0
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, *job)[0] == 0
+    assert built == []
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -9,14 +9,17 @@ import pytest
 import rlpower as rl
 from rlpower.domain import (
     DomainSpec,
+    EvalWindow,
     IntegerExp,
     RationalExp,
     classify_domain,
     format_domain,
     require_in_window,
+    require_points,
 )
 from rlpower.errors import (
     CenteredNotAnalytic,
+    EvalAtLowerLimit,
     LowerLimitOutsideDomain,
     WindowViolation,
 )
@@ -87,12 +90,6 @@ def test_window_asymmetry_above_twice_below():
         assert (wa.t_sup - wa.a) == pytest.approx(2 * (wb.t_sup - wb.a))
 
 
-def test_strict_flag_forces_half_window_above():
-    pf = rl.power_function(0.0, rl.beta_real(1.3))
-    win = rl.make_window(2.0, pf, strict=True)
-    assert win.t_sup == pytest.approx(3.0)
-
-
 def test_centered_polynomial_window():
     pf = rl.power_function(1.5, rl.beta_int(2))
     win = rl.make_window(1.5, pf)
@@ -126,6 +123,37 @@ def test_require_in_window_raises_outside():
         with pytest.raises(WindowViolation) as exc:
             require_in_window(win, t)
         assert str(exc.value) == f"t={t!r} outside window [2.0, 3.0)"
+
+
+@pytest.mark.parametrize("win, sa, ts, error", [
+    # the first point at fault in the points' order, ascending or descending
+    ((1.0, 2.0), 0.5, [2.5, 1.5, 0.5], "WindowViolation: t=2.5"),
+    ((1.0, 2.0), 0.5, [0.5, 1.5, 2.5], "WindowViolation: t=0.5"),
+    ((1.0, 2.0), -0.5, [1.0, 1.5, 2.5], "EvalAtLowerLimit: t = a = 1.0"),
+    ((1.0, 2.0), -0.5, [2.5, 1.5, 1.0], "WindowViolation: t=2.5"),
+    (None, -0.5, [1.5, 1.0, 0.5], "EvalAtLowerLimit: t = a = 1.0"),
+    (None, 0.5, [1.5, 1.0, 0.5], "ValueError: t=0.5 below the lower limit 1.0"),
+    # points that keep both rules
+    ((1.0, 2.0), 0.5, [1.0, 1.5, 1.9], None),
+    ((1.0, 2.0), -1.0, [1.0, 1.5], None),
+    ((1.0, 2.0), -0.5, [1.5, 1.9], None),
+    (None, -0.5, [5.0, 1.5], None),
+])
+def test_require_points(win, sa, ts, error):
+    window = None if win is None else EvalWindow(*win)
+    if error is None:
+        require_points(window, 1.0, 0.0, sa, ts)
+        return
+    with pytest.raises((WindowViolation, EvalAtLowerLimit, ValueError)) as exc:
+        require_points(window, 1.0, 0.0, sa, ts)
+    assert f"{type(exc.value).__name__}: {exc.value}".startswith(error)
+
+
+def test_require_points_admits_the_centered_lower_limit():
+    # at a = d the derivative's one term is the centered form, which decides
+    # on t = a itself
+    pf = rl.power_function(1.0, rl.beta_int(2))
+    require_points(rl.make_window(1.0, pf), 1.0, 1.0, -0.5, [1.0, 4.0])
 
 
 def test_branch_power_even_rational_below_shift():

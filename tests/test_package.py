@@ -1,8 +1,10 @@
 """The package's name lists: ``__all__`` against what ``__init__`` imports
-and what the README documents."""
+and what the README documents, and no module-level definition without a
+caller in the package."""
 
 from __future__ import annotations
 
+import ast
 import inspect
 import types
 from pathlib import Path
@@ -79,3 +81,34 @@ def test_integral_and_derivative_entries_take_the_same_parameters():
 
     differ = [d for i, d in twins.items() if params(i) != params(d)]
     assert differ == []
+
+
+# kept in step with their compiled twins in _kernels_cy.pyx, which only the
+# tests call
+UNREFERENCED_KERNELS = {("_kernels_py", "power_series_partial"),
+                        ("_kernels_py", "neg_int_series")}
+
+
+def test_every_module_level_definition_is_referenced_in_the_package():
+    # a function or class counts as used when a statement of the package
+    # other than its own definition names it: a name, an attribute or an
+    # import
+    package = Path(rlpower.__file__).parent
+    defined, uses = {}, []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[(path.stem, node.name)] = node
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            uses.append((node, names))
+    unused = {key for key, node in defined.items()
+              if not any(key[1] in names for other, names in uses
+                         if other is not node)}
+    assert unused == UNREFERENCED_KERNELS
