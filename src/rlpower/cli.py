@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import math
 import re
 import sys
@@ -37,7 +36,6 @@ from .errors import (
 )
 
 _MACHINE_FMT = "%.17g"
-_HUMAN_FMT = "%.9g"
 
 
 # the routes, in the order a job's records list them
@@ -54,7 +52,7 @@ class JobSpec:
     d: float
     a: float                     # the lower limit, resolved from --a/--dplus/--centered
     t_values: list[float]
-    routes: list[str]
+    routes: list[str]            # in the order of _ROUTES
     tol: float
     tol_compare: float
     quad_tol: float
@@ -80,19 +78,29 @@ class EvalRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(EvalRecord))
 
-# One record per line, as csv and as json.dumps(vars(record)) write it, in
-# three pieces: the head (op, alpha, beta, d, a), formatted once for each run
-# of records that share it, the head with t, formatted once for each point,
-# and the line, which adds the record's own fields.  JSON floats are their
-# repr, with nan, inf and -inf respelled NaN, Infinity and -Infinity; the
+# Each format's (header, head piece, point piece, line piece).  The head
+# piece takes the job's op, alpha, beta, d and a by name; the point piece
+# adds t to the formatted head, and the line piece the record's own fields to
+# the formatted point.  csv and jsonl lines are as csv and
+# json.dumps(vars(record)) write them: JSON floats are their repr, and the
 # strings of a record hold no character that JSON escapes.
-_CSV_PIECES = ("%s,%.17g,%s,%.17g,%.17g,", "%s%.17g,", "%s%s,%.17g,%d,%.17g,%s\n")
-_JSONL_PIECES = ('{"op": "%s", "alpha": %r, "beta": "%s", "d": %r, "a": %r, ',
-                 '%s"t": %r, ',
-                 '%s"route": "%s", "value": %r, "terms": %d, "remainder": %r, '
-                 '"status": "%s"}\n')
-_JSON_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"),
-                   (": -inf", ": -Infinity"))
+_FORMATS = {
+    "csv": (",".join(CSV_COLUMNS) + "\n",
+            "%(op)s,%(alpha).17g,%(beta)s,%(d).17g,%(a).17g,",
+            "%s%.17g,",
+            "%s%s,%.17g,%d,%.17g,%s\n"),
+    "jsonl": ("",
+              '{"op": "%(op)s", "alpha": %(alpha)r, "beta": "%(beta)s", '
+              '"d": %(d)r, "a": %(a)r, ',
+              '%s"t": %r, ',
+              '%s"route": "%s", "value": %r, "terms": %d, "remainder": %r, '
+              '"status": "%s"}\n'),
+    "human": ("%14s %8s %16s %6s %12s %10s\n"
+              % ("t", "route", "value", "terms", "remainder", "status"),
+              "",
+              "%s%14.9g ",
+              "%s%8s %16.9g %6d %12.3g %10s\n"),
+}
 
 
 def format_beta(beta: BetaIndex) -> str:
@@ -131,16 +139,12 @@ def _parse_t_spec(spec: str) -> list[float]:
 
 
 def _parse_routes(spec: str) -> list[str]:
-    routes = []
-    for item in spec.split(","):
-        item = item.strip()
+    """The routes named, once each, in the order a job's records list them."""
+    given = [item.strip() for item in spec.split(",")]
+    for item in given:
         if item not in _ROUTES:
             raise ValueError(f"unknown route {item!r}; pick from {list(_ROUTES)}")
-        if item not in routes:
-            routes.append(item)
-    if not routes:
-        raise ValueError("at least one route is required")
-    return routes
+    return [route for route in _ROUTES if route in given]
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -359,21 +363,21 @@ def run_job(job: JobSpec) -> list[EvalRecord]:
     require_points(win, job.a, pf.d, sa, job.t_values)
     ts = sorted(job.t_values)
 
-    routes = sorted(job.routes)
     try:
-        columns = [_route_values(job, pf, win, sa, route, ts) for route in routes]
+        columns = [_route_values(job, pf, win, sa, route, ts)
+                   for route in job.routes]
     except Exception:
         # raise the error that comes first in t-major order, where a
         # point-by-point pass meets it
         for t in ts:
-            for route in routes:
+            for route in job.routes:
                 _route_values(job, pf, win, sa, route, [t])
         raise
     op, alpha, beta, d, a = job.op, job.alpha, format_beta(job.beta), pf.d, job.a
     return [EvalRecord(op, alpha, beta, d, a, t, route, value, terms, remainder,
                        status)
             for t, row in zip(ts, zip(*columns))
-            for route, (value, terms, remainder, status) in zip(routes, row)]
+            for route, (value, terms, remainder, status) in zip(job.routes, row)]
 
 
 def _output(job: JobSpec):
@@ -383,84 +387,64 @@ def _output(job: JobSpec):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _json_spelling(text: str) -> str:
-    for old, new in _JSON_NONFINITE:
-        text = text.replace(old, new)
-    return text
+def _emit_records(records: list[EvalRecord], job: JobSpec, stream) -> None:
+    """The header, then one line per record of the job.
 
-
-def _write_lines(records: list[EvalRecord], stream, pieces: tuple[str, str, str],
-                 json: bool) -> None:
-    """One line per record from the three pieces; with json, each piece that
-    holds a non-finite float is respelled."""
-    head_fmt, point_fmt, line_fmt = pieces
+    Every record of a job has the job's head, so the head piece is formatted
+    once, from the first record, and the point piece once for each t object.
+    JSON spells a non-finite value or remainder NaN, Infinity or -Infinity;
+    only JSON lines hold ": " before a number, so the respelling leaves the
+    other formats' lines as they are.
+    """
+    header, head_fmt, point_fmt, line_fmt = _FORMATS[job.out_format]
+    stream.write(header)
+    head = head_fmt % vars(records[0])
     isfinite = math.isfinite
-    # a piece is formatted again as soon as one of its fields is another
-    # object than the previous record's: equal values, such as 0.0 and -0.0,
-    # need not share a spelling
-    op = alpha = beta = d = a = t = None
+    t = None
     for r in records:
-        if r.alpha is not alpha or r.d is not d or r.a is not a \
-                or r.beta is not beta or r.op is not op:
-            op, alpha, beta, d, a = r.op, r.alpha, r.beta, r.d, r.a
-            head = head_fmt % (op, alpha, beta, d, a)
-            if json:
-                head = _json_spelling(head)
-            t = None
         if r.t is not t:
             t = r.t
             point = point_fmt % (head, t)
-            if json and not isfinite(t):
-                point = _json_spelling(point)
         value, remainder = r.value, r.remainder
         line = line_fmt % (point, r.route, value, r.terms, remainder, r.status)
-        if json and not (isfinite(value) and isfinite(remainder)):
-            line = _json_spelling(line)
+        if not (isfinite(value) and isfinite(remainder)):
+            line = line.replace(": nan", ": NaN").replace(
+                ": inf", ": Infinity").replace(": -inf", ": -Infinity")
         stream.write(line)
 
 
-def _emit_records(records: list[EvalRecord], job: JobSpec, stream) -> None:
-    if job.out_format == "csv":
-        stream.write(",".join(CSV_COLUMNS) + "\n")
-        _write_lines(records, stream, _CSV_PIECES, json=False)
-    elif job.out_format == "jsonl":
-        _write_lines(records, stream, _JSONL_PIECES, json=True)
-    else:
-        header = f"{'t':>14} {'route':>8} {'value':>16} {'terms':>6} " \
-                 f"{'remainder':>12} {'status':>10}"
-        stream.write(header + "\n")
-        for r in records:
-            stream.write(f"{_HUMAN_FMT % r.t:>14} {r.route:>8} "
-                         f"{_HUMAN_FMT % r.value:>16} {r.terms:>6d} "
-                         f"{'%.3g' % r.remainder:>12} {r.status:>10}\n")
+def _exit_status(records: list[EvalRecord], exceeded: bool = False) -> int:
+    if any(r.status != "converged" for r in records):
+        return 2
+    return 3 if exceeded else 0
 
 
 def cmd_eval(job: JobSpec) -> int:
     records = run_job(job)
     with _output(job) as stream:
         _emit_records(records, job, stream)
-    return 2 if any(r.status != "converged" for r in records) else 0
+    return _exit_status(records)
 
 
 def cmd_compare(job: JobSpec) -> int:
+    """One line per point: the largest pairwise relative deviation between
+    the routes' values, NaN when a route has no value."""
     records = run_job(job)
-    rows = [f"{'t':>14} {'max_rel_dev':>14} {'routes':>24}\n"]
+    n = len(job.routes)
+    names = "/".join(job.routes)
+    rows = ["%14s %14s %24s\n" % ("t", "max_rel_dev", "routes")]
     exceeded = False
-    for t, group in itertools.groupby(records, key=lambda r: r.t):
-        group = list(group)
-        worst = 0.0
-        for x, y in itertools.combinations(group, 2):
-            dev = abs(x.value - y.value) / max(1.0, abs(x.value), abs(y.value))
-            worst = max(worst, dev)
-        if worst > job.tol_compare:
-            exceeded = True
-        names = "/".join(r.route for r in group)
-        rows.append(f"{_HUMAN_FMT % t:>14} {'%.3e' % worst:>14} {names:>24}\n")
+    # run_job lists the routes' records point by point
+    for i in range(0, len(records), n):
+        values = [r.value for r in records[i:i + n]]
+        devs = [abs(x - y) / max(1.0, abs(x), abs(y))
+                for j, x in enumerate(values) for y in values[j + 1:]]
+        worst = math.nan if any(map(math.isnan, devs)) else max(devs)
+        exceeded = exceeded or not worst <= job.tol_compare
+        rows.append("%14.9g %14.3e %24s\n" % (records[i].t, worst, names))
     with _output(job) as stream:
         stream.writelines(rows)
-    if any(r.status != "converged" for r in records):
-        return 2
-    return 3 if exceeded else 0
+    return _exit_status(records, exceeded)
 
 
 def cmd_domain(beta: BetaIndex, d: float) -> int:

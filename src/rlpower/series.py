@@ -39,8 +39,8 @@ Integer beta >= 0 terminates either series naturally after m + 1 terms.  On
 the centered window a = d only the k = m term of the displaced series
 survives, and it is the centered gamma-ratio form
 Gamma(beta+1)/Gamma(beta+sa+1) (t-d)^(beta+sa), so there the series entries
-return ``closed_centered``.  That form, valid for beta > -1, takes the signed
-order too.
+return ``closed_centered``, with the roundoff floor of that form as the
+bound.  That form, valid for beta > -1, takes the signed order too.
 
 Orders 0 and 1 are admitted everywhere as reduction checks: alpha = 0 is the
 identity operator and alpha = 1 gives the classical integral or derivative.
@@ -87,6 +87,12 @@ _TINY = 2.0 ** -1070
 # about 12 + 0.5 |beta| of these units, and 0.64 of the floor below.
 _FLOOR_ULPS = 24.0
 _FLOOR_ULPS_PER_B = 1.2
+# Roundoff floor of the centered value, in units of eps |value| on top of
+# twice the sizes of the logarithms it is made from (see _centered).
+# Measured against 40-digit mpmath on both backends (18 000 random points,
+# m <= 200, t - d from 1e-8 to 1e6, orders 0 to 1, some d inexact in t - d):
+# the worst error was 0.62 of the floor.
+_CENTERED_ULPS = 8.0
 
 
 class SeriesStatus(enum.Enum):
@@ -147,8 +153,7 @@ def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
     """
     require_points(win, win.a, pf.d, sa, ts)
     if win.a == pf.d:
-        terms = pf.beta.m + 1
-        return [(value, terms, 0.0, "converged") for value in _closed(pf, sa, ts)]
+        return _centered(pf, sa, ts, tol)
     A = win.a - pf.d
     front = branch_power(A, pf.beta)
     if A > 0.0:
@@ -164,6 +169,42 @@ def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
         value, terms, bound, code = power_series(front, b, A, t - a, sa, is_int,
                                                  tol, max_terms)
         results.append((value, terms, bound, names[code]))
+    return results
+
+
+def _centered(pf: PowerFunction, sa: float, ts: list[float],
+              tol: float) -> list[tuple[float, int, float, str]]:
+    """On the centered window, the one term left of the m + 1, at each of the
+    sorted points ts: _closed's value, whose bound is the roundoff of
+    Gamma(m+1)/Gamma(m+sa+1) (t-d)^(m+sa) as _closed evaluates it,
+
+        (_CENTERED_ULPS + 2 (|lgamma(m+1)| + |lgamma(m+sa+1)|
+                             + |(m+sa) ln(t-d)|)) eps |value|
+        + _TINY (m + 2),
+
+    the last term for a value in the subnormal range (the coefficient is at
+    most m + 1).  At m = 0 an order within 1e-12 of 1 but not 1 is taken for
+    the pole of Gamma(sa+1), as the kernels' pole test has it, and its 0 has
+    an unknown (inf) bound.
+    """
+    m = pf.beta.m
+    values = _closed(pf, sa, ts)
+    exponent = m + sa
+    if kernels.nonpos_int_index(exponent + 1.0) >= 0:
+        exact = sa == -1.0
+        return [(value, m + 1, 0.0 if exact else math.inf,
+                 "converged" if exact else "truncated") for value in values]
+    ulps = _CENTERED_ULPS + 2.0 * (abs(math.lgamma(m + 1.0))
+                                   + abs(math.lgamma(exponent + 1.0)))
+    tiny = _TINY * (m + 2.0)
+    d, log, results = pf.d, math.log, []
+    for t, value in zip(ts, values):
+        x = t - d
+        size = abs(value)
+        bound = (ulps + (2.0 * abs(exponent * log(x)) if x > 0.0 else 0.0)) \
+            * _EPS * size + tiny
+        status = "converged" if bound <= tol * max(1.0, size) else "truncated"
+        results.append((value, m + 1, bound, status))
     return results
 
 

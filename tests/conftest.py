@@ -3,12 +3,15 @@ the compiled kernel backend."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
 import math
+import os
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 from typing import NamedTuple
@@ -109,10 +112,13 @@ _KERNELS_C = Path(rl.__file__).with_name("_kernels_cy.c")
 
 
 @pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
+def compiled_kernels(pytestconfig, tmp_path_factory):
     """The compiled kernel module: the installed one, or the shipped
-    ``_kernels_cy.c`` built with the interpreter's compiler and flags into a
-    temporary directory.  Skips when neither is available."""
+    ``_kernels_cy.c`` built with the interpreter's compiler and flags.  The
+    build is kept in pytest's cache, under the sha256 of the C file, the
+    interpreter version and the compile command, or made in a temporary
+    directory when the cache plugin is off.  Skips when neither a module nor
+    a compiler is available."""
     try:
         return importlib.import_module("rlpower._kernels_cy")
     except ImportError:
@@ -121,13 +127,24 @@ def compiled_kernels(tmp_path_factory):
     cc = shlex.split(cfg("CC") or "cc")
     if not _KERNELS_C.is_file() or shutil.which(cc[0]) is None:
         pytest.skip("no C compiler or no shipped _kernels_cy.c")
-    target = tmp_path_factory.mktemp("kernels") / ("_kernels_cy" + cfg("EXT_SUFFIX"))
     cmd = cc + shlex.split(cfg("CFLAGS") or "") + shlex.split(cfg("CCSHARED") or "") \
-        + ["-shared", f"-I{sysconfig.get_paths()['include']}", str(_KERNELS_C),
-           "-o", str(target)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-    if proc.returncode != 0:
-        pytest.skip(f"compiling _kernels_cy.c failed: {proc.stderr[-2000:]}")
+        + ["-shared", f"-I{sysconfig.get_paths()['include']}"]
+    key = hashlib.sha256(b"\0".join(
+        [_KERNELS_C.read_bytes(), sys.version.encode(), shlex.join(cmd).encode()]
+    )).hexdigest()[:16]
+    cache = getattr(pytestconfig, "cache", None)
+    folder = cache.mkdir("rlpower_kernels") if cache is not None \
+        else tmp_path_factory.mktemp("kernels")
+    target = folder / f"_kernels_cy-{key}{cfg('EXT_SUFFIX')}"
+    if not target.is_file():
+        partial = target.with_name(f"{target.name}.{os.getpid()}.partial")
+        proc = subprocess.run(cmd + [str(_KERNELS_C), "-o", str(partial)],
+                              capture_output=True, text=True, timeout=600)
+        if proc.returncode != 0:
+            partial.unlink(missing_ok=True)
+            pytest.skip(f"compiling _kernels_cy.c failed: {proc.stderr[-2000:]}")
+        # a build cut short leaves no file under the name that is loaded
+        os.replace(partial, target)
     spec = importlib.util.spec_from_file_location("rlpower._kernels_cy", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import types
@@ -12,7 +13,7 @@ import pytest
 
 import rlpower.hypergeom
 import rlpower.oracle
-from rlpower.cli import EvalRecord, _emit_records, main
+from rlpower.cli import EvalRecord, _emit_records, main, run_job
 
 from reference import parse_csv_records
 
@@ -140,6 +141,30 @@ def test_compare_integral_order_zero_at_lower_limit(capsys):
                      "--beta-rational", "1/2", "--d", "0", "--a", "1",
                      "--t", "1:1.4:3", "--route", "series,hyp,oracle")
     assert code == 0
+
+
+def test_compare_has_one_line_per_grid_point(capsys):
+    # a repeated point is a line of its own, not one line for its routes'
+    # records at every copy
+    code, out, _ = run(capsys, "compare", "--op", "J", "--alpha", "0.5",
+                       "--beta-int", "-2", "--d", "0", "--a", "1",
+                       "--t", "1.2:1.2:3", "--route", "series,hyp")
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert len(lines) == 3
+    assert all(line.split() == ["1.2", lines[0].split()[1], "hyp/series"]
+               for line in lines)
+
+
+def test_compare_route_without_a_value_is_nan(capsys):
+    # the hyp derivative at an order within 1e-12 of 1 is truncated with
+    # value NaN: no agreement to report
+    code, out, _ = run(capsys, "compare", "--op", "D", "--alpha",
+                       "0.9999999999999", "--beta-int", "-2", "--d", "0",
+                       "--a", "1", "--t", "1.2:1.5:2", "--route", "series,hyp")
+    assert code == 2
+    assert [line.split() for line in out.splitlines()[1:]] == [
+        ["1.2", "nan", "hyp/series"], ["1.5", "nan", "hyp/series"]]
 
 
 def test_compare_needs_two_routes(capsys):
@@ -535,60 +560,93 @@ def test_hyp_not_converged_at_some_points_only(capsys, monkeypatch):
     assert math.isnan(records[2].value)
 
 
-def _record(route, status, value, remainder, t=0.1):
-    return EvalRecord("J", 0.35, "-3/2", -2.5, -1.0, t, route, value, 7,
-                      remainder, status)
+# The heads of the writer's jobs: equal fields, such as 0.0 and -0.0, are
+# spelled apart
+_HEADS = (("J", 0.35, "-3/2", -2.5, -1.0),
+          ("J", 0.5, "-3/2", 0.0, -0.0),
+          ("D", 1.0, "0.45000000000000001", 1e16, 5e-324))
+_SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7,
+             0.1, -1.5e300, 2.0 ** 0.5)
 
 
-_HEAD = ("J", 0.5, "-3/2", 0.0, -0.0)
+def _writer_job(head):
+    """One job's records, as the writer takes them: every special float in
+    the value and remainder fields, at every route and status, and every
+    finite one as t, -0.0 next to 0.0 and one t object at two routes."""
+    ts = [x for x in _SPECIALS if math.isfinite(x)]
+    return [EvalRecord(*head, ts[i % len(ts)], route, value, 7,
+                       _SPECIALS[-1 - i], status)
+            for i, value in enumerate(_SPECIALS)
+            for route in ("closed", "hyp", "oracle", "series")
+            for status in ("converged", "truncated", "diverged")]
 
 
-def _writer_records():
-    """Every special float in every float field, then runs of records whose
-    heads go A, B, A, ... with each B another than A in one field only (0.0
-    against -0.0 among them), two routes at each t, t = 0.0 next to t = -0.0,
-    and each run of a head ending and starting at the same t: a writer that
-    keeps a formatted piece for records whose fields are equal but not the
-    same, or are not all equal, fails on them."""
-    specials = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7,
-                0.1, -1.5e300, 2.0 ** 0.5)
-    records = [_record(route, status, value, specials[-1 - i], t=specials[i])
-               for i, value in enumerate(specials)
-               for route in ("closed", "hyp", "oracle", "series")
-               for status in ("converged", "truncated", "diverged")]
-    records.append(EvalRecord("D", 1.0, "0.45000000000000001", 1e16, 5e-324,
-                              -0.0, "series", 1.0, 0, math.nan, "converged"))
-    heads = []
-    for i, other in enumerate(("D", math.nan, "1/2", -0.0, 0.0)):
-        head = list(_HEAD)
-        head[i] = other
-        heads += [_HEAD, tuple(head)]
-    for head in heads + [_HEAD]:
-        for t in (1.5, 0.0, -0.0, 1.5):
-            for route in ("hyp", "series"):
-                records.append(EvalRecord(*head, t, route, t - 1.0, 3, 1e-17,
-                                          "converged"))
-    return records
+def _emitted(records, out_format):
+    stream = io.StringIO()
+    _emit_records(records, types.SimpleNamespace(out_format=out_format), stream)
+    return stream.getvalue()
 
 
 def test_jsonl_writer_is_json_dumps_byte_for_byte():
-    records = _writer_records()
-    stream = io.StringIO()
-    _emit_records(records, types.SimpleNamespace(out_format="jsonl"), stream)
-    assert stream.getvalue() == "".join(json.dumps(vars(r)) + "\n"
-                                        for r in records)
+    for head in _HEADS:
+        records = _writer_job(head)
+        assert _emitted(records, "jsonl") == "".join(json.dumps(vars(r)) + "\n"
+                                                     for r in records)
 
 
 def test_csv_writer_is_the_joined_fields_byte_for_byte():
-    records = _writer_records()
-    stream = io.StringIO()
-    _emit_records(records, types.SimpleNamespace(out_format="csv"), stream)
-    lines = ["op,alpha,beta,d,a,t,route,value,terms,remainder,status"]
+    for head in _HEADS:
+        records = _writer_job(head)
+        lines = ["op,alpha,beta,d,a,t,route,value,terms,remainder,status"]
+        for r in records:
+            lines.append(",".join(field if isinstance(field, str) else
+                                  str(field) if isinstance(field, int) else
+                                  "%.17g" % field for field in vars(r).values()))
+        assert _emitted(records, "csv") == "".join(line + "\n" for line in lines)
+
+
+def test_human_writer_pads_each_field():
+    records = _writer_job(_HEADS[0])
+    lines = [f"{'t':>14} {'route':>8} {'value':>16} {'terms':>6} "
+             f"{'remainder':>12} {'status':>10}"]
     for r in records:
-        lines.append(",".join(field if isinstance(field, str) else
-                              str(field) if isinstance(field, int) else
-                              "%.17g" % field for field in vars(r).values()))
-    assert stream.getvalue() == "".join(line + "\n" for line in lines)
+        lines.append(f"{'%.9g' % r.t:>14} {r.route:>8} {'%.9g' % r.value:>16} "
+                     f"{r.terms:>6d} {'%.3g' % r.remainder:>12} {r.status:>10}")
+    assert _emitted(records, "human") == "".join(line + "\n" for line in lines)
+
+
+_ROUTE_SETS = {
+    side: [",".join(c) for n in (1, 2, 3)
+           for c in itertools.combinations(routes, n)]
+    for side, routes in (("displaced", ("hyp", "oracle", "series")),
+                         ("centered", ("closed", "oracle", "series")))}
+
+
+@pytest.mark.parametrize("op", ["J", "D"])
+@pytest.mark.parametrize("d, a, lower, grid, side", [
+    ("0.0", "1.0", ["--d", "0", "--a", "1"], "1.1:1.9:4", "displaced"),
+    ("2.0", "1.0", ["--d", "2", "--a", "1"], "1.4:1.1:4", "displaced"),
+    ("-0.0", "-0.0", ["--d", "-0.0", "--centered"], "0.5:3:4", "centered"),
+])
+def test_every_record_of_a_job_has_the_jobs_head(monkeypatch, capsys, op, d, a,
+                                                 lower, grid, side):
+    # the writer formats the head of a job's first record for all of them
+    jobs = []
+
+    def capture(job):
+        jobs.append(run_job(job))
+        return jobs[-1]
+
+    monkeypatch.setattr("rlpower.cli.run_job", capture)
+    for routes in _ROUTE_SETS[side]:
+        code, _, err = run(capsys, "eval", "--op", op, "--alpha", "0.35",
+                           "--beta-int", "2", *lower, "--t", grid,
+                           "--route", routes)
+        assert (code, err) == (0, "")
+        records = jobs[-1]
+        assert len(records) == 4 * len(routes.split(","))
+        assert {(r.op, repr(r.alpha), r.beta, repr(r.d), repr(r.a))
+                for r in records} == {(op, "0.35", "2", d, a)}
 
 
 @pytest.mark.parametrize("op, alpha, grid, routes, error", [

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath as mp
 import pytest
 
 import rlpower as rl
-from rlpower import SeriesStatus
+from rlpower import SeriesStatus, _kernels_py, series
 from rlpower._backend import kernels
 from rlpower.domain import beta_value
 from rlpower.errors import (
@@ -250,8 +251,9 @@ def test_centered_series_is_closed_centered(m):
                 res = entry(pf, win, alpha, t)
                 closed = rl.closed_centered(pf, sa, t)
                 assert res.value == closed
-                assert (res.terms_used, res.remainder_bound, res.status) == \
-                    (m + 1, 0.0, SeriesStatus.CONVERGED)
+                assert (res.terms_used, res.status) == \
+                    (m + 1, SeriesStatus.CONVERGED)
+                assert 0.0 <= res.remainder_bound <= 1e-13 * max(1.0, abs(closed))
                 assert rel_err(closed, _polynomial(pf, 0.3, sa, t)) <= 1e-14
 
 
@@ -265,6 +267,65 @@ def test_centered_derivative_at_lower_limit():
     pf = rl.power_function(0.3, rl.beta_int(0))
     with pytest.raises(EvalAtLowerLimit):
         rl.rlfd_series(pf, _win(pf, 0.3), 0.35, 0.3)
+
+
+def _centered_probes():
+    """(pf, sa, sorted ts, 40-digit values): random centered jobs, m <= 60
+    (most <= 12), J and D, orders 0 to 1, shifts whose t - d is exact or
+    rounded, t - d from 1e-8 to 1e6, and points whose value is subnormal."""
+    rng = random.Random(15)
+    probes = []
+    for i in range(300):
+        m = rng.randint(0, 12) if i % 4 else rng.randint(0, 60)
+        alpha = rng.choice((0.0, 1.0, 0.5, rng.random(), rng.random()))
+        sa = alpha if i % 2 else -alpha
+        d = rng.choice((0.0, rng.uniform(-10.0, 10.0), rng.uniform(-1e6, 1e6)))
+        if i % 10 == 9 and m + sa >= 1.0:
+            # values from 1e-323 to 1e-300
+            xs = [10.0 ** (rng.uniform(-323.0, -300.0) / (m + sa))
+                  for _ in range(3)]
+        else:
+            top = min(6.0, 300.0 / max(1.0, m + sa))  # below the float range
+            xs = [10.0 ** rng.uniform(-8.0, top) for _ in range(3)]
+        ts = sorted(d + x for x in xs)
+        pf = rl.power_function(d, rl.beta_int(m))
+        e = m + mp.mpf(sa)
+        refs = [mp.gamma(m + 1) * mp.rgamma(e + 1) * (mp.mpf(t) - mp.mpf(d)) ** e
+                for t in ts]
+        probes.append((pf, sa, ts, refs))
+    return probes
+
+
+@pytest.fixture(scope="module")
+def centered_probes():
+    with mp.workdps(40):
+        return _centered_probes()
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_centered_series_lies_within_its_bound(centered_probes, backend,
+                                               monkeypatch, compiled_kernels):
+    monkeypatch.setattr(series, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    checked = 0
+    for pf, sa, ts, refs in centered_probes:
+        rows = series._series(pf, rl.make_window(pf.d, pf), sa, ts,
+                              series.DEFAULT_TOL, series.DEFAULT_MAX_TERMS)
+        for t, ref, (value, terms, bound, status) in zip(ts, refs, rows):
+            assert (terms, status) == (pf.beta.m + 1, "converged")
+            assert abs(mp.mpf(value) - ref) <= bound, (pf, sa, t, value, bound)
+            checked += 1
+    assert checked >= 800
+
+
+def test_centered_constant_next_to_order_one_is_not_converged():
+    # Gamma(1 + sa) at sa = -1 + 1e-13 is taken for its pole: the 0 returned
+    # for the true 1e-13 / (t - d) has no bound
+    pf = rl.power_function(0.3, rl.beta_int(0))
+    with pytest.raises(SeriesNotConverged) as info:
+        rl.rlfd_series(pf, _win(pf, 0.3), 1.0 - 1e-13, 1.3)
+    assert info.value.result == rl.SeriesResult(0.0, 1, math.inf,
+                                                SeriesStatus.TRUNCATED)
 
 
 # --- remainder machinery ---------------------------------------------------
