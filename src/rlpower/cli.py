@@ -318,7 +318,8 @@ def _route_values(job: JobSpec, pf, win, sa: float, route: str,
     """(value, terms, remainder, status) at each of the sorted points ts on
     one route, at the signed order sa.  The series, hyp and closed routes
     evaluate ts in one call of their body, the oracle point by point; a
-    convergence failure becomes a truncated record."""
+    convergence failure becomes a truncated record with no value and an
+    infinite remainder."""
     if route == "series":
         return series._series(pf, win, sa, ts, job.tol, job.max_terms)
     if route == "closed":
@@ -329,7 +330,7 @@ def _route_values(job: JobSpec, pf, win, sa: float, route: str,
                     for value in hypergeom._hyp_form(pf, win, sa, ts)]
         except HypNotConverged:
             if len(ts) == 1:
-                return [(math.nan, 0, 0.0, "truncated")]
+                return [(math.nan, 0, math.inf, "truncated")]
             # only the points whose 2F1 failed are truncated
             return [v for t in ts
                     for v in _route_values(job, pf, win, sa, route, [t])]
@@ -340,7 +341,7 @@ def _route_values(job: JobSpec, pf, win, sa: float, route: str,
             value, remainder = fn(pf, job.a, job.alpha, t, job.quad_tol)
             values.append((value, 0, remainder, "converged"))
         except ToleranceNotMet:
-            values.append((math.nan, 0, 0.0, "truncated"))
+            values.append((math.nan, 0, math.inf, "truncated"))
     return values
 
 

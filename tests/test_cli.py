@@ -467,6 +467,7 @@ def test_hyp_not_converged_exit_two(capsys, monkeypatch):
     rec = parse_csv_records(out)[0]
     assert rec.status == "truncated"
     assert math.isnan(rec.value)
+    assert rec.remainder == math.inf
 
 
 @pytest.mark.parametrize("route", ["series", "hyp"])
@@ -500,6 +501,7 @@ def test_oracle_derivative_at_the_shift_is_not_converged(capsys, alpha):
     rec, = parse_csv_records(out)
     assert rec.status == "truncated"
     assert math.isnan(rec.value)
+    assert rec.remainder == math.inf
 
 
 def test_hyp_order_next_to_one_is_not_converged(capsys):

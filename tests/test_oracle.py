@@ -1,6 +1,7 @@
 """Quadrature oracle: substitution correctness, the derivative in the
 Marchaud form and its estimate against 40-digit mpmath on both backends,
-the log case."""
+the log case, and the Chebyshev product rules: their moments, nodes and
+proven bounds on window cells."""
 
 from __future__ import annotations
 
@@ -188,6 +189,38 @@ def test_quad_steep_centered_integral_is_fast():
         exact = mp.gamma(34) / mp.gamma(34 + mp.mpf(alpha)) \
             * (mp.mpf(t) - d) ** (33 + mp.mpf(alpha))
     assert abs(got.value - exact) <= got.error_estimate
+
+
+def test_fallback_passes_the_tests_written_for_it(monkeypatch):
+    # the three tests above were written for the adaptive fallback's
+    # offsets, small-order cuts and global error control; their cells now
+    # take product rules, so they run again here with the rules off
+    monkeypatch.setattr(oracle, "_by_rule", lambda *args: None)
+    test_quad_small_order_sees_the_lower_end()
+    test_quad_steep_centered_integral_is_fast()
+    # last: it lowers MAX_DEPTH until the end of this test
+    test_quad_far_shift_is_not_a_staircase(monkeypatch)
+
+
+@pytest.mark.parametrize("beta", [rl.beta_rational(2, 7), rl.beta_int(-3)])
+@pytest.mark.parametrize("alpha", [1e-3, 1e-2])
+def test_quad_small_order_shift_just_beyond_t(beta, alpha, monkeypatch):
+    # the shift 1e-9 beyond t leaves no product rule its tolerance, so the
+    # adaptive fallback runs; at a small order it needs the cut at
+    # x = a + (t-a)/2 and offsets next to t taken from t's side
+    calls = []
+    substituted = oracle._substituted
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return substituted(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_substituted", counted)
+    d = 1.0 + 1e-9
+    got = rl.quad_rlfi(rl.power_function(d, beta), 0.0, alpha, 1.0)
+    assert len(calls) == 1
+    ref = displaced_exact(beta, d, 0.0, alpha, 1.0)
+    assert abs(got.value - ref) <= got.error_estimate
 
 
 # the in-domain sweep of displaced derivative cells: exponents of every
@@ -457,3 +490,126 @@ def test_quad_rlfi_beyond_the_float_range_is_typed(d, a, t, backend, monkeypatch
                         _kernels_py if backend == "pure" else compiled_kernels)
     with pytest.raises(ValueOverflow, match="beyond the float range"):
         rl.quad_rlfi(rl.power_function(d, rl.beta_int(1)), a, 0.99, t)
+
+
+def _exact_shifted_moments(order, n):
+    """M_k - M_0 for the weight (1-y)^(order-1), k <= n, at 60 digits: the
+    finite sum of T_k(y) = 2F1(-k, k; 1/2; (1-y)/2) integrated term by term."""
+    with mp.workdps(60):
+        lam = mp.mpf(order) - 1
+        moments = [2 ** (lam + 1) * mp.fsum(
+            mp.rf(-k, j) * mp.rf(k, j)
+            / (mp.rf(mp.mpf(1) / 2, j) * mp.factorial(j) * (lam + j + 1))
+            for j in range(k + 1)) for k in range(n + 1)]
+        return [m - moments[0] for m in moments], moments[0]
+
+
+def test_rule_constants_are_pi_and_log_2():
+    with mp.workdps(60):
+        assert oracle._FIX_PI == int(mp.nint(mp.pi * 2 ** oracle._BITS))
+        assert oracle._FIX_LN2 == int(mp.nint(mp.log(2) * 2 ** oracle._BITS))
+
+
+@pytest.mark.parametrize("order", [1e-3, 0.5, 1.0 - 1e-3])
+def test_rule_moments_match_mpmath(order):
+    # the rule integrates T_k exactly for k <= n: sum_j W_j (T_k(y_j) - 1)
+    # is M_k - M_0, and sum_j W_j is M_0 = 2^order / order
+    n = 48
+    rule = oracle._rule(order, n)
+    shifted, mass = _exact_shifted_moments(order, n)
+    size = max(abs(m) for m in shifted)
+    with mp.workdps(60):
+        assert abs(mp.fsum(w for _, _, w in rule) - mass) <= 4e-16 * mass
+        for k in range(1, n + 1):
+            got = mp.fsum(mp.mpf(w) * (mp.cos(mp.pi * j * k / n) - 1)
+                          for j, (_, _, w) in enumerate(rule))
+            assert abs(got - shifted[k]) <= 1e-15 * size, k
+
+
+@pytest.mark.parametrize("n", oracle._RULE_SIZES)
+def test_rule_nodes_are_the_chebyshev_points(n):
+    rule = oracle._rule(0.5, n)
+    assert len(rule) == n + 1
+    assert rule[0][:2] == (1.0, 0.0) and rule[-1][:2] == (0.0, 1.0)
+    for j, (h, r, _) in enumerate(rule):
+        assert h + r == pytest.approx(1.0, abs=1e-16)
+        assert 1.0 - 2.0 * r == pytest.approx(math.cos(math.pi * j / n), abs=1e-15)
+
+
+def _window_cells(count, seed):
+    """J and D cells inside the series window: exponents of every class with
+    |beta| <= 30 (integer, rational, real and within 1e-3 of an integer),
+    orders in [1e-3, 1 - 1e-3] and fractions up to 0.999 on either side of
+    the shift, a tenth of them at 0.999."""
+    rng = random.Random(seed)
+    cells = []
+    while len(cells) < count:
+        kind = rng.randrange(4)
+        if kind == 0:
+            beta = rl.beta_int(rng.randint(-30, 30))
+        elif kind == 1:
+            q = rng.choice((2, 3, 5, 7))
+            beta = rl.beta_rational(rng.randint(-30 * q, 30 * q), q)
+        elif kind == 2:
+            beta = rl.beta_real(rng.randint(-29, 29)
+                                + rng.choice((-1, 1)) * 10 ** rng.uniform(-12, -3))
+        else:
+            beta = rl.beta_real(rng.uniform(-30.0, 30.0))
+        d = rng.uniform(-5.0, 5.0)
+        gap = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+        below = rl.power_function(d, beta).contains(d - gap) and rng.random() < 0.5
+        a = d - gap if below else d + gap
+        alpha = rng.choice((1e-3, 1.0 - 1e-3, rng.uniform(1e-3, 1.0 - 1e-3)))
+        frac = 0.999 if rng.random() < 0.1 else rng.uniform(0.0, 0.999)
+        t = a + frac * (gap / 2.0 if below else gap)
+        if t > a:
+            cells.append((rng.choice("JD"), beta, d, a, alpha, t))
+    return cells
+
+
+# the window-edge cells of the hyp route's tests, at fraction 0.999 above a
+# shift at 0 from a = 1
+_EDGE_CELLS = [(op, _token_beta(token), 0.0, 1.0, alpha, 1.999)
+               for token in ("-9.7", "-1", "-3", "-3/2", "-5/3", "1/2", "0.45",
+                             "-0.3")
+               for alpha in (0.05, 0.5, 0.95) for op in "JD"]
+
+
+@pytest.fixture(scope="module")
+def window():
+    return [(cell, displaced_exact(cell[1], cell[2], cell[3],
+                                   cell[4] if cell[0] == "J" else -cell[4],
+                                   cell[5]))
+            for cell in _window_cells(300, 16) + _EDGE_CELLS]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_rule_values_lie_within_their_bound(window, backend, monkeypatch,
+                                           compiled_kernels):
+    # every window cell with |beta| <= 30 takes a product rule, whose tail
+    # bound plus floor holds the 40-digit value
+    monkeypatch.setattr(oracle, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a window cell fell back to the adaptive rule")
+
+    monkeypatch.setattr(oracle, "_substituted", no_fallback)
+    for (op, beta, d, a, alpha, t), ref in window:
+        quad = rl.quad_rlfi if op == "J" else rl.quad_rlfd
+        got = quad(rl.power_function(d, beta), a, alpha, t)
+        assert abs(got.value - ref) <= got.error_estimate, (op, beta, d, a, alpha, t)
+
+
+@pytest.mark.parametrize("beta", [rl.beta_rational(2, 7), rl.beta_int(0),
+                                  rl.beta_int(1), rl.beta_int(2), rl.beta_int(7)])
+@pytest.mark.parametrize("alpha", [1e-6, 1e-3, 0.5, 0.999])
+def test_quad_rlfi_at_the_shift_folds_f_into_the_weight(beta, alpha):
+    # at t = d, f(x) = (-1)^beta (t-x)^beta: J is (t-a)^(alpha+beta) /
+    # ((alpha+beta) Gamma(alpha)) up to the floor, also at orders where the
+    # mass sits next to t
+    pf = rl.power_function(1.0, beta)
+    got = rl.quad_rlfi(pf, 0.0, alpha, 1.0)
+    ref = displaced_exact(beta, 1.0, 0.0, alpha, 1.0)
+    assert abs(got.value - ref) <= got.error_estimate
+    assert got.error_estimate <= 1e-14 * abs(got.value)
