@@ -78,29 +78,63 @@ class EvalRecord:
 
 CSV_COLUMNS = tuple(f.name for f in fields(EvalRecord))
 
-# Each format's (header, head piece, point piece, line piece).  The head
-# piece takes the job's op, alpha, beta, d and a by name; the point piece
-# adds t to the formatted head, and the line piece the record's own fields to
-# the formatted point.  csv and jsonl lines are as csv and
+
+class JobResult:
+    """One job evaluated: the head (op, alpha, beta, d, a) that its records
+    share, the sorted points ts, and per route of routes the parallel columns
+    (values, terms, remainders, statuses) over ts.  It is sized and iterable
+    as the job's EvalRecords, t-major; a record is built only when it is
+    iterated."""
+
+    __slots__ = ("head", "ts", "routes", "columns")
+
+    def __init__(self, head: tuple[str, float, str, float, float],
+                 ts: list[float], routes: list[str],
+                 columns: list[series.Columns]):
+        self.head, self.ts, self.routes, self.columns = head, ts, routes, columns
+
+    def __len__(self) -> int:
+        return len(self.ts) * len(self.routes)
+
+    def __iter__(self):
+        head, routes, columns = self.head, self.routes, self.columns
+        for i, t in enumerate(self.ts):
+            for route, (values, terms, remainders, statuses) in zip(routes,
+                                                                    columns):
+                yield EvalRecord(*head, t, route, values[i], terms[i],
+                                 remainders[i], statuses[i])
+
+
+# Each format's (header, head piece, point piece, tail piece, respell).  The
+# head piece takes the job's op, alpha, beta, d and a by name; the point
+# piece adds t to the formatted head; the tail piece takes the route, and
+# then a record's (value, terms, remainder, status).  A line is its point
+# piece and its tail.  csv and jsonl lines are as csv and
 # json.dumps(vars(record)) write them: JSON floats are their repr, and the
-# strings of a record hold no character that JSON escapes.
+# strings of a record hold no character that JSON escapes.  JSON spells a
+# non-finite float NaN, Infinity or -Infinity (respell).
 _FORMATS = {
     "csv": (",".join(CSV_COLUMNS) + "\n",
             "%(op)s,%(alpha).17g,%(beta)s,%(d).17g,%(a).17g,",
-            "%s%.17g,",
-            "%s%s,%.17g,%d,%.17g,%s\n"),
+            "%.17g,",
+            "%s,%%.17g,%%d,%%.17g,%%s\n",
+            False),
     "jsonl": ("",
               '{"op": "%(op)s", "alpha": %(alpha)r, "beta": "%(beta)s", '
               '"d": %(d)r, "a": %(a)r, ',
-              '%s"t": %r, ',
-              '%s"route": "%s", "value": %r, "terms": %d, "remainder": %r, '
-              '"status": "%s"}\n'),
+              '"t": %r, ',
+              '"route": "%s", "value": %%r, "terms": %%d, "remainder": %%r, '
+              '"status": "%%s"}\n',
+              True),
     "human": ("%14s %8s %16s %6s %12s %10s\n"
               % ("t", "route", "value", "terms", "remainder", "status"),
               "",
-              "%s%14.9g ",
-              "%s%8s %16.9g %6d %12.3g %10s\n"),
+              "%14.9g ",
+              "%8s %%16.9g %%6d %%12.3g %%10s\n",
+              False),
 }
+# points written at a time: a job's text is never held whole
+_CHUNK = 256
 
 
 def format_beta(beta: BetaIndex) -> str:
@@ -314,40 +348,43 @@ def _job_from(values: dict) -> JobSpec:
 
 
 def _route_values(job: JobSpec, pf, win, sa: float, route: str,
-                  ts: list[float]) -> list[tuple[float, int, float, str]]:
-    """(value, terms, remainder, status) at each of the sorted points ts on
-    one route, at the signed order sa.  The series, hyp and closed routes
-    evaluate ts in one call of their body, the oracle point by point; a
-    convergence failure becomes a truncated record with no value and an
-    infinite remainder."""
+                  ts: list[float]) -> series.Columns:
+    """The columns (values, terms, remainders, statuses) over the sorted
+    points ts on one route, at the signed order sa.  The series, hyp and
+    closed routes evaluate ts in one call of their body, the oracle point by
+    point; a convergence failure becomes a truncated record with no value
+    and an infinite remainder."""
     if route == "series":
         return series._series(pf, win, sa, ts, job.tol, job.max_terms)
+    n = len(ts)
     if route == "closed":
-        return [(value, 0, 0.0, "converged") for value in series._closed(pf, sa, ts)]
+        return series._closed(pf, sa, ts), [0] * n, [0.0] * n, ["converged"] * n
     if route == "hyp":
         try:
-            return [(value, 0, 0.0, "converged")
-                    for value in hypergeom._hyp_form(pf, win, sa, ts)]
+            return (hypergeom._hyp_form(pf, win, sa, ts), [0] * n, [0.0] * n,
+                    ["converged"] * n)
         except HypNotConverged:
-            if len(ts) == 1:
-                return [(math.nan, 0, math.inf, "truncated")]
+            if n == 1:
+                return [math.nan], [0], [math.inf], ["truncated"]
             # only the points whose 2F1 failed are truncated
-            return [v for t in ts
-                    for v in _route_values(job, pf, win, sa, route, [t])]
+            points = [_route_values(job, pf, win, sa, route, [t]) for t in ts]
+            # the points' one-entry columns, joined column by column
+            return tuple([one[0] for one in column] for column in zip(*points))
     fn = oracle.quad_rlfi if job.op == "J" else oracle.quad_rlfd
-    values = []
-    for t in ts:
+    values, remainders, statuses = [], [], ["converged"] * n
+    for i, t in enumerate(ts):
         try:
             value, remainder = fn(pf, job.a, job.alpha, t, job.quad_tol)
-            values.append((value, 0, remainder, "converged"))
         except ToleranceNotMet:
-            values.append((math.nan, 0, math.inf, "truncated"))
-    return values
+            value, remainder, statuses[i] = math.nan, math.inf, "truncated"
+        values.append(value)
+        remainders.append(remainder)
+    return values, [0] * n, remainders, statuses
 
 
-def run_job(job: JobSpec) -> list[EvalRecord]:
+def run_job(job: JobSpec) -> JobResult:
     """Validate the job, then evaluate it route by route over its sorted
-    points; the records list every (t, route) pair, t-major.
+    points.
 
     Domain and window checks run before any computation, so validation errors
     propagate with nothing half-emitted (exit 1); convergence failures become
@@ -374,11 +411,8 @@ def run_job(job: JobSpec) -> list[EvalRecord]:
             for route in job.routes:
                 _route_values(job, pf, win, sa, route, [t])
         raise
-    op, alpha, beta, d, a = job.op, job.alpha, format_beta(job.beta), pf.d, job.a
-    return [EvalRecord(op, alpha, beta, d, a, t, route, value, terms, remainder,
-                       status)
-            for t, row in zip(ts, zip(*columns))
-            for route, (value, terms, remainder, status) in zip(job.routes, row)]
+    return JobResult((job.op, job.alpha, format_beta(job.beta), pf.d, job.a),
+                     ts, job.routes, columns)
 
 
 def _output(job: JobSpec):
@@ -388,64 +422,69 @@ def _output(job: JobSpec):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _emit_records(records: list[EvalRecord], job: JobSpec, stream) -> None:
-    """The header, then one line per record of the job.
+def _emit_records(result: JobResult, job: JobSpec, stream) -> None:
+    """The header, then one line per record of the job, t-major.
 
-    Every record of a job has the job's head, so the head piece is formatted
-    once, from the first record, and the point piece once for each t object.
-    JSON spells a non-finite value or remainder NaN, Infinity or -Infinity;
-    only JSON lines hold ": " before a number, so the respelling leaves the
-    other formats' lines as they are.
+    The head piece is formatted once per job and the point piece once per
+    point.  Each route's tails are formatted from its columns a chunk of
+    points at a time, interleaved with the point pieces and written with one
+    write per chunk.  Only JSON lines hold ": " before a number, so
+    respelling a chunk's non-finite floats leaves the rest as it is.
     """
-    header, head_fmt, point_fmt, line_fmt = _FORMATS[job.out_format]
+    header, head_fmt, point_fmt, tail_fmt, respell = _FORMATS[job.out_format]
     stream.write(header)
-    head = head_fmt % vars(records[0])
-    isfinite = math.isfinite
-    t = None
-    for r in records:
-        if r.t is not t:
-            t = r.t
-            point = point_fmt % (head, t)
-        value, remainder = r.value, r.remainder
-        line = line_fmt % (point, r.route, value, r.terms, remainder, r.status)
-        if not (isfinite(value) and isfinite(remainder)):
-            line = line.replace(": nan", ": NaN").replace(
+    head = head_fmt % dict(zip(CSV_COLUMNS, result.head))
+    point_fmt = head.replace("%", "%%") + point_fmt
+    tail_fmts = [tail_fmt % route for route in result.routes]
+    width = 2 * len(tail_fmts)
+    ts, columns = result.ts, result.columns
+    for start in range(0, len(ts), _CHUNK):
+        stop = start + _CHUNK
+        points = list(map(point_fmt.__mod__, ts[start:stop]))
+        pieces = [""] * (width * len(points))
+        for j, (fmt, (values, terms, remainders, statuses)) in enumerate(
+                zip(tail_fmts, columns)):
+            pieces[2 * j::width] = points
+            pieces[2 * j + 1::width] = list(map(fmt.__mod__, zip(
+                values[start:stop], terms[start:stop], remainders[start:stop],
+                statuses[start:stop])))
+        text = "".join(pieces)
+        if respell:
+            text = text.replace(": nan", ": NaN").replace(
                 ": inf", ": Infinity").replace(": -inf", ": -Infinity")
-        stream.write(line)
+        stream.write(text)
 
 
-def _exit_status(records: list[EvalRecord], exceeded: bool = False) -> int:
-    if any(r.status != "converged" for r in records):
+def _exit_status(result: JobResult, exceeded: bool = False) -> int:
+    if any(statuses.count("converged") != len(statuses)
+           for _, _, _, statuses in result.columns):
         return 2
     return 3 if exceeded else 0
 
 
 def cmd_eval(job: JobSpec) -> int:
-    records = run_job(job)
+    result = run_job(job)
     with _output(job) as stream:
-        _emit_records(records, job, stream)
-    return _exit_status(records)
+        _emit_records(result, job, stream)
+    return _exit_status(result)
 
 
 def cmd_compare(job: JobSpec) -> int:
     """One line per point: the largest pairwise relative deviation between
     the routes' values, NaN when a route has no value."""
-    records = run_job(job)
-    n = len(job.routes)
-    names = "/".join(job.routes)
+    result = run_job(job)
+    names = "/".join(result.routes)
     rows = ["%14s %14s %24s\n" % ("t", "max_rel_dev", "routes")]
     exceeded = False
-    # run_job lists the routes' records point by point
-    for i in range(0, len(records), n):
-        values = [r.value for r in records[i:i + n]]
+    for t, values in zip(result.ts, zip(*(column[0] for column in result.columns))):
         devs = [abs(x - y) / max(1.0, abs(x), abs(y))
                 for j, x in enumerate(values) for y in values[j + 1:]]
         worst = math.nan if any(map(math.isnan, devs)) else max(devs)
         exceeded = exceeded or not worst <= job.tol_compare
-        rows.append("%14.9g %14.3e %24s\n" % (records[i].t, worst, names))
+        rows.append("%14.9g %14.3e %24s\n" % (t, worst, names))
     with _output(job) as stream:
         stream.writelines(rows)
-    return _exit_status(records, exceeded)
+    return _exit_status(result, exceeded)
 
 
 def cmd_domain(beta: BetaIndex, d: float) -> int:

@@ -501,8 +501,8 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
 
     alpha = 0 gives f(t) and alpha = 1 gives f'(t).  t <= a raises
     EvalAtLowerLimit, and a negative beta's pole at or inside [a, t] raises
-    PoleInsideInterval.  A shift at t with a fractional beta, where f is
-    not smooth, raises ToleranceNotMet.
+    PoleInsideInterval.  A shift at t with a fractional beta folds f into
+    the weight (see _rlfd_at_the_shift).
     """
     _require_tol(tol)
     require_order(alpha)
@@ -515,9 +515,7 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
     b = beta_value(beta)
     lo, hi, u = a - pf.d, t - pf.d, t - a
     if hi == 0.0 and not isinstance(beta, IntegerExp):
-        # the divided difference is r^(beta-1) at t = d, with no scale at
-        # which the panels could stop resolving it
-        raise ToleranceNotMet(f"f is not smooth at t = d = {t!r}")
+        return _rlfd_at_the_shift(beta, b, alpha, u, t)
     ft = branch_power(hi, beta)
     # f'(t); at t = d only integers come here, with f'(d) = 1 for beta = 1
     slope = b * ft / hi if hi else float(b == 1.0)
@@ -574,3 +572,31 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
     if not math.isfinite(value):
         raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")
     return QuadEstimate(value, err + _floor(beta, magnitude))
+
+
+def _rlfd_at_the_shift(beta: BetaIndex, b: float, alpha: float, u: float,
+                       t: float) -> QuadEstimate:
+    """D^alpha at t = d of a fractional beta, u = t - a > 0.
+
+    There f(x) = c (t-x)^beta, c = f(-1), and f(t) = 0, so the head vanishes
+    and the divided difference folds into the weight: for beta > alpha
+
+        D = -c alpha (t-a)^(beta-alpha) / ((beta-alpha) Gamma(1-alpha)),
+
+    and at alpha = 1 f'(d) = 0.  Its estimate is the floor times
+    1 + (beta-alpha) |ln(t-a)| + |beta|/(beta-alpha), the last term for the
+    rounding of beta that the difference beta - alpha magnifies.  For
+    beta <= alpha the Marchaud integral diverges, and with it the
+    derivative's divided difference: ToleranceNotMet.
+    """
+    if b <= alpha:
+        raise ToleranceNotMet(f"f is not smooth at t = d = {t!r}")
+    if alpha == 1.0:
+        return QuadEstimate(0.0, 0.0)
+    e = b - alpha
+    value = -branch_power(-1.0, beta) * alpha * float_power(u, e) \
+        / (e * kernels.gamma_value(1.0 - alpha))
+    estimate = _floor(beta, abs(value)) * (1.0 + e * abs(math.log(u)) + b / e)
+    if not (math.isfinite(value) and math.isfinite(estimate)):
+        raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")
+    return QuadEstimate(value, estimate)

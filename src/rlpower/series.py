@@ -3,11 +3,11 @@
 Both operators are taken at the signed order sa: sa = +alpha gives the
 fractional integral of order alpha, and sa = -alpha the fractional
 derivative, the integral's series with alpha -> -alpha.  Each route here has
-one body over sa and a sorted list of points, which returns one plain tuple
-(value, terms, bound, status name) per point; the ``rlfi_*``/``rlfd_*``
-entries fix its sign, pass it one point and wrap the tuple in a
-``SeriesResult``.  For f(t) = (t - d)**beta the body takes one expansion per
-side of the shift:
+one body over sa and a sorted list of points, which returns the parallel
+columns (values, terms, bounds, status names) over the points; the
+``rlfi_*``/``rlfd_*`` entries fix its sign, pass it one point and wrap that
+point in a ``SeriesResult``.  For f(t) = (t - d)**beta the body takes one
+expansion per side of the shift:
 
 * Above the shift (a > d) f is expanded at the upper limit t, and the
   operator is one Gauss series (DLMF 15.8.1 on the b parameter of the
@@ -111,6 +111,10 @@ _NAME_FROM_CODE = {
 }
 
 
+# a body's result over its points: (values, terms, bounds, status names)
+Columns = tuple[list[float], list[int], list[float], list[str]]
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     value: float
@@ -130,10 +134,9 @@ def _beta_kernel_form(beta: BetaIndex) -> tuple[float, int]:
     return b, is_int
 
 
-def _scalar(row: tuple[float, int, float, str], tol: float,
-            op_name: str) -> SeriesResult:
-    # a body's one-point tuple as a SeriesResult; raises unless converged
-    value, terms, bound, status = row
+def _scalar(columns: Columns, tol: float, op_name: str) -> SeriesResult:
+    # a body's one-point columns as a SeriesResult; raises unless converged
+    (value,), (terms,), (bound,), (status,) = columns
     result = SeriesResult(value, terms, bound, _STATUS[status])
     if status != "converged":
         raise SeriesNotConverged(f"{op_name}: {status} after {terms} terms "
@@ -142,9 +145,9 @@ def _scalar(row: tuple[float, int, float, str], tol: float,
 
 
 def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
-            tol: float, max_terms: int) -> list[tuple[float, int, float, str]]:
+            tol: float, max_terms: int) -> Columns:
     """The series route at the signed order sa over the sorted points ts:
-    (value, terms, bound, status name) at each.
+    the columns (values, terms, bounds, status names).
 
     The checks and the front factor (a-d)^beta are made once, the latter
     first among the numeric work, so that its ValueOverflow comes before any
@@ -164,16 +167,19 @@ def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
         float_power(ts[0] - win.a, sa)
     b, is_int = _beta_kernel_form(pf.beta)
     a, power_series, names = win.a, kernels.power_series, _NAME_FROM_CODE
-    results = []
+    values, terms, bounds, statuses = [], [], [], []
     for t in ts:
-        value, terms, bound, code = power_series(front, b, A, t - a, sa, is_int,
-                                                 tol, max_terms)
-        results.append((value, terms, bound, names[code]))
-    return results
+        value, n, bound, code = power_series(front, b, A, t - a, sa, is_int, tol,
+                                             max_terms)
+        values.append(value)
+        terms.append(n)
+        bounds.append(bound)
+        statuses.append(names[code])
+    return values, terms, bounds, statuses
 
 
 def _centered(pf: PowerFunction, sa: float, ts: list[float],
-              tol: float) -> list[tuple[float, int, float, str]]:
+              tol: float) -> Columns:
     """On the centered window, the one term left of the m + 1, at each of the
     sorted points ts: _closed's value, whose bound is the roundoff of
     Gamma(m+1)/Gamma(m+sa+1) (t-d)^(m+sa) as _closed evaluates it,
@@ -189,28 +195,29 @@ def _centered(pf: PowerFunction, sa: float, ts: list[float],
     """
     m = pf.beta.m
     values = _closed(pf, sa, ts)
+    n = len(values)
     exponent = m + sa
     if kernels.nonpos_int_index(exponent + 1.0) >= 0:
         exact = sa == -1.0
-        return [(value, m + 1, 0.0 if exact else math.inf,
-                 "converged" if exact else "truncated") for value in values]
+        return (values, [m + 1] * n, [0.0 if exact else math.inf] * n,
+                ["converged" if exact else "truncated"] * n)
     ulps = _CENTERED_ULPS + 2.0 * (abs(math.lgamma(m + 1.0))
                                    + abs(math.lgamma(exponent + 1.0)))
     tiny = _TINY * (m + 2.0)
-    d, log, results = pf.d, math.log, []
+    d, log, bounds, statuses = pf.d, math.log, [], []
     for t, value in zip(ts, values):
         x = t - d
         size = abs(value)
         bound = (ulps + (2.0 * abs(exponent * log(x)) if x > 0.0 else 0.0)) \
             * _EPS * size + tiny
-        status = "converged" if bound <= tol * max(1.0, size) else "truncated"
-        results.append((value, m + 1, bound, status))
-    return results
+        bounds.append(bound)
+        statuses.append("converged" if bound <= tol * max(1.0, size)
+                        else "truncated")
+    return values, [m + 1] * n, bounds, statuses
 
 
 def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
-                 ts: list[float], tol: float,
-                 max_terms: int) -> list[tuple[float, int, float, str]]:
+                 ts: list[float], tol: float, max_terms: int) -> Columns:
     """Above the shift, at each of the sorted points ts, with u = t - a,
     w = u/A and z = w/(1+w) = (t-a)/(t-d) < 1/2:
 
@@ -239,21 +246,21 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
     1, as the kernels' pole test has it, with an unknown (inf) bound.
     """
     floor_ulps = (_FLOOR_ULPS + _FLOOR_ULPS_PER_B * abs(b)) * _EPS
-    results = []
     if kernels.nonpos_int_index(1.0 + sa) == 0:
         lead = front * b / A
-        exact = sa == -1.0
+        values = []
         for t in ts:
             value = lead * float_power(1.0 + (t - a) / A, b - 1.0)
             if not abs(value) <= _FLOAT_MAX:
                 raise ValueOverflow(f"f'({t!r}) with beta={b!r} is beyond the "
                                     "float range")
-            if exact:
-                results.append((value, 1, floor_ulps * abs(value) + _TINY,
-                                "converged"))
-            else:
-                results.append((value, 1, math.inf, "truncated"))
-        return results
+            values.append(value)
+        n = len(values)
+        if sa == -1.0:
+            return (values, [1] * n,
+                    [floor_ulps * abs(value) + _TINY for value in values],
+                    ["converged"] * n)
+        return values, [1] * n, [math.inf] * n, ["truncated"] * n
     c = 1.0 + sa
     scale = front / kernels.gamma_value(c)  # > 0
     scale_sa = max(1.0, -sa / c)
@@ -265,10 +272,14 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
     snap = abs(sa) if k_sa >= 0 else abs(b - k_b) if k_b >= 0 else -1.0
     neg_b, ceil_b = -b, math.ceil(b)
     hyp2f1_series, converged = kernels.hyp2f1_series, kernels.STATUS_CONVERGED
+    values, terms, bounds, statuses = [], [], [], []
     for t in ts:
         u = t - a
         if u == 0.0 and sa > 0.0:  # the empty integral
-            results.append((0.0, 0, 0.0, "converged"))
+            values.append(0.0)
+            terms.append(0)
+            bounds.append(0.0)
+            statuses.append("converged")
             continue
         w = u / A
         s = 1.0 + w
@@ -317,8 +328,11 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
             status = "converged"
         else:
             status = "truncated"
-        results.append((value, n, bound, status))
-    return results
+        values.append(value)
+        terms.append(n)
+        bounds.append(bound)
+        statuses.append(status)
+    return values, terms, bounds, statuses
 
 
 def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
@@ -329,7 +343,7 @@ def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
     t = a returns 0 (empty integration interval).  Integer beta >= 0
     terminates naturally after m + 1 terms.
     """
-    return _scalar(_series(pf, win, require_order(alpha), [t], tol, max_terms)[0],
+    return _scalar(_series(pf, win, require_order(alpha), [t], tol, max_terms),
                    tol, "rlfi_series_displaced")
 
 
@@ -343,7 +357,7 @@ def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
     silently returning infinity.  On the centered window the one term left
     carries (t-d)**(m-alpha), which is 0 at t = a for m >= 1.
     """
-    return _scalar(_series(pf, win, -require_order(alpha), [t], tol, max_terms)[0],
+    return _scalar(_series(pf, win, -require_order(alpha), [t], tol, max_terms),
                    tol, "rlfd_series")
 
 

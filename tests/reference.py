@@ -218,7 +218,8 @@ def _neg_integer(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
     _guard_lower_limit(win.a, sa, t)
     value, terms, bound, code = kernels.neg_int_series(
         -pf.beta.m, win.a - pf.d, t - win.a, sa, tol, max_terms)
-    return _scalar((value, terms, bound, _NAME_FROM_CODE[code]), tol, op_name)
+    return _scalar(([value], [terms], [bound], [_NAME_FROM_CODE[code]]), tol,
+                   op_name)
 
 
 def rlfi_neg_integer(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,

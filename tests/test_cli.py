@@ -7,15 +7,19 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rlpower.cli
 import rlpower.hypergeom
 import rlpower.oracle
-from rlpower.cli import EvalRecord, _emit_records, main, run_job
+from rlpower.cli import EvalRecord, JobResult, _emit_records, main, run_job
 
-from reference import parse_csv_records
+from reference import displaced_exact, parse_csv_records
 
 
 def run(capsys, *argv):
@@ -492,13 +496,18 @@ def test_order_one_derivative_at_lower_limit_oracle_is_typed(capsys):
 
 @pytest.mark.parametrize("alpha", ["0.3", "1"])
 def test_oracle_derivative_at_the_shift_is_not_converged(capsys, alpha):
-    # t = d, where f' of (t-1)^(2/3) is infinite: a truncated record, not a
-    # converged value (D^0.3 is -0.63031, and D^1 is infinite)
+    # t = d: D^0.3 of (t-1)^(2/3) folds f into the weight, a converged
+    # -0.63031; f' is infinite there, so D^1 is a truncated record
     code, out, err = run(capsys, "eval", "--op", "D", "--alpha", alpha,
                          "--beta-rational", "2/3", "--d", "1", "--a", "0",
                          "--t", "1", "--route", "oracle", "--format", "csv")
-    assert (code, err) == (2, "")
     rec, = parse_csv_records(out)
+    if alpha == "0.3":
+        assert (code, err, rec.status) == (0, "", "converged")
+        want = displaced_exact(rlpower.beta_rational(2, 3), 1.0, 0.0, -0.3, 1.0)
+        assert abs(rec.value - want) <= rec.remainder
+        return
+    assert (code, err) == (2, "")
     assert rec.status == "truncated"
     assert math.isnan(rec.value)
     assert rec.remainder == math.inf
@@ -569,52 +578,152 @@ _HEADS = (("J", 0.35, "-3/2", -2.5, -1.0),
           ("D", 1.0, "0.45000000000000001", 1e16, 5e-324))
 _SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7,
              0.1, -1.5e300, 2.0 ** 0.5)
+_STATUSES = ("converged", "truncated", "diverged")
+_WRITER_ROUTES = ["closed", "hyp", "oracle", "series"]
 
 
 def _writer_job(head):
-    """One job's records, as the writer takes them: every special float in
-    the value and remainder fields, at every route and status, and every
-    finite one as t, -0.0 next to 0.0 and one t object at two routes."""
+    """One job's columns, as the writer takes them: at every route, every
+    special float as value and as remainder at every status, and every finite
+    one as t, -0.0 next to 0.0."""
+    n = len(_SPECIALS)
     ts = [x for x in _SPECIALS if math.isfinite(x)]
-    return [EvalRecord(*head, ts[i % len(ts)], route, value, 7,
-                       _SPECIALS[-1 - i], status)
-            for i, value in enumerate(_SPECIALS)
-            for route in ("closed", "hyp", "oracle", "series")
-            for status in ("converged", "truncated", "diverged")]
+    points = range(n * len(_STATUSES))
+    columns = [([_SPECIALS[(i + r) % n] for i in points],
+                [7 * i for i in points],
+                [_SPECIALS[-1 - (i + r) % n] for i in points],
+                [_STATUSES[(i // n + r) % len(_STATUSES)] for i in points])
+               for r, _ in enumerate(_WRITER_ROUTES)]
+    return JobResult(head, [ts[i % len(ts)] for i in points], _WRITER_ROUTES,
+                     columns)
 
 
-def _emitted(records, out_format):
+def _emitted(result, out_format):
     stream = io.StringIO()
-    _emit_records(records, types.SimpleNamespace(out_format=out_format), stream)
+    _emit_records(result, types.SimpleNamespace(out_format=out_format), stream)
     return stream.getvalue()
 
 
-def test_jsonl_writer_is_json_dumps_byte_for_byte():
-    for head in _HEADS:
-        records = _writer_job(head)
-        assert _emitted(records, "jsonl") == "".join(json.dumps(vars(r)) + "\n"
-                                                     for r in records)
+def _jsonl_lines(records):
+    return "".join(json.dumps(vars(r)) + "\n" for r in records)
 
 
-def test_csv_writer_is_the_joined_fields_byte_for_byte():
-    for head in _HEADS:
-        records = _writer_job(head)
-        lines = ["op,alpha,beta,d,a,t,route,value,terms,remainder,status"]
-        for r in records:
-            lines.append(",".join(field if isinstance(field, str) else
-                                  str(field) if isinstance(field, int) else
-                                  "%.17g" % field for field in vars(r).values()))
-        assert _emitted(records, "csv") == "".join(line + "\n" for line in lines)
+def _csv_lines(records):
+    lines = ["op,alpha,beta,d,a,t,route,value,terms,remainder,status"]
+    for r in records:
+        lines.append(",".join(field if isinstance(field, str) else
+                              str(field) if isinstance(field, int) else
+                              "%.17g" % field for field in vars(r).values()))
+    return "".join(line + "\n" for line in lines)
 
 
-def test_human_writer_pads_each_field():
-    records = _writer_job(_HEADS[0])
+def _human_lines(records):
     lines = [f"{'t':>14} {'route':>8} {'value':>16} {'terms':>6} "
              f"{'remainder':>12} {'status':>10}"]
     for r in records:
         lines.append(f"{'%.9g' % r.t:>14} {r.route:>8} {'%.9g' % r.value:>16} "
                      f"{r.terms:>6d} {'%.3g' % r.remainder:>12} {r.status:>10}")
-    assert _emitted(records, "human") == "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in lines)
+
+
+_WRITERS = {"jsonl": _jsonl_lines, "csv": _csv_lines, "human": _human_lines}
+
+
+def test_job_result_is_its_records_t_major():
+    # sized and re-iterable: record k is point k // 4 at route k % 4
+    result = _writer_job(_HEADS[1])
+    records = list(result)
+    assert len(result) == len(records) == len(result.ts) * 4
+    assert [vars(r) for r in result] == [vars(r) for r in records]
+    for k, r in enumerate(records):
+        i, j = divmod(k, 4)
+        values, terms, remainders, statuses = result.columns[j]
+        assert type(r) is EvalRecord
+        assert list(map(repr, (r.op, r.alpha, r.beta, r.d, r.a, r.t))) == \
+            list(map(repr, (*result.head, result.ts[i])))
+        assert (r.route, r.terms, r.status) == \
+            (result.routes[j], terms[i], statuses[i])
+        assert r.value is values[i] and r.remainder is remainders[i]
+
+
+def test_jsonl_writer_is_json_dumps_byte_for_byte():
+    for head in _HEADS:
+        result = _writer_job(head)
+        assert _emitted(result, "jsonl") == _jsonl_lines(result)
+
+
+def test_csv_writer_is_the_joined_fields_byte_for_byte():
+    for head in _HEADS:
+        result = _writer_job(head)
+        assert _emitted(result, "csv") == _csv_lines(result)
+
+
+def test_human_writer_pads_each_field():
+    result = _writer_job(_HEADS[0])
+    assert _emitted(result, "human") == _human_lines(result)
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIALS))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _job_results(draw):
+    routes = draw(st.lists(st.sampled_from(_WRITER_ROUTES), min_size=1,
+                           max_size=4, unique=True))
+    n = draw(st.integers(1, 12))
+    head = (draw(st.sampled_from("JD")), draw(_FINITE),
+            draw(st.sampled_from(["2", "-3/2", "0.45000000000000001"])),
+            draw(_FINITE), draw(_FINITE))
+    columns = [(draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+                draw(st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n)),
+                draw(st.lists(_FLOATS, min_size=n, max_size=n)),
+                draw(st.lists(st.sampled_from(_STATUSES), min_size=n, max_size=n)))
+               for _ in routes]
+    ts = draw(st.lists(_FINITE, min_size=n, max_size=n))
+    return JobResult(head, ts, routes, columns)
+
+
+@given(result=_job_results(), chunk=st.integers(1, 5),
+       out_format=st.sampled_from(sorted(_WRITERS)))
+@settings(max_examples=200, deadline=None)
+def test_emitting_a_job_result_is_writing_its_records(result, chunk, out_format):
+    # small chunks, so that a job spans several
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rlpower.cli, "_CHUNK", chunk)
+        assert _emitted(result, out_format) == _WRITERS[out_format](result)
+
+
+class _Sink:
+    """A stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+def test_the_writer_streams_a_job_in_chunks():
+    # a 2 000-point, two-route jsonl job writes about 0.78 MB, and its text
+    # joined whole would peak near 1.8 MB; a chunk of points at a time peaks
+    # near 0.33 MB
+    n = 2000
+    ts = [1.0 + i / n for i in range(n)]
+    columns = [([math.sqrt(t) / 3.0 for t in ts], list(range(n)),
+                [t * 1e-17 for t in ts], ["converged"] * n)
+               for _ in range(2)]
+    result = JobResult(("J", 0.35, "-3/2", -2.5, -1.0), ts, ["hyp", "series"],
+                       columns)
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        _emit_records(result, types.SimpleNamespace(out_format="jsonl"), sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 700_000
+    assert peak < 400_000, (peak, sink.size)
 
 
 _ROUTE_SETS = {

@@ -28,8 +28,8 @@ PLACEMENTS = (
 
 def _bits(x):
     """The bits of a value; a series result is a scalar entry's SeriesResult
-    or a body's (value, terms, bound, status name), and both give the same
-    bits."""
+    or a point of a body's columns (value, terms, bound, status name), and
+    both give the same bits."""
     if isinstance(x, rl.SeriesResult):
         x = (x.value, x.terms_used, x.remainder_bound, x.status.value)
     if isinstance(x, tuple):
@@ -80,8 +80,8 @@ def test_scalar_entries_are_the_one_point_grid(d, a, beta, alpha, op):
     series_entry = rl.rlfi_series_displaced if integral else rl.rlfd_series
     hyp_entry = rl.rlfi_hyp_form if integral else rl.rlfd_hyp_form
     cases = (
-        (series_entry, lambda xs: series._series(pf, win, sa, xs, series.DEFAULT_TOL,
-                                                 series.DEFAULT_MAX_TERMS)),
+        (series_entry, lambda xs: zip(*series._series(
+            pf, win, sa, xs, series.DEFAULT_TOL, series.DEFAULT_MAX_TERMS))),
         (hyp_entry, lambda xs: hypergeom._hyp_form(pf, win, sa, xs)),
     )
     for entry, body in cases:

@@ -421,10 +421,48 @@ def test_quad_rlfd_random_displaced_cells(backend, monkeypatch,
 @pytest.mark.parametrize("beta", [rl.beta_rational(2, 3), rl.beta_rational(4, 3)])
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.999999, 1.0])
 def test_quad_rlfd_fractional_exponent_at_the_shift_is_not_a_value(beta, alpha):
-    # (x-1)^(2/3) has f' infinite at t = d = 1, and (x-1)^(4/3) a divided
-    # difference that no panel resolves at orders near 1: no value
-    with pytest.raises(ToleranceNotMet):
-        rl.quad_rlfd(rl.power_function(1.0, beta), 0.0, alpha, 1.0)
+    # at t = d = 1, f(x) = (1-x)^beta folds into the weight while beta >
+    # alpha, and f'(1) = 0 of (x-1)^(4/3) is D^1; for beta <= alpha the
+    # Marchaud integral diverges, and (x-1)^(2/3) has f' infinite: no value
+    pf = rl.power_function(1.0, beta)
+    if beta_value(beta) <= alpha:
+        with pytest.raises(ToleranceNotMet):
+            rl.quad_rlfd(pf, 0.0, alpha, 1.0)
+        return
+    got = rl.quad_rlfd(pf, 0.0, alpha, 1.0)
+    want = 0.0 if alpha == 1.0 else displaced_exact(beta, 1.0, 0.0, -alpha, 1.0)
+    assert abs(got.value - want) <= got.error_estimate
+    assert got.error_estimate <= 1e-13 * max(1.0, abs(got.value))
+
+
+def _shift_cells(n, seed):
+    # D at t = d of (x-d)^(p/q), p even, with beta > alpha: orders from
+    # 1e-6 to next to 1 and next to beta, t - a from 1e-3 to 1e3
+    rng = random.Random(seed)
+    cells = []
+    while len(cells) < n:
+        q = rng.choice([3, 5, 7, 9, 15, 101])
+        beta = rl.beta_rational(2 * rng.randint(1, 15 * q), q)
+        b = beta_value(beta)
+        alpha = rng.choice([10 ** rng.uniform(-6, -1), 1 - 10 ** rng.uniform(-9, -1),
+                            b * (1 - 10 ** rng.uniform(-12, -1)), rng.random()])
+        if isinstance(beta, RationalExp) and 0.0 < alpha < min(b, 1.0):
+            d = rng.uniform(-5.0, 5.0)
+            cells.append((beta, d, d - 10 ** rng.uniform(-3, 3), alpha))
+    return cells
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_quad_rlfd_at_the_shift_folds_f_into_the_weight(backend, monkeypatch,
+                                                       compiled_kernels):
+    # -alpha (t-a)^(beta-alpha) / ((beta-alpha) Gamma(1-alpha)) within its
+    # estimate; 6 000 such cells needed at most 0.09 of it
+    monkeypatch.setattr(oracle, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    for beta, d, a, alpha in _shift_cells(200, 17):
+        got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, d)
+        ref = displaced_exact(beta, d, a, -alpha, d)
+        assert abs(got.value - ref) <= got.error_estimate, (beta, d, a, alpha)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])

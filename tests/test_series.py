@@ -309,9 +309,9 @@ def test_centered_series_lies_within_its_bound(centered_probes, backend,
                         _kernels_py if backend == "pure" else compiled_kernels)
     checked = 0
     for pf, sa, ts, refs in centered_probes:
-        rows = series._series(pf, rl.make_window(pf.d, pf), sa, ts,
-                              series.DEFAULT_TOL, series.DEFAULT_MAX_TERMS)
-        for t, ref, (value, terms, bound, status) in zip(ts, refs, rows):
+        columns = series._series(pf, rl.make_window(pf.d, pf), sa, ts,
+                                 series.DEFAULT_TOL, series.DEFAULT_MAX_TERMS)
+        for t, ref, value, terms, bound, status in zip(ts, refs, *columns):
             assert (terms, status) == (pf.beta.m + 1, "converged")
             assert abs(mp.mpf(value) - ref) <= bound, (pf, sa, t, value, bound)
             checked += 1
