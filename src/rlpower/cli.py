@@ -29,11 +29,7 @@ from .domain import (
     require_order,
     require_points,
 )
-from .errors import (
-    HypNotConverged,
-    RLPowerError,
-    ToleranceNotMet,
-)
+from .errors import HypNotConverged, RLPowerError
 
 _MACHINE_FMT = "%.17g"
 
@@ -350,10 +346,9 @@ def _job_from(values: dict) -> JobSpec:
 def _route_values(job: JobSpec, pf, win, sa: float, route: str,
                   ts: list[float]) -> series.Columns:
     """The columns (values, terms, remainders, statuses) over the sorted
-    points ts on one route, at the signed order sa.  The series, hyp and
-    closed routes evaluate ts in one call of their body, the oracle point by
-    point; a convergence failure becomes a truncated record with no value
-    and an infinite remainder."""
+    points ts on one route, at the signed order sa.  Each route evaluates ts
+    in one call of its body; a convergence failure becomes a truncated
+    record with no value and an infinite remainder."""
     if route == "series":
         return series._series(pf, win, sa, ts, job.tol, job.max_terms)
     n = len(ts)
@@ -370,16 +365,7 @@ def _route_values(job: JobSpec, pf, win, sa: float, route: str,
             points = [_route_values(job, pf, win, sa, route, [t]) for t in ts]
             # the points' one-entry columns, joined column by column
             return tuple([one[0] for one in column] for column in zip(*points))
-    fn = oracle.quad_rlfi if job.op == "J" else oracle.quad_rlfd
-    values, remainders, statuses = [], [], ["converged"] * n
-    for i, t in enumerate(ts):
-        try:
-            value, remainder = fn(pf, job.a, job.alpha, t, job.quad_tol)
-        except ToleranceNotMet:
-            value, remainder, statuses[i] = math.nan, math.inf, "truncated"
-        values.append(value)
-        remainders.append(remainder)
-    return values, [0] * n, remainders, statuses
+    return oracle._quad(pf, job.a, job.alpha, ts, job.quad_tol, job.op == "D")
 
 
 def run_job(job: JobSpec) -> JobResult:

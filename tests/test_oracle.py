@@ -1,7 +1,8 @@
-"""Quadrature oracle: substitution correctness, the derivative in the
-Marchaud form and its estimate against 40-digit mpmath on both backends,
-the log case, and the Chebyshev product rules: their moments, nodes and
-proven bounds on window cells."""
+"""Quadrature oracle: substitution correctness, the derivative (the Caputo
+split on product rules, the Marchaud form on adaptive panels) and its
+estimate against 40-digit mpmath on both backends, the log case, the
+Chebyshev product rules (their moments, nodes and proven bounds on window
+cells) and the route body over a grid against the one-point entries."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import time
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rlpower as rl
 from rlpower import _kernels_py, oracle
@@ -382,9 +385,11 @@ def test_quad_rlfd_shift_inside_interval(inside, backend, monkeypatch,
         assert abs(got.value - ref) <= got.error_estimate, (beta, d, alpha)
 
 
-def _random_cells(count, seed):
+def _random_cells(count, seed, window=True):
     """Displaced cells of every exponent class on either side of the shift,
-    orders from 1e-4 to 0.99999 and window fractions from 1e-6 to 0.999."""
+    orders from 1e-4 to 0.99999 and window fractions from 1e-6 to 0.999;
+    without `window`, t reaches 0.999 of the way to a shift above a, and 4
+    gaps above a shift below a."""
     rng = random.Random(seed)
     cells = []
     while len(cells) < count:
@@ -400,8 +405,9 @@ def _random_cells(count, seed):
         below = rl.power_function(d, beta).contains(d - gap) and rng.random() < 0.5
         a = d - gap if below else d + gap
         alpha = min(0.99999, math.exp(rng.uniform(math.log(1e-4), 0.0)))
-        frac = math.exp(rng.uniform(math.log(1e-6), math.log(0.999)))
-        t = a + frac * (gap / 2.0 if below else gap)
+        frac = math.exp(rng.uniform(math.log(1e-6),
+                                    math.log(0.999 if window or below else 4.0)))
+        t = a + frac * (gap / 2.0 if below and window else gap)
         if t > a:
             cells.append((beta, d, a, alpha, t))
     return cells
@@ -416,6 +422,27 @@ def test_quad_rlfd_random_displaced_cells(backend, monkeypatch,
         got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
         ref = displaced_exact(beta, d, a, -alpha, t)
         assert abs(got.value - ref) <= got.error_estimate, (beta, d, a, alpha, t)
+
+
+@pytest.fixture(scope="module")
+def unwindowed():
+    return [(cell, displaced_exact(cell[0], cell[1], cell[2], -cell[3], cell[4]))
+            for cell in _random_cells(300, 23, window=False)]
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_quad_rlfd_random_cells_without_a_window(unwindowed, backend,
+                                                 monkeypatch, compiled_kernels):
+    # beyond the series window too each value lies within its estimate, and
+    # the estimate within 1e-11 of max(1, |value|).  The Caputo split with
+    # its head at f(a) cancels at small orders where f(a) is far from f(t):
+    # on 3 000 random cells of this kind its estimates reached 2.2e-9
+    monkeypatch.setattr(oracle, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    for (beta, d, a, alpha, t), ref in unwindowed:
+        got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
+        assert abs(got.value - ref) <= got.error_estimate, (beta, d, a, alpha, t)
+        assert got.error_estimate <= 1e-11 * max(1.0, abs(ref)), (beta, d, a, alpha, t)
 
 
 @pytest.mark.parametrize("beta", [rl.beta_rational(2, 3), rl.beta_rational(4, 3)])
@@ -564,6 +591,31 @@ def test_rule_moments_match_mpmath(order):
             assert abs(got - shifted[k]) <= 1e-15 * size, k
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 1.0 - 1e-3])
+def test_lifted_rule_moments_match_mpmath(alpha):
+    # the derivative's rule integrates T_k exactly against the lifted weight
+    # (1-y)^-alpha - 2^-alpha, k <= n: its moments are those of (1-y)^-alpha
+    # less 2^-alpha integral T_k = 2/(1-k^2) for even k.  They are about
+    # alpha in size, so a rule of order fl(1 - alpha) would miss them by
+    # eps/alpha of it
+    n = 48
+    rule = oracle._rule(alpha, n, True)
+    with mp.workdps(60):
+        a = mp.mpf(alpha)
+        moments = [2 ** (1 - a) * mp.fsum(
+            mp.rf(-k, j) * mp.rf(k, j)
+            / (mp.rf(mp.mpf(1) / 2, j) * mp.factorial(j) * (j + 1 - a))
+            for j in range(k + 1))
+            - (2 ** -a * 2 / (1 - k * k) if k % 2 == 0 else 0)
+            for k in range(n + 1)]
+        size = max(abs(m) for m in moments)
+        assert moments[0] == pytest.approx(2 ** (1 - alpha) * alpha / (1 - alpha))
+        for k in range(n + 1):
+            got = mp.fsum(mp.mpf(w) * mp.cos(mp.pi * j * k / n)
+                          for j, (_, _, w) in enumerate(rule))
+            assert abs(got - moments[k]) <= 1e-15 * size, k
+
+
 @pytest.mark.parametrize("n", oracle._RULE_SIZES)
 def test_rule_nodes_are_the_chebyshev_points(n):
     rule = oracle._rule(0.5, n)
@@ -651,3 +703,71 @@ def test_quad_rlfi_at_the_shift_folds_f_into_the_weight(beta, alpha):
     ref = displaced_exact(beta, 1.0, 0.0, alpha, 1.0)
     assert abs(got.value - ref) <= got.error_estimate
     assert got.error_estimate <= 1e-14 * abs(got.value)
+
+
+def _one_point(quad, pf, a, alpha, t):
+    # a one-point entry's result as the body's column entries, ToleranceNotMet
+    # as a truncated point
+    try:
+        value, estimate = quad(pf, a, alpha, t)
+    except ToleranceNotMet:
+        return math.nan, 0, math.inf, "truncated"
+    return value, 0, estimate, "converged"
+
+
+# exponents of every class; with the shift above a, 2/3 and 4/3 reach the
+# shift's fold and the adaptive panels beyond it, 2/3 at orders above 2/3
+# the fold's ToleranceNotMet, and the rest a domain or pole error there
+_GRID_BETAS = (rl.beta_int(-3), rl.beta_int(0), rl.beta_int(2),
+               rl.beta_rational(2, 3), rl.beta_rational(4, 3),
+               rl.beta_rational(-5, 3), rl.beta_real(0.45), rl.beta_real(-1.5))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(op=st.sampled_from("JD"), beta=st.sampled_from(_GRID_BETAS),
+       side=st.sampled_from((-1.0, 0.0, 1.0)),
+       alpha=st.one_of(st.sampled_from((0.0, 0.9, 1.0)), st.floats(1e-3, 1.0)),
+       fracs=st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 3.0)),
+                      min_size=1, max_size=6))
+# the shift's fold, its ToleranceNotMet, the adaptive panels and t = a
+@example(op="D", beta=rl.beta_rational(2, 3), side=-1.0, alpha=0.9,
+         fracs=[0.5, 1.0, 2.0])
+@example(op="D", beta=rl.beta_rational(4, 3), side=-1.0, alpha=0.3,
+         fracs=[0.5, 1.0, 2.5])
+@example(op="D", beta=rl.beta_rational(4, 3), side=-1.0, alpha=0.3,
+         fracs=[1.0, 0.0])
+@example(op="J", beta=rl.beta_rational(2, 3), side=-1.0, alpha=0.3,
+         fracs=[0.0, 0.5, 1.0, 2.0])
+@example(op="D", beta=rl.beta_int(2), side=0.0, alpha=0.5, fracs=[0.5, 1.0])
+def test_route_body_is_the_one_point_entries(compiled_kernels, op, beta, side,
+                                             alpha, fracs):
+    # the body over a sorted grid returns, bit for bit, what quad_rlfi or
+    # quad_rlfd returns at each point, and raises the error of the first
+    # point that raises one other than ToleranceNotMet
+    d, gap = 0.25, 0.75
+    a = d + side * gap
+    ts = sorted(a + frac * gap for frac in fracs)
+    pf = rl.power_function(d, beta)
+    quad = rl.quad_rlfd if op == "D" else rl.quad_rlfi
+    saved = oracle.kernels
+    try:
+        for kernels in (_kernels_py, compiled_kernels):
+            oracle.kernels = kernels
+            try:
+                columns = oracle._quad(pf, a, alpha, ts, oracle.DEFAULT_TOL,
+                                       op == "D")
+            except (rl.RLPowerError, ValueError) as exc:
+                for t in ts:
+                    try:
+                        _one_point(quad, pf, a, alpha, t)
+                    except (rl.RLPowerError, ValueError) as first:
+                        assert (type(first), str(first)) == (type(exc), str(exc))
+                        break
+                else:
+                    raise AssertionError(f"the body raised {exc!r}, no point did")
+                continue
+            points = [_one_point(quad, pf, a, alpha, t) for t in ts]
+            assert [tuple(map(repr, row)) for row in zip(*columns)] == \
+                [tuple(map(repr, row)) for row in points]
+    finally:
+        oracle.kernels = saved
