@@ -219,7 +219,7 @@ def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     lower.add_argument("--dplus", type=_finite_float, metavar="EPS",
                        help="lower limit at d + EPS")
     lower.add_argument("--centered", action="store_true",
-                       help="lower limit at d (polynomial/closed routes)")
+                       help="lower limit at d (series/closed/oracle routes)")
     p.add_argument("--t", help="evaluation point or start:stop:num grid")
     p.add_argument("--route", help="comma list from series,hyp,oracle,closed")
     p.add_argument("--tol", type=_finite_float, help="series tolerance")

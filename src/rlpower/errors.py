@@ -71,6 +71,6 @@ class PoleInsideInterval(RLPowerError, ValueError):
 
 
 class ToleranceNotMet(RLPowerError, ArithmeticError):
-    """Adaptive quadrature exhausted its depth budget above tolerance, or
-    met an integrand no panel resolves (the oracle's derivative at t = d of
-    a fractional exponent)."""
+    """The quadrature oracle met an integral it cannot bound: the derivative
+    at t = d with beta <= alpha, where f' is not integrable, or a panel
+    halved down to the float resolution."""

@@ -102,7 +102,7 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
     if A == 0.0:  # the centered window
         raise WindowViolation(
             "hypergeometric forms need a displaced lower limit (a != d); "
-            "use the polynomial or closed centered routes at the shift")
+            "use the series, closed or oracle routes at the shift")
     beta = beta_value(pf.beta)
     c = 1.0 + sa
     if kernels.nonpos_int_index(c) == 0:

@@ -7,55 +7,32 @@ The fractional integral is computed from its definition,
 
 and the fractional derivative from one head term and a body,
 
-    D^alpha f(t) = f(t) (t-a)^-alpha / Gamma(1-alpha) + body / Gamma(1-alpha).
-
-Where f = (x-d)^beta is analytic on [a, t] (the shift outside [a, t], or a
-non-negative integer beta) the body is the Caputo split's integral of f'
-(Samko, Kilbas and Marichev, Fractional Integrals and Derivatives, 1993,
-for f in C^1[a, t]) with (t-a)^-alpha (f(t) - f(a)) moved into the head,
-
+    D^alpha f(t) = f(t) (t-a)^-alpha / Gamma(1-alpha) + body / Gamma(1-alpha),
     body = integral_a^t ((t-x)^-alpha - (t-a)^-alpha) f'(x) dx,
 
-whose weight vanishes at x = a: head and body cancel no more than in the
-Marchaud form below, where the split from f(a) loses up to five digits at
-small orders.  Elsewhere the body is the Marchaud form's (section 13),
+the Caputo split (Samko, Kilbas and Marichev, Fractional Integrals and
+Derivatives, 1993) with (t-a)^-alpha (f(t) - f(a)) moved into the head.  Its
+weight vanishes at x = a, so head and body cancel no more than D itself
+does; the split from f(a) loses up to five digits at small orders.  It
+holds wherever f' is integrable on [a, t]: with the shift outside, and for
+a positive beta with the shift at a or inside.
 
-    body = alpha * integral_a^t (f(t) - f(x)) / (t-x)^(1+alpha) dx,
-
-which needs no f' and so holds with the shift at a or inside [a, t] as
-well: the divided difference (f(t) - f(x)) / (t-x) against the weight
-(t-x)^-alpha.  Integrating it by parts gives the other body.
-
-On the analytic path both integrals are product integration on Chebyshev
-points, as in QUADPACK's QAWS (Piessens et al., 1983).  With
-x = a + (t-a)(1+y)/2 the weight is (1-y)^(order-1), order alpha for J,
-and (1-y)^-alpha - 2^-alpha for D; the rule of size n in {16, 24, 32, 48}
-integrates it exactly against the degree-n interpolant of the integrand at
-the n+1 Chebyshev-Lobatto points.  Its weights come from the modified
-moments of the weight (dqmomo's recurrence), built once per (alpha, n) in
-fixed-point integer arithmetic to about 42 digits and cached.  The
-interpolant's error is proven (Trefethen, Approximation Theory and
-Approximation Practice, Thm 8.2): the integrand is analytic inside the
-Bernstein ellipse of [a, t] that passes through the shift, and on a
-slightly smaller one its modulus has a closed-form maximum at a vertex, so
-the tail is M_0 4 M rho^-n / (rho - 1), M_0 the weight's mass.  The
-smallest size whose tail plus a roundoff floor meets the tolerance is
-used, and the error estimate is that tail plus floor.  At t = d the
-integral's f is (t-x)^beta up to sign, which folds into the weight: J is
-then exact up to the floor.
-
-Elsewhere (a fractional beta with the shift inside or next to [a, t],
-where no size meets the tolerance) the integrals fall back to adaptive
-Gauss-Kronrod 15(7) panels under global error control, after the
-substitution s = (t-x)^order that absorbs the endpoint weight: the panel
-with the largest |K15 - G7| is halved until the summed error meets the
-tolerance relative to the running integral of |f|.  There the error is an
-estimate, not a bound.  At a small order nearly all of the s-range maps to
-x next to t, so the range is first cut where x = t - (t-a) e^-40 and where
-x = a + (t-a)/2; nodes in the upper half of the range are placed by their
-distance from its top, so x next to a keeps the digits that s^(1/order)
-would lose there.  Every estimate adds a roundoff floor measured against
-40-digit mpmath.
+Both integrals are product integration on Chebyshev points, as in
+QUADPACK's QAWS (Piessens et al., 1983), the only quadrature here: on a
+panel a rule of size n in {16, 24, 32, 48}, built from the moments of a
+weight with a singular point at one end (dqmomo's recurrence, in fixed
+point, cached per (order, n, lifted)), integrates that weight exactly
+against the degree-n interpolant of the rest at the Chebyshev-Lobatto
+points.  The rest is analytic inside the Bernstein ellipses that avoid the
+singular points beyond the panel, with a closed-form bound M on each, so
+the interpolant's error is proven (Trefethen, Approximation Theory and
+Approximation Practice, Thm 8.2): the tail is M_0 4 M rho^-n / (rho - 1),
+M_0 the weight's mass.  A panel takes the smallest n whose tail meets tol
+times its magnitude; a value's bound is its tails plus a roundoff floor.
+[a, t] is first one panel with its weight at t (_by_rule), which serves
+every cell where f is analytic on [a, t] away from the shift; elsewhere
+the panels are graded toward t and the shift (_graded).  At t = d, f is
+(t-x)^beta up to sign and folds into the weight.
 
 The route body _quad evaluates a job's sorted points: the checks, the
 gamma factors and the rule's parameters are made once per job, and each
@@ -66,10 +43,7 @@ one point, and raise ToleranceNotMet where the body truncates the point.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 import math
-import sys
 from typing import Callable, NamedTuple
 
 from ._backend import kernels
@@ -79,60 +53,11 @@ from .errors import (EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet,
                      ValueOverflow)
 from .series import Columns
 
-# Gauss-Kronrod 15-point nodes and weights on [-1, 1] (QUADPACK dqk15).
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
-
 DEFAULT_TOL = 1e-11
-MAX_DEPTH = 60
-# an integrand whose rounding noise stays above the tolerance is halved
-# everywhere at once; this many panels end it (the cells measured need
-# at most about 120)
-MAX_PANELS = 10000
 # how close the shift may come to [a, t] before a negative exponent's pole
 # counts as inside the interval
 SPLIT_GUARD = 1e-12
 _TOL_FLOOR = 100.0 * math.ulp(1.0)
-# at a small order the s-range is cut where x = t - (t-a) e^-_TAIL_LOGS,
-# below which f is constant to rounding, and where x = a + (t-a)/2; not at
-# orders where the first cut falls in the bottom _TAIL_MIN of the range,
-# which a whole-range panel resolves
-_TAIL_LOGS = 40.0
-_TAIL_MIN = 1e-3
-_LN2 = math.log(2.0)
-# roundoff floor of an estimate, in ulps of the magnitude summed, plus |beta|
-# ulps for the rounding of the offsets from the shift.  Measured against
-# 40-digit mpmath: J on 21 000 random displaced cells needed 10.2 ulps (beta
-# = 0, where the panels are exact), D on 20 000 random displaced cells and
-# on shifts at and inside [a, t] 5.4 + |beta|
-_FLOOR_ULPS = 16.0
-# below r = _LIMIT |t - d| the derivative's divided difference is its limit
-_LIMIT = 1e-8
 # sizes n of the Chebyshev product rules, smallest first
 _RULE_SIZES = (16, 24, 32, 48)
 
@@ -140,142 +65,6 @@ _RULE_SIZES = (16, 24, 32, 48)
 class QuadEstimate(NamedTuple):
     value: float
     error_estimate: float
-
-
-def _gk15(f: Callable[[float], float], lo: float,
-          hi: float) -> tuple[float, float, float]:
-    """Kronrod value, |K15 - G7| error estimate and Kronrod sum of |f| on one
-    panel."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    fk = 0.0
-    fg = 0.0
-    fa = 0.0
-    for i in range(7):
-        x = half * _XGK[i]
-        f1 = f(mid - x)
-        f2 = f(mid + x)
-        v = f1 + f2
-        fk += _WGK[i] * v
-        fa += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            fg += _WG[(i - 1) // 2] * v
-    fc = f(mid)
-    fk += _WGK[7] * fc
-    fa += _WGK[7] * abs(fc)
-    fg += _WG[3] * fc
-    return fk * half, abs(fk - fg) * abs(half), fa * abs(half)
-
-
-def _fsum(terms) -> float:
-    # math.fsum, with inf for a sum beyond the float range and nan for
-    # inf - inf, as plain addition has them, for the callers' finiteness check
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
-    except ValueError:
-        return math.nan
-
-
-def _adaptive(pieces: list[tuple[Callable[[float], float], list[float]]],
-              tol: float) -> tuple[float, float, float]:
-    """Sum of the integrals of f over [cuts[0], cuts[-1]] for each (f, cuts)
-    piece, its error estimate and the integral of |f|.
-
-    Each interval between cuts starts as one panel; the panel with the
-    largest error is halved until the summed error is at most tol times the
-    running integral of |f| (or the float range's floor times the width).
-    Halving a panel already MAX_DEPTH levels deep, or past MAX_PANELS
-    panels, raises ToleranceNotMet.
-    """
-    seq = itertools.count()  # breaks ties between equal errors
-    heap = []
-    width = 0.0
-    for f, cuts in pieces:
-        width += cuts[-1] - cuts[0]
-        for lo, hi in zip(cuts, cuts[1:]):
-            val, err, mag = _gk15(f, lo, hi)
-            heap.append((-err, next(seq), f, lo, hi, val, mag, 0))
-    heapq.heapify(heap)
-    magnitude = _fsum(p[6] for p in heap)
-    error = _fsum(-p[0] for p in heap)
-    floor = width * sys.float_info.min
-    while error > max(tol * magnitude, floor):
-        neg_err, _, f, lo, hi, val, mag, depth = heapq.heappop(heap)
-        if depth >= MAX_DEPTH or len(heap) >= MAX_PANELS:
-            raise ToleranceNotMet(
-                f"panel [{lo!r}, {hi!r}] still at error {-neg_err:.3e} "
-                f"at depth {depth} of {len(heap) + 1} panels")
-        mid = 0.5 * (lo + hi)
-        v1, e1, m1 = _gk15(f, lo, mid)
-        v2, e2, m2 = _gk15(f, mid, hi)
-        heapq.heappush(heap, (-e1, next(seq), f, lo, mid, v1, m1, depth + 1))
-        heapq.heappush(heap, (-e2, next(seq), f, mid, hi, v2, m2, depth + 1))
-        magnitude += m1 + m2 - mag
-        if -neg_err > 0.5 * error:
-            # most of the sum just left it: add the rest up again rather
-            # than trust the difference
-            error = _fsum(-p[0] for p in heap)
-        else:
-            error += e1 + e2 + neg_err
-    return (_fsum(p[5] for p in heap), _fsum(-p[0] for p in heap),
-            _fsum(p[6] for p in heap))
-
-
-def _substituted(f: Callable[[float], float], lo: float, hi: float, u: float,
-                 order: float, tol: float,
-                 mirror: bool = False) -> tuple[float, float, float]:
-    """integral_0^(u**order) f(y) ds at the offset y = hi - s**(1/order) from
-    the shift, u = hi - lo, with _adaptive's error and magnitude: for
-    f(y) = y**beta, Gamma(order+1) times the order-`order` integral from lo
-    to hi.  The range is cut at the shift when it lies inside (lo, hi), and
-    with `mirror` a shift above hi, closer to it than u, cuts it at y = 2 hi:
-    an integrand that varies on the scale |hi| in hi - y, as the
-    derivative's divided difference does, turns there from its value next
-    to hi to its decay.
-
-    The integrand works in offsets y = x - d from the shift: x = t - s**inv
-    itself would round to a staircase where |d| is large next to t - a.  The
-    lower half of the s-range (x next to t) runs over s, and the upper half
-    over sigma = u**order - s, the distance from the top, with t - x = u e^w
-    and x - a = -u expm1(w) for w = log1p(-sigma/u**order)/order: s**(1/order)
-    would lose 1/order digits next to x = a, and sigma loses them next to t.
-    """
-    inv = 1.0 / order
-    span = u ** order
-    half = 0.5 * span
-
-    # both halves stay in [lo, hi]: t - x is at most u/2 in the lower one and
-    # at least u/2 in the upper one
-    def near_t(s: float) -> float:
-        return f(hi - s ** inv)
-
-    def near_a(sigma: float) -> float:
-        # sigma = 0 is x = a, where log1p(0) * inv is NaN at an order so
-        # small that inv is inf
-        w = math.log1p(-sigma / span) * inv if sigma else 0.0
-        # the nearer end gives y its full precision
-        return f(lo - u * math.expm1(w) if w > -_LN2 else hi - u * math.exp(w))
-
-    # the cuts as log((t-x)/u)
-    logs = []
-    # f varies on the scale |hi| next to t: go that much further in
-    tail = _TAIL_LOGS + math.log(u / abs(hi)) if u > abs(hi) > 0.0 else _TAIL_LOGS
-    if math.exp(-tail * order) > _TAIL_MIN:
-        logs += [-tail, -_LN2]
-    if lo < 0.0 < hi or (mirror and 0.0 < -hi < u):
-        # f is not smooth at the shift: no panel may straddle it, nor, with
-        # mirror, the point as far below t as the shift is above it
-        logs.append(math.log(abs(hi) / u))
-    t_cuts, a_cuts = [0.0, half], [0.0, half]
-    for log in logs:
-        s = span * math.exp(order * log)
-        if s < half:
-            t_cuts.append(s)
-        else:
-            a_cuts.append(-span * math.expm1(order * log))
-    return _adaptive([(near_t, sorted(t_cuts)), (near_a, sorted(a_cuts))], tol)
 
 
 # The rules are built in fixed point: integers in units of 2^-_BITS, about
@@ -386,15 +175,11 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
 
     g(x) is x^e, or x^power / x where power = e + 1: f' = beta f/x of a
     fractional beta, where the rounding of beta - 1 would move g by ln|x|
-    times its ulp.  An integer e takes x^e with its sign;
-    a fractional one needs every offset on one side of the shift, and with
-    flip = -1 (below it) takes (-x)^e, so that x^e's sign goes into scale.
-    On a Bernstein ellipse E_rho of [a, t] for every rho below the one that
-    passes through the shift, |g| is at most |x-d|^e, and Trefethen's ATAP
-    Thm 8.2 bounds the interpolant's error by 4 M rho^-n / (rho - 1), M
-    that majorant's largest value on E_rho, at its near vertex for e < 0
-    and at its far one otherwise, times the weight's mass.  A polynomial of
-    at most degree n is integrated exactly.
+    times its ulp.  An integer e takes x^e with its sign; a fractional one
+    needs every offset on one side of the shift, and with flip = -1 (below
+    it) takes (-x)^e, so that x^e's sign goes into scale.  The tail is
+    _tail's for the one power |x-d|^e; a polynomial of at most degree n is
+    integrated exactly.
     """
     alpha, lifted, e, power, degree, mass, floor, flip = rule
     divided = power != e
@@ -467,9 +252,215 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
             if bound <= need:
                 return value, bound + floor * magnitude
     except OverflowError:
-        # a power beyond the float range: the adaptive quadrature reports it
+        # a power beyond the float range: the graded panels report it
         pass
     return None
+
+
+def _tail(front: float, n: int, u: float, powers, smooth: bool) -> float:
+    """The tail 4 |scale| mass M rho^-n / (rho - 1) of the size-n rule on a
+    panel of width u, front the log of its first factors, where the rest of
+    the integrand is the product of |x-s|^e over (yd, rho_d, e) in powers,
+    s yd > 1 half-widths from the middle, on the ellipse E_rho_d.  rho is
+    the smallest of rho_d / (1 - e/n) (near the best for e < 0) and rho_d;
+    on E_rho |x-s|^e is largest at the vertex nearest s for e < 0, (u/2)
+    (rho_d - rho) (1 - 1/(rho rho_d)) / 2 from it, else at the farthest.
+    `smooth` adds the factor A + 1, A = (rho + 1/rho)/2: E_rho reaches
+    (u/2) (A + 1) from an end of the panel."""
+    rho = min((rho_d / (1.0 - e / n) if e < 0.0 else rho_d
+               for _, rho_d, e in powers), default=math.inf)
+    if rho <= 1.0:
+        return math.inf
+    vertex = 0.5 * (rho + 1.0 / rho)
+    log_m = math.log(vertex + 1.0) if smooth else 0.0
+    for yd, rho_d, e in powers:
+        # in half-widths, whose log keeps a subnormal width's distances
+        dist = 0.5 * (rho_d - rho) * (1.0 - 1.0 / (rho * rho_d)) if e < 0.0 \
+            else yd + vertex
+        if not dist > 0.0:
+            return math.inf
+        log_m += e * (math.log(dist) + math.log(u) - math.log(2.0))
+    return math.exp(min(front + log_m - n * math.log(rho) - math.log(rho - 1.0),
+                        709.0))
+
+
+def _graded(beta: BetaIndex, alpha: float, lo: float, hi: float, u: float,
+            gamma: float, rule: tuple, tol: float) -> tuple[float, float]:
+    """J^alpha (gamma = Gamma(alpha)) or D^alpha (gamma = Gamma(1-alpha)) of
+    f on graded panels, at the offsets lo = a - d and hi = t - d != 0 from
+    the shift, u = t - a: the value and its bound, inf beyond the float
+    range.  rule is the job's _rule_of.  [a, t] is split at the shift when
+    it lies inside; a panel is halved while it holds the shift and t at its
+    ends, one of them lies closer to it than its width, or its tail misses
+    tol times its magnitude, and ToleranceNotMet ends it at the float
+    resolution.  Its weight sits at t, else at the shift (|x-d|^beta of f,
+    or f''s |x-d|^(beta-1)), else nowhere.  On [x0, x1] D's weight is
+    (t-x)^-alpha - (t-x0)^-alpha, lifted at t and a factor of the rest
+    elsewhere, plus the constant (t-x0)^-alpha - (t-a)^-alpha against
+    f(x1) - f(x0) in closed form.  Cancellation is met as in _by_rule."""
+    _, derivative, e, power, _, _, floor, _ = rule
+    b = beta_value(beta)
+    # f(x) = below |x-d|^beta under the shift
+    below = branch_power(-1.0, beta) if lo < 0.0 else 1.0
+    # the rounding of a rational beta, which |x-d|^beta magnifies by ln|x-d|
+    num, den = b.as_integer_ratio()
+    slack = abs(num * beta.q - beta.p * den) / (den * beta.q) \
+        if isinstance(beta, RationalExp) else 0.0
+
+    def panel(x0: float, x1: float, w: float, at_d: bool, tol: float):
+        up = x1 > 0.0
+        sign = (1.0 if up else below) / gamma
+        if derivative:
+            sign *= b if up else -b
+        # the weight's end and the other one, and the distances of a node
+        # from a point s: (|s - end|, |s - other|, their difference)
+        end, other = (x0, x1) if at_d and up else (x1, x0)
+        to_d = (abs(end), abs(other), abs(end) - abs(other), e, power)
+        to_t = (hi - end, hi - other, other - end)
+        if x1 == hi:
+            # (t-x)^(alpha-1), or D's lifted weight, at t
+            order, powers = 1.0 - alpha if derivative else alpha, [to_d]
+        elif at_d:
+            # |x-d|^beta, or f''s |x-d|^(beta-1), at the shift
+            order, powers = b if derivative else b + 1.0, []
+        else:
+            order, powers = 1.0, [to_d]
+        if x1 != hi and not derivative and alpha < 1.0:
+            # (t-x)^alpha / (t-x): alpha - 1 rounds, and ln(t-x) magnifies it
+            powers.append((*to_t, alpha - 1.0, alpha))
+        lifted, smooth = derivative and x1 == hi, derivative and x1 != hi
+        # the scale as a float times a power of 2, so that a panel's powers
+        # leave the float range only where its value does
+        scale, expo = _power(0.5 * w, order)
+        scale *= sign
+        # the log of 4 |sign| (w/2)^order times the weight's mass
+        front = math.log(4.0 * abs(sign)) + order * math.log(w) + (
+            math.log(alpha / (1.0 - alpha)) if lifted else -math.log(order)) \
+            if sign else -math.inf
+        # D away from t: (t-x)^-alpha - (t-x0)^-alpha, the integral of
+        # alpha (t-s)^(-alpha-1) from x0 to x, so that its modulus on the
+        # ellipses is at most alpha |x-x0| |t-x|^(-alpha-1); the nodes take
+        # it times (t-x0)^alpha, and the scale (t-x0)^-alpha
+        t0 = hi - x0
+        if smooth:
+            front += math.log(0.5 * alpha) + math.log(w)
+        # each point's distance from the middle in half-widths, its ellipse's
+        # rho, and its exponent
+        geo = [((x_hi + x_lo) / w, e_) for x_hi, x_lo, _, e_, _ in powers] \
+            + ([((to_t[0] + to_t[1]) / w, -alpha - 1.0)] if smooth else [])
+        geo = [(yd, yd + yd * math.sqrt((1.0 - 1.0 / yd) * (1.0 + 1.0 / yd)), e_)
+               for yd, e_ in geo]
+        # the nodes take each distance in units of the power of 2 next to
+        # the one from the middle, which is exact, and the scale that unit^e,
+        # as unit^power / unit where the nodes do
+        for i, (x_hi, x_lo, x_u, e_, p) in enumerate(powers):
+            unit = math.frexp(x_hi + x_lo)[1] - 1
+            powers[i] = (math.ldexp(x_hi, -unit), math.ldexp(x_lo, -unit),
+                         math.ldexp(x_u, -unit), e_, p)
+            part, shift = _power(math.ldexp(1.0, unit), p)
+            scale, expo = scale * part, expo + shift - (unit if p != e_ else 0)
+        if smooth:
+            part, shift = _power(t0, -alpha)
+            scale, expo = scale * part, expo + shift
+        need = math.inf
+        for n in _RULE_SIZES:
+            bound = _tail(front, n, w, geo, smooth)
+            if bound > need:
+                continue
+            total = absum = 0.0
+            for h, r, weight in _rule(alpha if lifted else order, n, lifted):
+                v = weight
+                for x_hi, x_lo, x_u, e_, p in powers:
+                    x = x_hi - x_u * r if r < 0.5 else x_lo + x_u * h
+                    v *= x ** p / x if p != e_ else x ** p
+                if smooth:
+                    # x - x0 from the end nearer to it
+                    v *= math.expm1(-alpha * math.log1p(
+                        -w * (r if end == x0 else h) / t0))
+                total += v
+                absum += v if v > 0.0 else -v
+            magnitude = math.ldexp(abs(scale) * absum, expo)
+            # the floor's share of tol left to the tail, as in _by_rule
+            need = max(tol - floor, 0.5 * tol) * magnitude
+            # a panel whose scale underflows adds nothing
+            if bound <= need or not magnitude and bound < math.inf:
+                value = math.ldexp(scale * total, expo)
+                if derivative and x0 != lo:
+                    # ((t-x0)^-alpha - (t-a)^-alpha) (f(x1) - f(x0)), with
+                    # log((t-x0)/(t-a)) from the nearer of a and t
+                    rise, shift = _power(abs(x0 or x1), b)
+                    rise *= math.expm1(b * math.log(x1 / x0)) if x0 and x1 \
+                        else 1.0 if x0 == 0.0 else -1.0
+                    s0 = x0 - lo
+                    ratio = math.log1p(-s0 / u) if s0 < t0 else math.log(t0 / u)
+                    step = math.ldexp(power_u * math.expm1(-alpha * ratio) * rise
+                                      * (1.0 if up else below) / gamma,
+                                      shift + shift_u)
+                    value += step
+                    magnitude += abs(step)
+                # the exponents' rounding, of beta and of J's 1 + beta at d,
+                # where |ln|x-d|| exceeds its mean by at most 1/order
+                spread = max(abs(math.log(size)) for size
+                             in (abs(x0), abs(x1), 0.5 * w) if size)
+                exponent = slack
+                if at_d:
+                    spread += 1.0 / order
+                    if not derivative:
+                        exponent += abs(order - 1.0 - b)
+                return value, bound + exponent * spread * magnitude, magnitude
+        return None
+
+    def panels(tol: float) -> tuple[float, float, float]:
+        value = tails = magnitude = 0.0
+        stack = [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
+        while stack:
+            x0, x1 = stack.pop()
+            w = x1 - x0
+            at_d, at_t = x0 == 0.0 or x1 == 0.0, x1 == hi
+            got = None
+            if w > 0.0 and (at_d or max(x0, -x1) >= w) \
+                    and (at_t or hi - x1 >= w) and not (at_d and at_t):
+                got = panel(x0, x1, w, at_d, tol)
+            if got is None:
+                mid = 0.5 * (x0 + x1)
+                if not x0 < mid < x1:
+                    raise ToleranceNotMet(
+                        f"panel [{x0!r}, {x1!r}] from the shift is at the "
+                        "float resolution")
+                stack += ((x0, mid), (mid, x1))
+            else:
+                value += got[0]
+                tails += got[1]
+                magnitude += got[2]
+        return head + value, tails, abs(head) + magnitude
+
+    try:
+        # D's head f(t) (t-a)^-alpha / Gamma(1-alpha), whose f(t) may
+        # underflow where the head does not
+        (power_t, shift_t), (power_u, shift_u) = _power(abs(hi), b), \
+            _power(u, -alpha)
+        head = math.ldexp((1.0 if hi > 0.0 else below) * power_t * power_u
+                          / gamma, shift_t + shift_u) if derivative else 0.0
+        value, tails, magnitude = panels(tol)
+        if not math.isfinite(magnitude):
+            return value, math.inf
+        strict = max(tol * abs(value), _TOL_FLOOR * magnitude)
+        if magnitude > 2.0 * abs(value) and tails > strict:
+            value, tails, magnitude = panels(strict / magnitude)
+    except OverflowError:
+        return math.inf, math.inf
+    # and the head's f(t) = |t-d|^beta, its rounded beta magnified by ln|t-d|
+    return value, tails + floor * magnitude \
+        + slack * abs(math.log(abs(hi))) * abs(head)
+
+
+def _power(x: float, y: float) -> tuple[float, int]:
+    """x^y = m 2^n for x > 0 as (m, n), with x = f 2^E and E y split exactly
+    into n and a fraction, so that m = f^y 2^fraction stays in range."""
+    f, exp = math.frexp(x)
+    p, q = y.as_integer_ratio()
+    whole, part = divmod(exp * p, q)
+    return f ** y * 2.0 ** (part / q), whole
 
 
 def _expm1_ratio(p: float, span: float) -> float:
@@ -494,26 +485,23 @@ def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
     else:
         e, power = b - 1.0, b
     degree = round(e) if integer and beta.m >= 0 else None
-    # _floor's, with 2 |beta| ulps: the rounded a - d and t - a move every
-    # offset lo + u (1+y)/2 alike.  Measured against 40-digit mpmath on
-    # random window cells: J on 40 000 at most 6.3 + 2 |beta| ulps of the
-    # magnitude, D (f' on the lifted weight) on 79 707, both backends, at
-    # most 6.8 + 2 |beta|
-    floor = (_FLOOR_ULPS + 2.0 * abs(b)) * math.ulp(1.0)
+    # the roundoff floor, in ulps of the magnitude summed, with 2 |beta| ulps
+    # for the rounded a - d and t - a, which move every offset alike.
+    # Measured against 40-digit mpmath, both backends: J on 40 000 random
+    # window cells at most 6.3 + 2 |beta| ulps of the magnitude, D on 79 707
+    # at most 6.8 + 2 |beta|, and beyond the tails on 1 105 graded cells
+    # (centered, shift inside, 1e-11 to 1 beyond an end) 4.1 + 2 |beta|
+    floor = (16.0 + 2.0 * abs(b)) * math.ulp(1.0)
     flip = -1.0 if below and not integer else 1.0
     factor = -1.0 if flip < 0.0 and isinstance(beta, RationalExp) and beta.p % 2 \
         else 1.0
     if derivative:
         # f'(x) = beta f(x)/x, and d|x|/dx = flip
         factor *= b * flip
-    # the weight's integral
-    mass = 2.0 ** (1.0 - alpha) * alpha / (1.0 - alpha) if derivative \
-        else 2.0 ** alpha / alpha
+    # the weight's integral, none for D at alpha = 1
+    mass = 2.0 ** alpha / alpha if not derivative else math.inf \
+        if alpha == 1.0 else 2.0 ** (1.0 - alpha) * alpha / (1.0 - alpha)
     return (alpha, derivative, e, power, degree, mass, floor, flip), factor
-
-
-def _floor(beta: BetaIndex, magnitude: float) -> float:
-    return (_FLOOR_ULPS + abs(beta_value(beta))) * math.ulp(1.0) * magnitude
 
 
 def _require_tol(tol: float) -> None:
@@ -554,11 +542,9 @@ def _quad(pf: PowerFunction, a: float, alpha: float, ts: list[float],
 def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
               tol: float = DEFAULT_TOL) -> QuadEstimate:
     """Fractional integral straight from the definition.  tol is the target
-    of the error relative to the integral of |f|.  Where f is analytic on
-    [a, t] the error estimate is a product rule's proven tail plus the
-    roundoff floor; elsewhere it is the adaptive panels' summed error plus
-    the floor.  A value or estimate beyond the float range raises
-    ValueOverflow."""
+    of the error relative to the integral of |f|.  The error estimate is a
+    proven bound: the product rules' tails plus the roundoff floor.  A value
+    or estimate beyond the float range raises ValueOverflow."""
     return QuadEstimate(*_rlfi_at(pf, a, alpha, tol)(t))
 
 
@@ -588,20 +574,14 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
             # f(x) = f(-1) (t-x)^beta folds into the weight: J is exact
             e = alpha + b
             value = branch_power(-1.0, beta) * float_power(u, e) / (e * gamma)
-            estimate = _floor(beta, abs(value)) * (1.0 + e * abs(math.log(u)))
+            estimate = rule[6] * abs(value) * (1.0 + e * abs(math.log(u)))
         else:
             got = _by_rule(lo, hi, u,
                            float_power(0.5 * u, alpha) / gamma * factor, 0.0,
                            rule, tol)
             if got is not None:
                 return got
-
-            def power(y: float) -> float:
-                return branch_power(y, beta)
-
-            val, err, mag = _substituted(power, lo, hi, u, alpha, tol)
-            scale = 1.0 / kernels.gamma_value(alpha + 1.0)
-            value, estimate = val * scale, (err + _floor(beta, mag)) * abs(scale)
+            value, estimate = _graded(beta, alpha, lo, hi, u, gamma, rule, tol)
         if not (math.isfinite(value) and math.isfinite(estimate)):
             raise ValueOverflow(f"J^{alpha!r} at t={t!r} is beyond the float range")
         return value, estimate
@@ -611,27 +591,14 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
 
 def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
               tol: float = DEFAULT_TOL) -> QuadEstimate:
-    """Fractional derivative: the Caputo split where f is analytic on [a, t],
-    the Marchaud form elsewhere.
-
-    Both take the head f(t) (t-a)^-alpha / Gamma(1-alpha).  Where f is
-    analytic on [a, t] the body is 1/Gamma(1-alpha) times the integral of
-    f' against the weight (t-x)^-alpha - (t-a)^-alpha: the Caputo split
-    (Samko, Kilbas and Marichev 1993, for f in C^1[a, t]) with
-    (t-a)^-alpha (f(t) - f(a)) moved into its head, by a product rule of
-    order 1 - alpha with a proven tail.  Elsewhere (the shift at or inside
-    [a, t], or no rule meets tol) it is alpha / Gamma(1-alpha) times the
-    integral of the divided difference (f(t) - f(x)) / (t-x) against the
-    weight (t-x)^-alpha, by quad_rlfi's substitution under adaptive
-    panels.  The error estimate is the body's, scaled, plus the roundoff
-    floor on |head| + |body|.  Where head and body cancel, tol is taken
-    relative to the value instead, down to the tolerance floor.
-
-    alpha = 0 gives f(t) and alpha = 1 gives f'(t).  t <= a raises
-    EvalAtLowerLimit, and a negative beta's pole at or inside [a, t] raises
-    PoleInsideInterval.  A shift at t with a fractional beta folds f into
-    the weight (see _rlfd_at_the_shift).
-    """
+    """Fractional derivative by the Caputo split with its head at f(t) (see
+    the module), on product rules of order 1 - alpha.  The error estimate is
+    a proven bound: the rules' tails plus the roundoff floor on |head| +
+    |body|; where head and body cancel, tol is taken relative to the value,
+    down to the tolerance floor.  alpha = 0 gives f(t) and alpha = 1 gives
+    f'(t).  t <= a raises EvalAtLowerLimit, and a negative beta's pole at
+    or inside [a, t] PoleInsideInterval.  A shift at t folds f into the
+    weight (_rlfd_at_the_shift)."""
     return QuadEstimate(*_rlfd_at(pf, a, alpha, tol)(t))
 
 
@@ -645,9 +612,10 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
     beta = pf.beta
     b = beta_value(beta)
     integer = isinstance(beta, IntegerExp)
+    if alpha:
+        rule, factor = _rule_of(alpha, True, beta, a < pf.d)
     if 0.0 < alpha < 1.0:
         gamma = kernels.gamma_value(1.0 - alpha)
-        rule, factor = _rule_of(alpha, True, beta, a < pf.d)
 
     def at(t: float) -> tuple[float, float]:
         if alpha == 0.0:
@@ -657,13 +625,13 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
         _require_interval(pf, a, t)
         lo, hi, u = a - pf.d, t - pf.d, t - a
         if hi == 0.0 and not integer:
-            return _rlfd_at_the_shift(beta, b, alpha, u, t)
+            return _rlfd_at_the_shift(beta, b, alpha, u, t, rule[6])
         ft = branch_power(hi, beta)
         if alpha == 1.0:
             # f'(t); at t = d only integers come here, with f'(d) = 1 for
             # beta = 1
             value = b * ft / hi if hi else float(b == 1.0)
-            err, magnitude = 0.0, abs(value)
+            estimate = rule[6] * abs(value)
         else:
             head = ft * float_power(u, -alpha) / gamma
             got = _by_rule(lo, hi, u,
@@ -671,79 +639,32 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
                            head, rule, tol)
             if got is not None:
                 return got
-            value, err, magnitude = _marchaud(beta, b, alpha, lo, hi, u, ft,
-                                              head, tol)
-        if not math.isfinite(value):
+            if hi == 0.0:
+                # an integer beyond the rules' degree
+                return _rlfd_at_the_shift(beta, b, alpha, u, t, rule[6])
+            value, estimate = _graded(beta, alpha, lo, hi, u, gamma, rule, tol)
+        if not (math.isfinite(value) and math.isfinite(estimate)):
             raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")
-        return value, err + _floor(beta, magnitude)
+        return value, estimate
 
     return at
 
 
-def _marchaud(beta: BetaIndex, b: float, alpha: float, lo: float, hi: float,
-              u: float, ft: float, head: float,
-              tol: float) -> tuple[float, float, float]:
-    """D^alpha in the Marchaud form (Samko, Kilbas and Marichev 1993,
-    section 13) by adaptive panels, at the offsets lo = a - d and hi = t - d,
-    u = t - a, with f(t) and the head: its value, error estimate and the
-    magnitude |head| + |body|."""
-    # f'(t); at t = d only integers come here, with f'(d) = 1 for beta = 1
-    slope = b * ft / hi if hi else float(b == 1.0)
-    near, mid = _LIMIT * abs(hi), 0.5 * abs(hi)
-    curve = 0.5 * (b - 1.0) / hi if hi else 0.0
-    # f(x) = f(t) |y/hi|^beta on t's side of the shift, and on both sides
-    # for an even f
-    even = lo < 0.0 < hi and branch_power(-1.0, beta) > 0.0
-
-    def quotient(y: float) -> float:
-        # (f(t) - f(x)) / r at the offset y = x - d, r = t - x >= 0
-        r = hi - y
-        if r <= near:
-            # the limit f'(t) next to x = t, to first order in r
-            return slope * (1.0 - curve * r)
-        if r < mid:
-            e = b * math.log1p(-r / hi)
-        elif y * hi > 0.0 or (even and y):
-            e = b * math.log(abs(y / hi))
-        else:
-            return (ft - branch_power(y, beta)) / r
-        if -1.0 < e < 1.0:
-            # f(x) = f(t) e^e, and expm1 keeps the digits that f(t) - f(x)
-            # would cancel
-            return -ft * math.expm1(e) / r
-        return (ft - branch_power(y, beta)) / r
-
-    scale = alpha / kernels.gamma_value(2.0 - alpha)
-
-    def with_body(tol: float) -> tuple[float, float, float]:
-        val, err, mag = _substituted(quotient, lo, hi, u, 1.0 - alpha, tol,
-                                     mirror=True)
-        return (head + val * scale, err * abs(scale),
-                abs(head) + abs(scale) * mag)
-
-    value, err, magnitude = with_body(tol)
-    if magnitude > 2.0 * abs(value):
-        # head and body cancel: tol relative to the value asks that much
-        # more of the body
-        value, err, magnitude = with_body(
-            max(tol * abs(value) / magnitude, _TOL_FLOOR))
-    return value, err, magnitude
-
-
 def _rlfd_at_the_shift(beta: BetaIndex, b: float, alpha: float, u: float,
-                       t: float) -> QuadEstimate:
-    """D^alpha at t = d of a fractional beta, u = t - a > 0.
+                       t: float, floor: float) -> QuadEstimate:
+    """D^alpha at t = d, u = t - a > 0, of a fractional beta or an integer
+    one beyond the rules' degree, with the job's roundoff floor.
 
     There f(x) = c (t-x)^beta, c = f(-1), and f(t) = 0, so the head vanishes
-    and the divided difference folds into the weight: for beta > alpha
+    and f' folds into the weight: for beta > alpha
 
         D = -c alpha (t-a)^(beta-alpha) / ((beta-alpha) Gamma(1-alpha)),
 
     and at alpha = 1 f'(d) = 0.  Its estimate is the floor times
     1 + (beta-alpha) |ln(t-a)| + |beta|/(beta-alpha), the last term for the
     rounding of beta that the difference beta - alpha magnifies.  For
-    beta <= alpha the Marchaud integral diverges, and with it the
-    derivative's divided difference: ToleranceNotMet.
+    beta <= alpha, f' is not integrable at t and no value is returned:
+    ToleranceNotMet.
     """
     if b <= alpha:
         raise ToleranceNotMet(f"f is not smooth at t = d = {t!r}")
@@ -752,7 +673,7 @@ def _rlfd_at_the_shift(beta: BetaIndex, b: float, alpha: float, u: float,
     e = b - alpha
     value = -branch_power(-1.0, beta) * alpha * float_power(u, e) \
         / (e * kernels.gamma_value(1.0 - alpha))
-    estimate = _floor(beta, abs(value)) * (1.0 + e * abs(math.log(u)) + b / e)
+    estimate = floor * abs(value) * (1.0 + e * abs(math.log(u)) + b / e)
     if not (math.isfinite(value) and math.isfinite(estimate)):
         raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")
     return QuadEstimate(value, estimate)

@@ -16,8 +16,9 @@ exposes an intermediate the package does not return:
 * the z <-> 1-z connection split of 2F1;
 * the exact operator value above the shift, and on either side of it, at 40
   digits;
-* the derivative of an even-numerator rational exponent with the shift
-  inside [a, t], at 40 digits;
+* the operator value from a = d, and the integral and derivative of an
+  even-numerator rational exponent with the shift inside [a, t], at 40
+  digits;
 * the reader of the CLI's csv records.
 
 The package itself calls none of them.
@@ -36,6 +37,7 @@ from rlpower.domain import (
     IntegerExp,
     PowerFunction,
     RationalExp,
+    beta_value,
     branch_power,
     make_window,
     require_in_window,
@@ -440,24 +442,39 @@ def displaced_exact(beta, d: float, a: float, sa: float, t: float) -> mp.mpf:
                  * mp.hyp2f1(1, -b, 1 + sa, -u / A))
 
 
+def centered_exact(beta, d: float, sa: float, t: float) -> mp.mpf:
+    """J^sa (t-d)^beta from a = d, for beta > -1: the gamma ratio
+    Gamma(beta+1) / Gamma(beta+1+sa) (t-d)^(beta+sa) at 40 digits from the
+    float inputs, beta on its exact class as in displaced_exact."""
+    with mp.workdps(40):
+        b = mp.mpf(beta.p) / beta.q if isinstance(beta, RationalExp) \
+            else mp.mpf(beta_value(beta))
+        sa = mp.mpf(sa)
+        return +(mp.gamma(b + 1) / mp.gamma(b + 1 + sa)
+                 * (mp.mpf(t) - d) ** (b + sa))
+
+
 def shift_inside_exact(beta: RationalExp, d: float, a: float, alpha: float,
-                       t: float) -> mp.mpf:
-    """D^alpha (t-d)^beta from a < d < t, at 40 digits, for a positive
-    rational beta = p/q with p even, so that (x-d)^beta = (d-x)^beta below
-    the shift: the centered value from d, Gamma(beta+1)/Gamma(beta+1-alpha)
-    (t-d)^(beta-alpha), minus alpha/Gamma(1-alpha) times the quadrature of
-    (t-x)^(-alpha-1) (d-x)^beta over [a, d], the part of the lower limit's
-    integral below the shift differentiated in t."""
+                       t: float, integral: bool = False) -> mp.mpf:
+    """D^alpha (t-d)^beta from a < d < t, or with `integral` J^alpha, at 40
+    digits, for a positive rational beta = p/q with p even, so that
+    (x-d)^beta = (d-x)^beta below the shift: the centered value from d,
+    Gamma(beta+1)/Gamma(beta+1+sa) (t-d)^(beta+sa) with sa = alpha for J and
+    -alpha for D, plus the part of the lower limit's integral below the
+    shift, 1/Gamma(alpha) times the integral of (t-x)^(sa-1) (d-x)^beta over
+    [a, d] for J, and -alpha/Gamma(1-alpha) times it, that part
+    differentiated in t, for D.  With s = d - x, L = d - a and h = t - d that
+    integral is h^(sa-1) L^(beta+1)/(beta+1) 2F1(1-sa, beta+1; beta+2; -L/h)
+    (Euler's integral, DLMF 15.6.1)."""
     if beta.p <= 0 or beta.p % 2:
         raise ValueError("shift_inside_exact needs p/q with p even and positive")
     with mp.workdps(40):
         b = mp.mpf(beta.p) / beta.q
         d, a, alpha, t = (mp.mpf(x) for x in (d, a, alpha, t))
-        centered = (mp.gamma(b + 1) / mp.gamma(b + 1 - alpha)
-                    * (t - d) ** (b - alpha))
-        below, error = mp.quad(lambda x: (t - x) ** (-alpha - 1) * (d - x) ** b,
-                               [a, d], error=True)
-        if error > mp.mpf(10) ** -30 * abs(below):
-            # steep exponents with the shift next to t defeat mp.quad
-            raise ArithmeticError(f"mp.quad error {error} on {below}")
-        return +(centered - alpha / mp.gamma(1 - alpha) * below)
+        sa = alpha if integral else -alpha
+        centered = mp.gamma(b + 1) / mp.gamma(b + 1 + sa) * (t - d) ** (b + sa)
+        span, h = d - a, t - d
+        below = h ** (sa - 1) * span ** (b + 1) / (b + 1) \
+            * mp.hyp2f1(1 - sa, b + 1, b + 2, -span / h)
+        scale = 1 / mp.gamma(alpha) if integral else -alpha / mp.gamma(1 - alpha)
+        return +(centered + scale * below)

@@ -1,8 +1,8 @@
-"""Quadrature oracle: substitution correctness, the derivative (the Caputo
-split on product rules, the Marchaud form on adaptive panels) and its
-estimate against 40-digit mpmath on both backends, the log case, the
-Chebyshev product rules (their moments, nodes and proven bounds on window
-cells) and the route body over a grid against the one-point entries."""
+"""Quadrature oracle: hand-integrable cases, the derivative (the Caputo
+split on product rules) and its bound against 40-digit mpmath on both
+backends, the log case, the Chebyshev product rules (their moments, nodes and
+proven bounds on window cells and on the graded panels) and the route body
+over a grid against the one-point entries."""
 
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from rlpower.domain import IntegerExp, RationalExp, beta_value, branch_power
 from rlpower.errors import (EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet,
                             ValueOverflow)
 
-from reference import displaced_exact, log_reference, shift_inside_exact
+from reference import (centered_exact, displaced_exact, log_reference,
+                       shift_inside_exact)
 
 SQRT_PI = 1.7724538509055160273
 
@@ -154,17 +155,17 @@ def test_quadrature_config_floor():
             quad(pf, 1.0, 0.0, 1.2, 1e-17)
 
 
-def test_quad_far_shift_is_not_a_staircase(monkeypatch):
+def test_quad_far_shift_is_not_a_staircase():
     # t - a = 4e5 next to |d| = 5e15: the integrand is evaluated in offsets
-    # from the shift, so rounding leaves it smooth; the shallow depth cap
-    # makes a staircase fail fast instead of running for minutes
-    monkeypatch.setattr(rl.oracle, "MAX_DEPTH", 8)
+    # from the shift, so rounding leaves it smooth, and the call is fast
     d = -5354913003596034.0
     alpha = 0.3103265718398221
     pf = rl.power_function(d, rl.beta_int(1))
     t = d + 379420.59870354056
     exact = math.exp(-math.lgamma(2.0 + alpha)) * (t - d) ** (1.0 + alpha)
+    start = time.perf_counter()
     got = rl.quad_rlfi(pf, d, alpha, t)
+    assert time.perf_counter() - start < 1.0
     assert abs(got.value - exact) <= 1e-13 * exact
 
 
@@ -195,30 +196,30 @@ def test_quad_steep_centered_integral_is_fast():
 
 
 def test_fallback_passes_the_tests_written_for_it(monkeypatch):
-    # the three tests above were written for the adaptive fallback's
-    # offsets, small-order cuts and global error control; their cells now
-    # take product rules, so they run again here with the rules off
+    # the three tests above were written for a fallback quadrature's
+    # offsets, small orders and steep centered integrands; their cells take
+    # the single product rule on [a, t], so they run again here with it off:
+    # on the graded panels
     monkeypatch.setattr(oracle, "_by_rule", lambda *args: None)
     test_quad_small_order_sees_the_lower_end()
     test_quad_steep_centered_integral_is_fast()
-    # last: it lowers MAX_DEPTH until the end of this test
-    test_quad_far_shift_is_not_a_staircase(monkeypatch)
+    test_quad_far_shift_is_not_a_staircase()
 
 
 @pytest.mark.parametrize("beta", [rl.beta_rational(2, 7), rl.beta_int(-3)])
 @pytest.mark.parametrize("alpha", [1e-3, 1e-2])
 def test_quad_small_order_shift_just_beyond_t(beta, alpha, monkeypatch):
-    # the shift 1e-9 beyond t leaves no product rule its tolerance, so the
-    # adaptive fallback runs; at a small order it needs the cut at
-    # x = a + (t-a)/2 and offsets next to t taken from t's side
+    # the shift 1e-9 beyond t leaves the single product rule on [a, t] short
+    # of its tolerance, so the graded panels run; at a small order nearly
+    # all the weight's mass sits next to t, on the panels graded toward it
     calls = []
-    substituted = oracle._substituted
+    graded = oracle._graded
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return substituted(*args, **kwargs)
+        return graded(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_substituted", counted)
+    monkeypatch.setattr(oracle, "_graded", counted)
     d = 1.0 + 1e-9
     got = rl.quad_rlfi(rl.power_function(d, beta), 0.0, alpha, 1.0)
     assert len(calls) == 1
@@ -385,6 +386,73 @@ def test_quad_rlfd_shift_inside_interval(inside, backend, monkeypatch,
         assert abs(got.value - ref) <= got.error_estimate, (beta, d, alpha)
 
 
+# the shift 1e-3 to 1e-11 beyond t, or below a, from a = 0 to t = 1: f is
+# analytic on [a, t] but the single product rule misses its tolerance
+_BEYOND_CELLS = [
+    (op, beta, d, 0.0, alpha, 1.0)
+    for i, (beta, sides) in enumerate((
+        (rl.beta_int(-3), "ta"), (rl.beta_rational(2, 7), "ta"),
+        (rl.beta_rational(4, 3), "ta"), (rl.beta_real(-1.5), "a"),
+        (rl.beta_real(7.3), "a"), (rl.beta_rational(1, 2), "a")))
+    for side in sides
+    for j, gap in enumerate((1e-3, 1e-5, 1e-7, 1e-9, 1e-11))
+    for alpha in ((1e-3, 0.5, 0.95)[(i + j) % 3],)
+    for d in ((1.0 + gap) if side == "t" else -gap,)
+    for op in "JD"]
+
+
+@pytest.fixture(scope="module")
+def graded():
+    """J and D cells that only the graded panels serve, with their 40-digit
+    values: from a = d, fractional exponents (as J; D is the centered grid
+    above) and integers whose integrand's degree, 49 to 80, is beyond the
+    largest rule's; the shift inside [a, t] as J; and the shift just beyond
+    t or below a."""
+    cells = [("J", beta, d, d, alpha, t) for beta, d, alpha, t in _CENTERED_CELLS]
+    cells += [(op, rl.beta_int(degree + (op == "D")), 0.25, 0.25, alpha,
+               0.25 + width)
+              for degree in (49, 56, 64, 80) for alpha in (0.3, 0.9)
+              for width in (0.5, 2.0) for op in "JD"]
+    centered = [(cell, centered_exact(cell[1], cell[2],
+                                      cell[4] if cell[0] == "J" else -cell[4],
+                                      cell[5]))
+                for cell in cells]
+    inside = [(("J",) + cell, shift_inside_exact(*cell, integral=True))
+              for cell in _INSIDE_CELLS]
+    beyond = [(cell, displaced_exact(cell[1], cell[2], cell[3],
+                                     cell[4] if cell[0] == "J" else -cell[4],
+                                     cell[5]))
+              for cell in _BEYOND_CELLS]
+    return centered + inside, beyond
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_graded_panels_lie_within_their_bound(graded, backend, monkeypatch,
+                                              compiled_kernels):
+    # every cell takes the graded panels, and its value lies within the
+    # proven bound; with the shift outside [a, t] the bound is within 1e-11
+    # of max(1, |value|)
+    monkeypatch.setattr(oracle, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    calls = []
+    panels = oracle._graded
+
+    def counted(*args):
+        calls.append(args)
+        return panels(*args)
+
+    monkeypatch.setattr(oracle, "_graded", counted)
+    windowed, beyond = graded
+    for (op, beta, d, a, alpha, t), ref in windowed + beyond:
+        quad = rl.quad_rlfi if op == "J" else rl.quad_rlfd
+        got = quad(rl.power_function(d, beta), a, alpha, t)
+        assert abs(got.value - ref) <= got.error_estimate, (op, beta, d, alpha, t)
+        if (op, beta, d, a, alpha, t) in _BEYOND_CELLS:
+            assert got.error_estimate <= 1e-11 * max(1.0, abs(ref)), \
+                (op, beta, d, alpha, t)
+    assert len(calls) == len(windowed) + len(beyond)
+
+
 def _random_cells(count, seed, window=True):
     """Displaced cells of every exponent class on either side of the shift,
     orders from 1e-4 to 0.99999 and window fractions from 1e-6 to 0.999;
@@ -449,8 +517,8 @@ def test_quad_rlfd_random_cells_without_a_window(unwindowed, backend,
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.999999, 1.0])
 def test_quad_rlfd_fractional_exponent_at_the_shift_is_not_a_value(beta, alpha):
     # at t = d = 1, f(x) = (1-x)^beta folds into the weight while beta >
-    # alpha, and f'(1) = 0 of (x-1)^(4/3) is D^1; for beta <= alpha the
-    # Marchaud integral diverges, and (x-1)^(2/3) has f' infinite: no value
+    # alpha, and f'(1) = 0 of (x-1)^(4/3) is D^1; for beta <= alpha f' is
+    # not integrable at t, and (x-1)^(2/3) has f' infinite: no value
     pf = rl.power_function(1.0, beta)
     if beta_value(beta) <= alpha:
         with pytest.raises(ToleranceNotMet):
@@ -509,17 +577,6 @@ def test_quad_rlfd_pole_names_the_interval():
         pf = rl.power_function(d, rl.beta_int(-2))
         with pytest.raises(PoleInsideInterval, match=r"touches \[0\.0, 1\.0\]"):
             rl.quad_rlfd(pf, 0.0, 0.5, 1.0)
-
-
-def test_noise_above_the_tolerance_stops_at_the_panel_cap():
-    # rounding noise far above tol is halved everywhere at once, never one
-    # panel deep enough for MAX_DEPTH: the panel cap ends it
-    rng = random.Random(5)
-    start = time.perf_counter()
-    with pytest.raises(ToleranceNotMet, match="panels"):
-        oracle._adaptive([(lambda x: 1.0 + 1e-8 * rng.random(), [0.0, 1.0])],
-                         1e-11)
-    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("beta, d, a", [
@@ -682,9 +739,9 @@ def test_rule_values_lie_within_their_bound(window, backend, monkeypatch,
                         _kernels_py if backend == "pure" else compiled_kernels)
 
     def no_fallback(*args, **kwargs):
-        raise AssertionError("a window cell fell back to the adaptive rule")
+        raise AssertionError("a window cell fell back to the graded panels")
 
-    monkeypatch.setattr(oracle, "_substituted", no_fallback)
+    monkeypatch.setattr(oracle, "_graded", no_fallback)
     for (op, beta, d, a, alpha, t), ref in window:
         quad = rl.quad_rlfi if op == "J" else rl.quad_rlfd
         got = quad(rl.power_function(d, beta), a, alpha, t)
@@ -716,7 +773,7 @@ def _one_point(quad, pf, a, alpha, t):
 
 
 # exponents of every class; with the shift above a, 2/3 and 4/3 reach the
-# shift's fold and the adaptive panels beyond it, 2/3 at orders above 2/3
+# shift's fold and the graded panels beyond it, 2/3 at orders above 2/3
 # the fold's ToleranceNotMet, and the rest a domain or pole error there
 _GRID_BETAS = (rl.beta_int(-3), rl.beta_int(0), rl.beta_int(2),
                rl.beta_rational(2, 3), rl.beta_rational(4, 3),
@@ -729,7 +786,7 @@ _GRID_BETAS = (rl.beta_int(-3), rl.beta_int(0), rl.beta_int(2),
        alpha=st.one_of(st.sampled_from((0.0, 0.9, 1.0)), st.floats(1e-3, 1.0)),
        fracs=st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 3.0)),
                       min_size=1, max_size=6))
-# the shift's fold, its ToleranceNotMet, the adaptive panels and t = a
+# the shift's fold, its ToleranceNotMet, the graded panels and t = a
 @example(op="D", beta=rl.beta_rational(2, 3), side=-1.0, alpha=0.9,
          fracs=[0.5, 1.0, 2.0])
 @example(op="D", beta=rl.beta_rational(4, 3), side=-1.0, alpha=0.3,
