@@ -27,11 +27,14 @@ points.  The rest is analytic inside the Bernstein ellipses that avoid the
 singular points beyond the panel, with a closed-form bound M on each, so
 the interpolant's error is proven (Trefethen, Approximation Theory and
 Approximation Practice, Thm 8.2): the tail is M_0 4 M rho^-n / (rho - 1),
-M_0 the weight's mass.  A panel takes the smallest n whose tail meets tol
-times its magnitude; a value's bound is its tails plus a roundoff floor.
-[a, t] is first one panel with its weight at t (_by_rule), which serves
-every cell where f is analytic on [a, t] away from the shift; elsewhere
-the panels are graded toward t and the shift (_graded).  At t = d, f is
+M_0 the weight's mass (_tail).  A panel takes the smallest n whose tail
+meets tol times its magnitude, and a value's bound is its tails plus one
+rounding term times the magnitude: the roundoff floor, and a rational
+beta's rounding magnified by |ln|x-d|| (_rule_of).  [a, t] is first one
+panel with its weight at t (_by_rule), which serves every cell where f is
+analytic and a normal float on [a, t]; elsewhere the panels are graded
+toward t and the shift (_graded).  D's head, made once per point from f(t)
+as a float times a power of 2, goes to either body.  At t = d, f is
 (t-x)^beta up to sign and folds into the weight.
 
 The route body _quad evaluates a job's sorted points: the checks, the
@@ -48,7 +51,7 @@ from typing import Callable, NamedTuple
 
 from ._backend import kernels
 from .domain import (BetaIndex, IntegerExp, PowerFunction, RationalExp,
-                     beta_value, branch_power, float_power, require_order)
+                     beta_value, float_power, require_order)
 from .errors import (EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet,
                      ValueOverflow)
 from .series import Columns
@@ -58,6 +61,7 @@ DEFAULT_TOL = 1e-11
 # counts as inside the interval
 SPLIT_GUARD = 1e-12
 _TOL_FLOOR = 100.0 * math.ulp(1.0)
+_TINY = 2.0 ** -1022  # the smallest normal float
 # sizes n of the Chebyshev product rules, smallest first
 _RULE_SIZES = (16, 24, 32, 48)
 
@@ -166,10 +170,11 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
              rule: tuple, tol: float) -> tuple[float, float] | None:
     """head + scale * integral_-1^1 v(y) g(x) dy, v the weight of _rule
     (alpha, n, lifted), at the offset x = lo + u (1+y)/2 from the shift, by
-    the smallest product rule whose tail plus roundoff floor meets tol
+    the smallest product rule whose tail meets tol, less the roundoff floor,
     times the magnitude |head| + |scale| sum_j |W_j g(x_j)|: its value and
-    that error.  None where no size meets tol or the value is beyond the
-    float range, and where the shift lies in [a, t] unless g is a
+    its bound, the tail plus the rounding (_rule_of) times the magnitude.
+    None where no size meets tol, where g at an end of [a, t] leaves the
+    normal float range, and where the shift lies in [a, t] unless g is a
     polynomial of at most the largest size's degree.  rule is a job's
     _rule_of.
 
@@ -181,58 +186,32 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
     _tail's for the one power |x-d|^e; a polynomial of at most degree n is
     integrated exactly.
     """
-    alpha, lifted, e, power, degree, mass, floor, flip = rule
+    alpha, lifted, e, power, degree, mass, floor, flip, _, _, slack = rule
     divided = power != e
     # the shift's distance from the midpoint, in half-widths
     yd = abs(lo + hi) / u
-    if yd <= 1.0 and (degree is None or degree > _RULE_SIZES[-1]):
-        return None
-    rho_d = yd + math.sqrt((yd - 1.0) * (yd + 1.0)) if yd > 1.0 else 1.0
+    rho_d, rounding = 1.0, floor
     try:
+        if yd > 1.0:
+            # |x|^power, and g = |x|^power / |x|, at either end; past the
+            # largest float the node loop raises
+            for end in (abs(lo), abs(hi)):
+                if not end ** power >= _TINY * (max(1.0, end) if divided else 1.0):
+                    return None
+            rho_d = yd + yd * math.sqrt((1.0 - 1.0 / yd) * (1.0 + 1.0 / yd))
+            if slack:
+                rounding += slack * max(abs(math.log(abs(lo))),
+                                        abs(math.log(abs(hi))))
+        elif degree is None or degree > _RULE_SIZES[-1]:
+            return None
+        powers = ((yd, rho_d, e),)
         front = 4.0 * abs(scale) * mass
         front = math.log(front) if front else -math.inf
-        # a lower bound on the magnitude, to pick the first size: the weight
-        # is at least 2^(alpha-1), and |x-d|^e integrates in closed form;
-        # the lifted one is at least its tangent alpha 2^(-1-alpha) (1+y)
-        # at y = -1, and (1+y) |x-d|^e too integrates in closed form
-        low = 0.0
-        if yd > 1.0:
-            if lifted:
-                # 4/u^2 integral of |x-lo| |x|^e over [lo, hi], and where
-                # |x|^e is nearly constant 2 |t-d|^e
-                span, ratio = math.log(abs(hi / lo)), abs(lo) / u
-                low = 4.0 * abs(lo) ** e * ratio * ratio * (
-                    _expm1_ratio(e + 2.0, span) - _expm1_ratio(e + 1.0, span)) \
-                    if abs(span) > 1e-12 else 2.0 * abs(hi) ** e
-                low *= alpha * 2.0 ** (-1.0 - alpha)
-            else:
-                near, far = sorted((abs(lo), abs(hi)))
-                span, p = math.log(far / near), e + 1.0
-                low = near ** p * _expm1_ratio(p, span) * 2.0 ** alpha / u
-        need = (tol - floor) * (abs(head) + abs(scale) * low)
+        need = math.inf
         x_lo, x_hi, x_u = (lo, hi, u) if flip > 0.0 else (-lo, -hi, -u)
         for n in _RULE_SIZES:
-            # the tail bound of size n
-            if degree is not None and n >= degree:
-                bound = 0.0
-            else:
-                if e < 0.0:
-                    # near the best rho, and the near vertex's distance from
-                    # the shift: (u/2) (rho_d - rho) (1 - 1/(rho rho_d)) / 2
-                    step = -e / n
-                    rho = rho_d / (1.0 + step)
-                    dist = 0.25 * u * rho * step * (1.0 - 1.0 / (rho * rho_d))
-                else:
-                    # the ellipse through the shift, whose far vertex lies
-                    # 2 yd half-widths from it
-                    rho, dist = rho_d, abs(lo + hi)
-                if rho <= 1.0 or not dist > 0.0:
-                    # no ellipse, or its distance underflows
-                    bound = math.inf
-                else:
-                    bound = math.exp(min(front + e * math.log(dist)
-                                         - n * math.log(rho)
-                                         - math.log(rho - 1.0), 709.0))
+            bound = 0.0 if degree is not None and n >= degree \
+                else _tail(front, n, u, powers, False)
             if bound > need:
                 continue
             total = absum = 0.0
@@ -243,14 +222,14 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
                 absum += v if v > 0.0 else -v
             value = head + scale * total
             magnitude = abs(head) + abs(scale) * absum
-            if not math.isfinite(magnitude):
+            if not _TINY <= magnitude < math.inf:
                 return None
             need = (tol - floor) * magnitude
             if magnitude > 2.0 * abs(value):
                 # head and body cancel: tol relative to the value
                 need = min(need, max(tol * abs(value), _TOL_FLOOR * magnitude))
             if bound <= need:
-                return value, bound + floor * magnitude
+                return value, bound + rounding * magnitude
     except OverflowError:
         # a power beyond the float range: the graded panels report it
         pass
@@ -267,8 +246,9 @@ def _tail(front: float, n: int, u: float, powers, smooth: bool) -> float:
     (rho_d - rho) (1 - 1/(rho rho_d)) / 2 from it, else at the farthest.
     `smooth` adds the factor A + 1, A = (rho + 1/rho)/2: E_rho reaches
     (u/2) (A + 1) from an end of the panel."""
-    rho = min((rho_d / (1.0 - e / n) if e < 0.0 else rho_d
-               for _, rho_d, e in powers), default=math.inf)
+    rho = math.inf
+    for _, rho_d, e in powers:
+        rho = min(rho, rho_d / (1.0 - e / n) if e < 0.0 else rho_d)
     if rho <= 1.0:
         return math.inf
     vertex = 0.5 * (rho + 1.0 / rho)
@@ -277,35 +257,31 @@ def _tail(front: float, n: int, u: float, powers, smooth: bool) -> float:
         # in half-widths, whose log keeps a subnormal width's distances
         dist = 0.5 * (rho_d - rho) * (1.0 - 1.0 / (rho * rho_d)) if e < 0.0 \
             else yd + vertex
-        if not dist > 0.0:
+        if not 0.0 < dist < math.inf:
             return math.inf
         log_m += e * (math.log(dist) + math.log(u) - math.log(2.0))
     return math.exp(min(front + log_m - n * math.log(rho) - math.log(rho - 1.0),
                         709.0))
 
 
-def _graded(beta: BetaIndex, alpha: float, lo: float, hi: float, u: float,
-            gamma: float, rule: tuple, tol: float) -> tuple[float, float]:
-    """J^alpha (gamma = Gamma(alpha)) or D^alpha (gamma = Gamma(1-alpha)) of
-    f on graded panels, at the offsets lo = a - d and hi = t - d != 0 from
-    the shift, u = t - a: the value and its bound, inf beyond the float
-    range.  rule is the job's _rule_of.  [a, t] is split at the shift when
-    it lies inside; a panel is halved while it holds the shift and t at its
-    ends, one of them lies closer to it than its width, or its tail misses
-    tol times its magnitude, and ToleranceNotMet ends it at the float
-    resolution.  Its weight sits at t, else at the shift (|x-d|^beta of f,
-    or f''s |x-d|^(beta-1)), else nowhere.  On [x0, x1] D's weight is
-    (t-x)^-alpha - (t-x0)^-alpha, lifted at t and a factor of the rest
-    elsewhere, plus the constant (t-x0)^-alpha - (t-a)^-alpha against
-    f(x1) - f(x0) in closed form.  Cancellation is met as in _by_rule."""
-    _, derivative, e, power, _, _, floor, _ = rule
-    b = beta_value(beta)
-    # f(x) = below |x-d|^beta under the shift
-    below = branch_power(-1.0, beta) if lo < 0.0 else 1.0
-    # the rounding of a rational beta, which |x-d|^beta magnifies by ln|x-d|
-    num, den = b.as_integer_ratio()
-    slack = abs(num * beta.q - beta.p * den) / (den * beta.q) \
-        if isinstance(beta, RationalExp) else 0.0
+def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
+            rule: tuple, tol: float) -> tuple[float, float]:
+    """J^alpha (gamma = Gamma(alpha), head 0) or D^alpha (gamma =
+    Gamma(1-alpha), head _rlfd_at's) of f on graded panels, at the offsets
+    lo = a - d and hi = t - d != 0 from the shift, u = t - a: the value and
+    its bound, inf beyond the float range.  rule is the job's _rule_of.
+    [a, t] is split at the shift when it lies inside; a panel is halved
+    while it holds the shift and t at its ends, one of them lies closer to
+    it than its width, or its tail misses tol times its magnitude, and
+    ToleranceNotMet ends it at the float resolution.  Its weight sits at t,
+    else at the shift (|x-d|^beta of f, or f''s |x-d|^(beta-1)), else
+    nowhere.  On [x0, x1] D's weight is (t-x)^-alpha - (t-x0)^-alpha, lifted
+    at t and a factor of the rest elsewhere, plus the constant (t-x0)^-alpha
+    - (t-a)^-alpha against f(x1) - f(x0) in closed form.  Cancellation is met
+    as in _by_rule, and a panel's rounding takes the largest |ln|x-d|| on it
+    (its mean plus 1/order at the shift)."""
+    alpha, derivative, e, power, _, _, floor, _, b, below, slack = rule
+    power_u, shift_u = _power(u, -alpha)
 
     def panel(x0: float, x1: float, w: float, at_d: bool, tol: float):
         up = x1 > 0.0
@@ -435,12 +411,6 @@ def _graded(beta: BetaIndex, alpha: float, lo: float, hi: float, u: float,
         return head + value, tails, abs(head) + magnitude
 
     try:
-        # D's head f(t) (t-a)^-alpha / Gamma(1-alpha), whose f(t) may
-        # underflow where the head does not
-        (power_t, shift_t), (power_u, shift_u) = _power(abs(hi), b), \
-            _power(u, -alpha)
-        head = math.ldexp((1.0 if hi > 0.0 else below) * power_t * power_u
-                          / gamma, shift_t + shift_u) if derivative else 0.0
         value, tails, magnitude = panels(tol)
         if not math.isfinite(magnitude):
             return value, math.inf
@@ -455,28 +425,34 @@ def _graded(beta: BetaIndex, alpha: float, lo: float, hi: float, u: float,
 
 
 def _power(x: float, y: float) -> tuple[float, int]:
-    """x^y = m 2^n for x > 0 as (m, n), with x = f 2^E and E y split exactly
-    into n and a fraction, so that m = f^y 2^fraction stays in range."""
+    """x^y = m 2^n for x >= 0 as (m, n): frexp(x^y) where x^y is a normal
+    float, else, with x = f 2^E and E y split exactly into n and a fraction,
+    m = f^y 2^fraction, which stays in range."""
+    try:
+        m = x ** y
+    except OverflowError:
+        m = 0.0
+    if m >= _TINY:
+        return math.frexp(m)
     f, exp = math.frexp(x)
     p, q = y.as_integer_ratio()
     whole, part = divmod(exp * p, q)
     return f ** y * 2.0 ** (part / q), whole
 
 
-def _expm1_ratio(p: float, span: float) -> float:
-    # (e^(p span) - 1) / p, span at p = 0
-    return math.expm1(p * span) / p if p else span
-
-
 def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
              below: bool) -> tuple[tuple, float]:
-    """_by_rule's parameters (alpha, lifted, e, power, degree, mass, floor,
-    flip) for a job of J, whose integrand is f, or of D, whose integrand is
-    f' on the lifted weight, on the job's side of the shift (below it with
-    `below`), and the factor of g in that integrand: the sign of
-    f(x) = (x-d)^beta against |x|^beta, times beta for f'."""
+    """The job's parameters (alpha, lifted, e, power, degree, mass, floor,
+    flip, b, sign, slack) of J, whose integrand is f, or of D, whose
+    integrand is f' on the lifted weight, on the job's side of the shift
+    (below it with `below`), and the factor of g in _by_rule's integrand:
+    the sign of f(x) = (x-d)^beta against |x|^beta, times beta for f'.
+    sign is f(x) / |x-d|^beta below the shift.  Both bodies take their
+    rounding from floor and slack, |b - p/q| for a rational beta = p/q of
+    float b, which |x-d|^b magnifies by |ln|x-d||."""
     b = beta_value(beta)
     integer = isinstance(beta, IntegerExp)
+    rational = isinstance(beta, RationalExp)
     if not derivative:
         e = power = b
     elif integer:
@@ -492,16 +468,21 @@ def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
     # at most 6.8 + 2 |beta|, and beyond the tails on 1 105 graded cells
     # (centered, shift inside, 1e-11 to 1 beyond an end) 4.1 + 2 |beta|
     floor = (16.0 + 2.0 * abs(b)) * math.ulp(1.0)
+    num, den = b.as_integer_ratio()
+    slack = abs(num * beta.q - beta.p * den) / (den * beta.q) if rational \
+        else 0.0
+    odd = beta.m % 2 if integer else rational and beta.p % 2
+    sign = -1.0 if below and odd else 1.0
     flip = -1.0 if below and not integer else 1.0
-    factor = -1.0 if flip < 0.0 and isinstance(beta, RationalExp) and beta.p % 2 \
-        else 1.0
+    factor = sign if flip < 0.0 else 1.0
     if derivative:
         # f'(x) = beta f(x)/x, and d|x|/dx = flip
         factor *= b * flip
     # the weight's integral, none for D at alpha = 1
     mass = 2.0 ** alpha / alpha if not derivative else math.inf \
         if alpha == 1.0 else 2.0 ** (1.0 - alpha) * alpha / (1.0 - alpha)
-    return (alpha, derivative, e, power, degree, mass, floor, flip), factor
+    return (alpha, derivative, e, power, degree, mass, floor, flip, b, sign,
+            slack), factor
 
 
 def _require_tol(tol: float) -> None:
@@ -543,7 +524,7 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
               tol: float = DEFAULT_TOL) -> QuadEstimate:
     """Fractional integral straight from the definition.  tol is the target
     of the error relative to the integral of |f|.  The error estimate is a
-    proven bound: the product rules' tails plus the roundoff floor.  A value
+    proven bound: the product rules' tails plus the rounding term.  A value
     or estimate beyond the float range raises ValueOverflow."""
     return QuadEstimate(*_rlfi_at(pf, a, alpha, tol)(t))
 
@@ -573,7 +554,7 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
         if hi == 0.0:
             # f(x) = f(-1) (t-x)^beta folds into the weight: J is exact
             e = alpha + b
-            value = branch_power(-1.0, beta) * float_power(u, e) / (e * gamma)
+            value = rule[9] * float_power(u, e) / (e * gamma)
             estimate = rule[6] * abs(value) * (1.0 + e * abs(math.log(u)))
         else:
             got = _by_rule(lo, hi, u,
@@ -581,7 +562,7 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
                            rule, tol)
             if got is not None:
                 return got
-            value, estimate = _graded(beta, alpha, lo, hi, u, gamma, rule, tol)
+            value, estimate = _graded(lo, hi, u, gamma, 0.0, rule, tol)
         if not (math.isfinite(value) and math.isfinite(estimate)):
             raise ValueOverflow(f"J^{alpha!r} at t={t!r} is beyond the float range")
         return value, estimate
@@ -593,7 +574,7 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
               tol: float = DEFAULT_TOL) -> QuadEstimate:
     """Fractional derivative by the Caputo split with its head at f(t) (see
     the module), on product rules of order 1 - alpha.  The error estimate is
-    a proven bound: the rules' tails plus the roundoff floor on |head| +
+    a proven bound: the rules' tails plus the rounding term on |head| +
     |body|; where head and body cancel, tol is taken relative to the value,
     down to the tolerance floor.  alpha = 0 gives f(t) and alpha = 1 gives
     f'(t).  t <= a raises EvalAtLowerLimit, and a negative beta's pole at
@@ -625,24 +606,38 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
         _require_interval(pf, a, t)
         lo, hi, u = a - pf.d, t - pf.d, t - a
         if hi == 0.0 and not integer:
-            return _rlfd_at_the_shift(beta, b, alpha, u, t, rule[6])
-        ft = branch_power(hi, beta)
-        if alpha == 1.0:
-            # f'(t); at t = d only integers come here, with f'(d) = 1 for
-            # beta = 1
-            value = b * ft / hi if hi else float(b == 1.0)
-            estimate = rule[6] * abs(value)
-        else:
-            head = ft * float_power(u, -alpha) / gamma
-            got = _by_rule(lo, hi, u,
-                           float_power(0.5 * u, 1.0 - alpha) / gamma * factor,
-                           head, rule, tol)
-            if got is not None:
-                return got
-            if hi == 0.0:
-                # an integer beyond the rules' degree
-                return _rlfd_at_the_shift(beta, b, alpha, u, t, rule[6])
-            value, estimate = _graded(beta, alpha, lo, hi, u, gamma, rule, tol)
+            return _rlfd_at_the_shift(rule, u, t)
+        if alpha == 1.0 and not hi:
+            # f'(d) of an integer: 1 for beta = 1
+            value = float(b == 1.0)
+            return value, rule[6] * value
+        # f(t) = sign |t-d|^beta as a float times a power of 2, so that what
+        # is made of it leaves the float range only where it does
+        f_t, shift = _power(abs(hi), b)
+        if hi < 0.0:
+            f_t *= rule[9]
+        try:
+            if alpha == 1.0:
+                # f'(t) = beta f(t) / (t-d), bound by the rounding at t
+                m, k = math.frexp(hi)
+                value = math.ldexp(b * f_t / m, shift - k)
+                return value, (rule[6] + rule[10] * abs(math.log(abs(hi)))) \
+                    * abs(value)
+            # D's head f(t) (t-a)^-alpha / Gamma(1-alpha)
+            power_u, shift_u = _power(u, -alpha)
+            head = math.ldexp(f_t * power_u / gamma, shift + shift_u)
+        except OverflowError:
+            raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float "
+                                "range") from None
+        got = _by_rule(lo, hi, u,
+                       float_power(0.5 * u, 1.0 - alpha) / gamma * factor,
+                       head, rule, tol)
+        if got is not None:
+            return got
+        if hi == 0.0:
+            # an integer beyond the rules' degree
+            return _rlfd_at_the_shift(rule, u, t)
+        value, estimate = _graded(lo, hi, u, gamma, head, rule, tol)
         if not (math.isfinite(value) and math.isfinite(estimate)):
             raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")
         return value, estimate
@@ -650,10 +645,9 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
     return at
 
 
-def _rlfd_at_the_shift(beta: BetaIndex, b: float, alpha: float, u: float,
-                       t: float, floor: float) -> QuadEstimate:
+def _rlfd_at_the_shift(rule: tuple, u: float, t: float) -> QuadEstimate:
     """D^alpha at t = d, u = t - a > 0, of a fractional beta or an integer
-    one beyond the rules' degree, with the job's roundoff floor.
+    one beyond the rules' degree, with the job's _rule_of.
 
     There f(x) = c (t-x)^beta, c = f(-1), and f(t) = 0, so the head vanishes
     and f' folds into the weight: for beta > alpha
@@ -666,12 +660,13 @@ def _rlfd_at_the_shift(beta: BetaIndex, b: float, alpha: float, u: float,
     beta <= alpha, f' is not integrable at t and no value is returned:
     ToleranceNotMet.
     """
+    alpha, floor, b, sign = rule[0], rule[6], rule[8], rule[9]
     if b <= alpha:
         raise ToleranceNotMet(f"f is not smooth at t = d = {t!r}")
     if alpha == 1.0:
         return QuadEstimate(0.0, 0.0)
     e = b - alpha
-    value = -branch_power(-1.0, beta) * alpha * float_power(u, e) \
+    value = -sign * alpha * float_power(u, e) \
         / (e * kernels.gamma_value(1.0 - alpha))
     estimate = floor * abs(value) * (1.0 + e * abs(math.log(u)) + b / e)
     if not (math.isfinite(value) and math.isfinite(estimate)):

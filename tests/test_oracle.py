@@ -297,6 +297,11 @@ def test_quad_rlfd_order_zero_is_f():
     (rl.beta_int(0), 1.0, 1.6, 1),
     (rl.beta_rational(2, 3), -1.0, -0.6, -1),
     (rl.beta_real(7.3), 1.0, 1.6, 1),
+    # a rational beta's rounding, which |t-d|^beta magnifies by |ln|t-d||
+    (rl.beta_rational(61, 7), 1e-12, 1.3e-12, 1),
+    (rl.beta_rational(61, 7), 1e-30, 1.3e-30, 1),
+    (rl.beta_rational(22, 9), 1e-12, 1.3e-12, 1),
+    (rl.beta_rational(22, 9), 1e-30, 1.3e-30, 1),
 ])
 def test_quad_rlfd_order_one_is_f_prime(beta, a, t, sign):
     got = rl.quad_rlfd(rl.power_function(0.0, beta), a, 1.0, t)
@@ -304,7 +309,8 @@ def test_quad_rlfd_order_one_is_f_prime(beta, a, t, sign):
         b = _mp_beta(beta)
         want = sign * b * abs(mp.mpf(t)) ** (b - 1)
     assert abs(got.value - want) <= got.error_estimate
-    assert got.error_estimate <= 1e-14 * abs(got.value)
+    assert got.error_estimate \
+        <= 1e-14 * abs(got.value) * max(1.0, abs(math.log(abs(t))))
 
 
 def test_quad_rlfd_centered_fractional_exponent():
@@ -406,8 +412,8 @@ def graded():
     """J and D cells that only the graded panels serve, with their 40-digit
     values: from a = d, fractional exponents (as J; D is the centered grid
     above) and integers whose integrand's degree, 49 to 80, is beyond the
-    largest rule's; the shift inside [a, t] as J; and the shift just beyond
-    t or below a."""
+    largest rule's; the shift inside [a, t] as J; D where f(t) leaves the
+    float range; and the shift just beyond t or below a."""
     cells = [("J", beta, d, d, alpha, t) for beta, d, alpha, t in _CENTERED_CELLS]
     cells += [(op, rl.beta_int(degree + (op == "D")), 0.25, 0.25, alpha,
                0.25 + width)
@@ -423,7 +429,20 @@ def graded():
                                      cell[4] if cell[0] == "J" else -cell[4],
                                      cell[5]))
               for cell in _BEYOND_CELLS]
-    return centered + inside, beyond
+    # f(t) beyond the float range where D is not: f(t) underflows with the
+    # shift below a, and overflows with the shift inside [a, t]; and f' =
+    # beta f/x underflows where f does not
+    beta = rl.beta_rational(22, 9)
+    scaled = [(("D", beta, 0.0, 1e-135, 0.37, 1.5e-135),
+               displaced_exact(beta, 0.0, 1e-135, -0.37, 1.5e-135))]
+    beta = rl.beta_rational(8, 5)
+    scaled += [(("D", beta, 6.31e225, 2.62e225, 0.954, 6.32e225),
+                shift_inside_exact(beta, 6.31e225, 2.62e225, 0.954, 6.32e225))]
+    beta, d, a, t = (rl.beta_rational(-25, 3), 2.7047623544403685e34,
+                     2.941729864009291e34, 2.943133708102492e34)
+    scaled += [(("D", beta, d, a, 0.06215523949978858, t),
+                displaced_exact(beta, d, a, -0.06215523949978858, t))]
+    return centered + inside + scaled, beyond
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
@@ -722,12 +741,18 @@ _EDGE_CELLS = [(op, _token_beta(token), 0.0, 1.0, alpha, 1.999)
                for alpha in (0.05, 0.5, 0.95) for op in "JD"]
 
 
+# a rational beta's rounding, which |x-d|^beta magnifies by |ln|x-d||: d = 0,
+# t - a = 0.3 (a - d) with a - d tiny
+_ROUNDING_CELLS = [(op, rl.beta_rational(61, 7), 0.0, gap, 0.3, 1.3 * gap)
+                   for gap in (1e-12, 1e-30) for op in "JD"]
+
+
 @pytest.fixture(scope="module")
 def window():
     return [(cell, displaced_exact(cell[1], cell[2], cell[3],
                                    cell[4] if cell[0] == "J" else -cell[4],
                                    cell[5]))
-            for cell in _window_cells(300, 16) + _EDGE_CELLS]
+            for cell in _window_cells(300, 16) + _EDGE_CELLS + _ROUNDING_CELLS]
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
