@@ -45,6 +45,7 @@ one point, and raise ToleranceNotMet where the body truncates the point.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from typing import Callable, NamedTuple
@@ -69,6 +70,11 @@ _RULE_SIZES = (16, 24, 32, 48)
 class QuadEstimate(NamedTuple):
     value: float
     error_estimate: float
+
+
+# a job's parameters, made once by _rule_of
+_Rule = collections.namedtuple(
+    "_Rule", "alpha derivative e power degree mass floor flip b sign slack")
 
 
 # The rules are built in fixed point: integers in units of 2^-_BITS, about
@@ -167,7 +173,7 @@ def _rule(alpha: float, n: int,
 
 
 def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
-             rule: tuple, tol: float) -> tuple[float, float] | None:
+             rule: _Rule, tol: float) -> tuple[float, float] | None:
     """head + scale * integral_-1^1 v(y) g(x) dy, v the weight of _rule
     (alpha, n, lifted), at the offset x = lo + u (1+y)/2 from the shift, by
     the smallest product rule whose tail meets tol, less the roundoff floor,
@@ -175,8 +181,7 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
     its bound, the tail plus the rounding (_rule_of) times the magnitude.
     None where no size meets tol, where g at an end of [a, t] leaves the
     normal float range, and where the shift lies in [a, t] unless g is a
-    polynomial of at most the largest size's degree.  rule is a job's
-    _rule_of.
+    polynomial of at most the largest size's degree.
 
     g(x) is x^e, or x^power / x where power = e + 1: f' = beta f/x of a
     fractional beta, where the rounding of beta - 1 would move g by ln|x|
@@ -186,36 +191,36 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
     _tail's for the one power |x-d|^e; a polynomial of at most degree n is
     integrated exactly.
     """
-    alpha, lifted, e, power, degree, mass, floor, flip, _, _, slack = rule
+    e, power, degree, floor = rule.e, rule.power, rule.degree, rule.floor
     divided = power != e
     # the shift's distance from the midpoint, in half-widths
     yd = abs(lo + hi) / u
     rho_d, rounding = 1.0, floor
     try:
         if yd > 1.0:
-            # |x|^power, and g = |x|^power / |x|, at either end; past the
-            # largest float the node loop raises
-            for end in (abs(lo), abs(hi)):
-                if not end ** power >= _TINY * (max(1.0, end) if divided else 1.0):
-                    return None
+            # |x|^power and |x|^e are least at an end; past the largest
+            # float the node loop raises
+            near, far = (lo, hi) if lo > 0.0 else (-hi, -lo)
+            if not (near if power > 0.0 else far) ** power >= _TINY or divided \
+                    and not (near if e > 0.0 else far) ** e >= _TINY:
+                return None
             rho_d = yd + yd * math.sqrt((1.0 - 1.0 / yd) * (1.0 + 1.0 / yd))
-            if slack:
-                rounding += slack * max(abs(math.log(abs(lo))),
-                                        abs(math.log(abs(hi))))
+            if rule.slack:
+                rounding += rule.slack * max(-math.log(near), math.log(far))
         elif degree is None or degree > _RULE_SIZES[-1]:
             return None
         powers = ((yd, rho_d, e),)
-        front = 4.0 * abs(scale) * mass
+        front = 4.0 * abs(scale) * rule.mass
         front = math.log(front) if front else -math.inf
         need = math.inf
-        x_lo, x_hi, x_u = (lo, hi, u) if flip > 0.0 else (-lo, -hi, -u)
+        x_lo, x_hi, x_u = (lo, hi, u) if rule.flip > 0.0 else (-lo, -hi, -u)
         for n in _RULE_SIZES:
             bound = 0.0 if degree is not None and n >= degree \
                 else _tail(front, n, u, powers, False)
             if bound > need:
                 continue
             total = absum = 0.0
-            for h, r, w in _rule(alpha, n, lifted):
+            for h, r, w in _rule(rule.alpha, n, rule.derivative):
                 x = x_hi - x_u * r if r < 0.5 else x_lo + x_u * h
                 v = w * x ** power / x if divided else w * x ** power
                 total += v
@@ -231,8 +236,7 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
             if bound <= need:
                 return value, bound + rounding * magnitude
     except OverflowError:
-        # a power beyond the float range: the graded panels report it
-        pass
+        pass  # a power beyond the float range: the graded panels report it
     return None
 
 
@@ -265,11 +269,11 @@ def _tail(front: float, n: int, u: float, powers, smooth: bool) -> float:
 
 
 def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
-            rule: tuple, tol: float) -> tuple[float, float]:
+            power_u, rule: _Rule, tol: float) -> tuple[float, float]:
     """J^alpha (gamma = Gamma(alpha), head 0) or D^alpha (gamma =
-    Gamma(1-alpha), head _rlfd_at's) of f on graded panels, at the offsets
-    lo = a - d and hi = t - d != 0 from the shift, u = t - a: the value and
-    its bound, inf beyond the float range.  rule is the job's _rule_of.
+    Gamma(1-alpha), head and (t-a)^-alpha = power_u _rlfd_at's) of f on
+    graded panels, at the offsets lo = a - d and hi = t - d != 0 from the
+    shift, u = t - a: the value and its bound, inf beyond the float range.
     [a, t] is split at the shift when it lies inside; a panel is halved
     while it holds the shift and t at its ends, one of them lies closer to
     it than its width, or its tail misses tol times its magnitude, and
@@ -280,8 +284,8 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
     - (t-a)^-alpha against f(x1) - f(x0) in closed form.  Cancellation is met
     as in _by_rule, and a panel's rounding takes the largest |ln|x-d|| on it
     (its mean plus 1/order at the shift)."""
-    alpha, derivative, e, power, _, _, floor, _, b, below, slack = rule
-    power_u, shift_u = _power(u, -alpha)
+    alpha, derivative, e, b = rule.alpha, rule.derivative, rule.e, rule.b
+    below, slack = rule.sign, rule.slack
 
     def panel(x0: float, x1: float, w: float, at_d: bool, tol: float):
         up = x1 > 0.0
@@ -291,7 +295,7 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
         # the weight's end and the other one, and the distances of a node
         # from a point s: (|s - end|, |s - other|, their difference)
         end, other = (x0, x1) if at_d and up else (x1, x0)
-        to_d = (abs(end), abs(other), abs(end) - abs(other), e, power)
+        to_d = (abs(end), abs(other), abs(end) - abs(other), e, rule.power)
         to_t = (hi - end, hi - other, other - end)
         if x1 == hi:
             # (t-x)^(alpha-1), or D's lifted weight, at t
@@ -357,7 +361,7 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
                 absum += v if v > 0.0 else -v
             magnitude = math.ldexp(abs(scale) * absum, expo)
             # the floor's share of tol left to the tail, as in _by_rule
-            need = max(tol - floor, 0.5 * tol) * magnitude
+            need = max(tol - rule.floor, 0.5 * tol) * magnitude
             # a panel whose scale underflows adds nothing
             if bound <= need or not magnitude and bound < math.inf:
                 value = math.ldexp(scale * total, expo)
@@ -369,9 +373,9 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
                         else 1.0 if x0 == 0.0 else -1.0
                     s0 = x0 - lo
                     ratio = math.log1p(-s0 / u) if s0 < t0 else math.log(t0 / u)
-                    step = math.ldexp(power_u * math.expm1(-alpha * ratio) * rise
-                                      * (1.0 if up else below) / gamma,
-                                      shift + shift_u)
+                    step = math.ldexp(power_u[0] * math.expm1(-alpha * ratio)
+                                      * rise * (1.0 if up else below) / gamma,
+                                      shift + power_u[1])
                     value += step
                     magnitude += abs(step)
                 # the exponents' rounding, of beta and of J's 1 + beta at d,
@@ -420,14 +424,15 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
     except OverflowError:
         return math.inf, math.inf
     # and the head's f(t) = |t-d|^beta, its rounded beta magnified by ln|t-d|
-    return value, tails + floor * magnitude \
+    return value, tails + rule.floor * magnitude \
         + slack * abs(math.log(abs(hi))) * abs(head)
 
 
 def _power(x: float, y: float) -> tuple[float, int]:
-    """x^y = m 2^n for x >= 0 as (m, n): frexp(x^y) where x^y is a normal
-    float, else, with x = f 2^E and E y split exactly into n and a fraction,
-    m = f^y 2^fraction, which stays in range."""
+    """x^y = m 2^n for x >= 0 as (m, n), m between 2^-512 and 2^513 for any
+    y: frexp(x^y) where x^y is a normal float.  Else, with x = f 2^E, f in
+    [1/2, 1), and E y split exactly into n and a fraction, m = f^y
+    2^fraction, f^y taken as the square of f^(y/2) for |y| > 512."""
     try:
         m = x ** y
     except OverflowError:
@@ -437,19 +442,23 @@ def _power(x: float, y: float) -> tuple[float, int]:
     f, exp = math.frexp(x)
     p, q = y.as_integer_ratio()
     whole, part = divmod(exp * p, q)
+    if abs(y) > 512.0:
+        m, n = _power(f, 0.5 * y)
+        m, k = math.frexp(m * m)
+        return m * 2.0 ** (part / q), whole + 2 * n + k
     return f ** y * 2.0 ** (part / q), whole
 
 
 def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
-             below: bool) -> tuple[tuple, float]:
-    """The job's parameters (alpha, lifted, e, power, degree, mass, floor,
-    flip, b, sign, slack) of J, whose integrand is f, or of D, whose
-    integrand is f' on the lifted weight, on the job's side of the shift
-    (below it with `below`), and the factor of g in _by_rule's integrand:
-    the sign of f(x) = (x-d)^beta against |x|^beta, times beta for f'.
-    sign is f(x) / |x-d|^beta below the shift.  Both bodies take their
-    rounding from floor and slack, |b - p/q| for a rational beta = p/q of
-    float b, which |x-d|^b magnifies by |ln|x-d||."""
+             below: bool) -> tuple[_Rule, float]:
+    """The job's _Rule and the factor of g in _by_rule's integrand, for J,
+    whose integrand is f, or D (`derivative`), f' on the lifted weight, on
+    the job's side of the shift (below it with `below`).  The factor is the
+    sign of f(x) = (x-d)^beta against |x|^beta, times beta for f'.  The rule
+    holds g's e and power, a polynomial g's degree, the weight's mass, flip
+    = -1 where g is of -x, b = beta's float, sign = f(x) / |x-d|^beta below
+    the shift, and both bodies' rounding: floor, and slack = |b - p/q| for
+    a rational beta = p/q, which |x-d|^b magnifies by |ln|x-d||."""
     b = beta_value(beta)
     integer = isinstance(beta, IntegerExp)
     rational = isinstance(beta, RationalExp)
@@ -481,8 +490,8 @@ def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
     # the weight's integral, none for D at alpha = 1
     mass = 2.0 ** alpha / alpha if not derivative else math.inf \
         if alpha == 1.0 else 2.0 ** (1.0 - alpha) * alpha / (1.0 - alpha)
-    return (alpha, derivative, e, power, degree, mass, floor, flip, b, sign,
-            slack), factor
+    return _Rule(alpha, derivative, e, power, degree, mass, floor, flip, b, sign,
+                 slack), factor
 
 
 def _require_tol(tol: float) -> None:
@@ -536,11 +545,9 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
     rule's parameters are made once."""
     _require_tol(tol)
     require_order(alpha)
-    beta = pf.beta
-    b = beta_value(beta)
     if alpha:
         gamma = kernels.gamma_value(alpha)
-        rule, factor = _rule_of(alpha, False, beta, a < pf.d)
+        rule, factor = _rule_of(alpha, False, pf.beta, a < pf.d)
 
     def at(t: float) -> tuple[float, float]:
         if t < a:
@@ -553,16 +560,16 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
         lo, hi, u = a - pf.d, t - pf.d, t - a
         if hi == 0.0:
             # f(x) = f(-1) (t-x)^beta folds into the weight: J is exact
-            e = alpha + b
-            value = rule[9] * float_power(u, e) / (e * gamma)
-            estimate = rule[6] * abs(value) * (1.0 + e * abs(math.log(u)))
+            e = alpha + rule.b
+            value = rule.sign * float_power(u, e) / (e * gamma)
+            estimate = rule.floor * abs(value) * (1.0 + e * abs(math.log(u)))
         else:
             got = _by_rule(lo, hi, u,
                            float_power(0.5 * u, alpha) / gamma * factor, 0.0,
                            rule, tol)
             if got is not None:
                 return got
-            value, estimate = _graded(lo, hi, u, gamma, 0.0, rule, tol)
+            value, estimate = _graded(lo, hi, u, gamma, 0.0, None, rule, tol)
         if not (math.isfinite(value) and math.isfinite(estimate)):
             raise ValueOverflow(f"J^{alpha!r} at t={t!r} is beyond the float range")
         return value, estimate
@@ -590,11 +597,9 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
     rule's parameters are made once."""
     _require_tol(tol)
     require_order(alpha)
-    beta = pf.beta
-    b = beta_value(beta)
-    integer = isinstance(beta, IntegerExp)
+    integer = isinstance(pf.beta, IntegerExp)
     if alpha:
-        rule, factor = _rule_of(alpha, True, beta, a < pf.d)
+        rule, factor = _rule_of(alpha, True, pf.beta, a < pf.d)
     if 0.0 < alpha < 1.0:
         gamma = kernels.gamma_value(1.0 - alpha)
 
@@ -609,23 +614,22 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
             return _rlfd_at_the_shift(rule, u, t)
         if alpha == 1.0 and not hi:
             # f'(d) of an integer: 1 for beta = 1
-            value = float(b == 1.0)
-            return value, rule[6] * value
+            value = float(rule.b == 1.0)
+            return value, rule.floor * value
         # f(t) = sign |t-d|^beta as a float times a power of 2, so that what
         # is made of it leaves the float range only where it does
-        f_t, shift = _power(abs(hi), b)
-        if hi < 0.0:
-            f_t *= rule[9]
+        f_t, shift = _power(abs(hi), rule.b)
+        f_t *= rule.sign if hi < 0.0 else 1.0
         try:
             if alpha == 1.0:
                 # f'(t) = beta f(t) / (t-d), bound by the rounding at t
                 m, k = math.frexp(hi)
-                value = math.ldexp(b * f_t / m, shift - k)
-                return value, (rule[6] + rule[10] * abs(math.log(abs(hi)))) \
-                    * abs(value)
+                value = math.ldexp(rule.b * f_t / m, shift - k)
+                return value, (rule.floor
+                               + rule.slack * abs(math.log(abs(hi)))) * abs(value)
             # D's head f(t) (t-a)^-alpha / Gamma(1-alpha)
-            power_u, shift_u = _power(u, -alpha)
-            head = math.ldexp(f_t * power_u / gamma, shift + shift_u)
+            power_u = _power(u, -alpha)
+            head = math.ldexp(f_t * power_u[0] / gamma, shift + power_u[1])
         except OverflowError:
             raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float "
                                 "range") from None
@@ -637,7 +641,7 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
         if hi == 0.0:
             # an integer beyond the rules' degree
             return _rlfd_at_the_shift(rule, u, t)
-        value, estimate = _graded(lo, hi, u, gamma, head, rule, tol)
+        value, estimate = _graded(lo, hi, u, gamma, head, power_u, rule, tol)
         if not (math.isfinite(value) and math.isfinite(estimate)):
             raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")
         return value, estimate
@@ -645,7 +649,7 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
     return at
 
 
-def _rlfd_at_the_shift(rule: tuple, u: float, t: float) -> QuadEstimate:
+def _rlfd_at_the_shift(rule: _Rule, u: float, t: float) -> QuadEstimate:
     """D^alpha at t = d, u = t - a > 0, of a fractional beta or an integer
     one beyond the rules' degree, with the job's _rule_of.
 
@@ -660,15 +664,15 @@ def _rlfd_at_the_shift(rule: tuple, u: float, t: float) -> QuadEstimate:
     beta <= alpha, f' is not integrable at t and no value is returned:
     ToleranceNotMet.
     """
-    alpha, floor, b, sign = rule[0], rule[6], rule[8], rule[9]
+    alpha, b = rule.alpha, rule.b
     if b <= alpha:
         raise ToleranceNotMet(f"f is not smooth at t = d = {t!r}")
     if alpha == 1.0:
         return QuadEstimate(0.0, 0.0)
     e = b - alpha
-    value = -sign * alpha * float_power(u, e) \
+    value = -rule.sign * alpha * float_power(u, e) \
         / (e * kernels.gamma_value(1.0 - alpha))
-    estimate = floor * abs(value) * (1.0 + e * abs(math.log(u)) + b / e)
+    estimate = rule.floor * abs(value) * (1.0 + e * abs(math.log(u)) + b / e)
     if not (math.isfinite(value) and math.isfinite(estimate)):
         raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")
     return QuadEstimate(value, estimate)

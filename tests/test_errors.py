@@ -170,6 +170,8 @@ def _outcome(entry, *args) -> str:
 @example(beta=rl.beta_int(-400), d=0.03164480437265205, gap=-2.0,
          alpha=0.4415, frac=0.9916282032320572)
 @example(beta=rl.beta_int(-1), d=-1.0, gap=1.0, alpha=0.99, frac=5e-324)
+# f(t) = 0.51^-1400.5 beyond the float range: D's head overflows
+@example(beta=rl.beta_rational(-2801, 2), d=0.0, gap=0.3, alpha=0.5, frac=0.7)
 @example(beta=rl.beta_real(-1.5), d=0.0, gap=1.0, alpha=math.nan, frac=0.5)
 @example(beta=rl.beta_real(-1.5), d=0.0, gap=1.0, alpha=math.inf, frac=0.5)
 @example(beta=rl.beta_real(-1.5), d=0.0, gap=1.0, alpha=2.0, frac=0.5)

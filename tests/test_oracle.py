@@ -702,6 +702,25 @@ def test_rule_nodes_are_the_chebyshev_points(n):
         assert 1.0 - 2.0 * r == pytest.approx(math.cos(math.pi * j / n), abs=1e-15)
 
 
+def test_power_holds_any_exponent():
+    # x^y as m 2^n with m near 1, past the float range on either side and
+    # for |y| beyond 1023, where f^y of x's mantissa f would overflow
+    rng = random.Random(3)
+    cases = [(0.5, -1400.5), (2.0, 1400.5), (5e-324, 1400.5), (1.7e308, -1400.5),
+             (0.45, -1400.5), (2.0, -1100.0)]
+    for _ in range(300):
+        x = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1074, 1023))
+        scale = rng.choice((1.0, 100.0, 1000.0, 1e4))
+        cases.append((x, rng.uniform(-scale, scale)))
+    with mp.workdps(30):
+        for x, y in cases:
+            m, n = oracle._power(x, y)
+            assert 2.0 ** -512 < m < 2.0 ** 513, (x, y)
+            exact = mp.power(mp.mpf(x), mp.mpf(y))
+            assert abs(mp.ldexp(mp.mpf(m), n) / exact - 1) \
+                <= (2.0 + abs(y) / 256.0) * math.ulp(1.0), (x, y)
+
+
 def _window_cells(count, seed):
     """J and D cells inside the series window: exponents of every class with
     |beta| <= 30 (integer, rational, real and within 1e-3 of an integer),
