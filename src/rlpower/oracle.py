@@ -271,7 +271,7 @@ def _tail(front: float, n: int, u: float, powers, smooth: bool) -> float:
 def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
             power_u, rule: _Rule, tol: float) -> tuple[float, float]:
     """J^alpha (gamma = Gamma(alpha), head 0) or D^alpha (gamma =
-    Gamma(1-alpha), head and (t-a)^-alpha = power_u _rlfd_at's) of f on
+    Gamma(1-alpha), _rlfd_at's head and power_u = (t-a)^-alpha) of f on
     graded panels, at the offsets lo = a - d and hi = t - d != 0 from the
     shift, u = t - a: the value and its bound, inf beyond the float range.
     [a, t] is split at the shift when it lies inside; a panel is halved
