@@ -415,7 +415,10 @@ def _emit_records(result: JobResult, job: JobSpec, stream) -> None:
     point.  Each route's tails are formatted from its columns a chunk of
     points at a time, interleaved with the point pieces and written with one
     write per chunk.  Only JSON lines hold ": " before a number, so
-    respelling a chunk's non-finite floats leaves the rest as it is.
+    respelling a chunk's non-finite floats leaves the rest as it is.  The
+    head and t are finite, so a job's chunks are respelled only where a sum
+    of its value and remainder columns is not finite: where one of them
+    holds a NaN or an infinity, or the sum overflows.
     """
     header, head_fmt, point_fmt, tail_fmt, respell = _FORMATS[job.out_format]
     stream.write(header)
@@ -424,6 +427,8 @@ def _emit_records(result: JobResult, job: JobSpec, stream) -> None:
     tail_fmts = [tail_fmt % route for route in result.routes]
     width = 2 * len(tail_fmts)
     ts, columns = result.ts, result.columns
+    respell = respell and not math.isfinite(sum(
+        sum(values) + sum(remainders) for values, _, remainders, _ in columns))
     for start in range(0, len(ts), _CHUNK):
         stop = start + _CHUNK
         points = list(map(point_fmt.__mod__, ts[start:stop]))

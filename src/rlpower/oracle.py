@@ -33,14 +33,16 @@ rounding term times the magnitude: the roundoff floor, and a rational
 beta's rounding magnified by |ln|x-d|| (_rule_of).  [a, t] is first one
 panel with its weight at t (_by_rule), which serves every cell where f is
 analytic and a normal float on [a, t]; elsewhere the panels are graded
-toward t and the shift (_graded).  D's head, made once per point from f(t)
-as a float times a power of 2, goes to either body.  At t = d, f is
+toward t and the shift (_graded); a panel below the normal float range adds
+the smallest subnormal to its bound.  D's head, made once per point from
+f(t) as a float times a power of 2, goes to either body.  At t = d, f is
 (t-x)^beta up to sign and folds into the weight.
 
-The route body _quad evaluates a job's sorted points: the checks, the
-gamma factors and the rule's parameters are made once per job, and each
-point costs one node loop.  quad_rlfi and quad_rlfd take the same path at
-one point, and raise ToleranceNotMet where the body truncates the point.
+The route body _quad evaluates a job's sorted points: the checks that do
+not depend on t (_interval_check), the gamma factors and the rule's
+parameters are made once per job, and each point costs one node loop.
+quad_rlfi and quad_rlfd take the same path at one point, and raise
+ToleranceNotMet where the body truncates the point.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ DEFAULT_TOL = 1e-11
 SPLIT_GUARD = 1e-12
 _TOL_FLOOR = 100.0 * math.ulp(1.0)
 _TINY = 2.0 ** -1022  # the smallest normal float
+_SUBNORMAL = 2.0 ** -1074  # the smallest subnormal one
 # sizes n of the Chebyshev product rules, smallest first
 _RULE_SIZES = (16, 24, 32, 48)
 
@@ -387,6 +390,10 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
                     spread += 1.0 / order
                     if not derivative:
                         exponent += abs(order - 1.0 - b)
+                if sign and magnitude < _TINY:
+                    # below the normal range a value rounds to a multiple of
+                    # the smallest subnormal, and one below that to 0
+                    bound += _SUBNORMAL
                 return value, bound + exponent * spread * magnitude, magnitude
         return None
 
@@ -499,22 +506,34 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tolerances below {_TOL_FLOOR:g} are not achievable")
 
 
-def _require_interval(pf: PowerFunction, a: float, t: float) -> None:
-    if beta_value(pf.beta) < 0.0 and a - SPLIT_GUARD <= pf.d <= t + SPLIT_GUARD:
-        raise PoleInsideInterval(
-            f"integrand pole at x={pf.d!r} touches [{a!r}, {t!r}]")
-    for point in (a, t):
-        if not pf.contains(point):
-            raise ValueError(f"{point!r} outside the power function's domain")
+def _interval_check(pf: PowerFunction, a: float) -> Callable[[float], None]:
+    """The check of [a, t] at a job's points t, its part that does not
+    depend on t made once: a negative beta's pole within SPLIT_GUARD raises
+    PoleInsideInterval, then an end outside f's domain ValueError, a first."""
+    d = pf.d
+    pole = beta_value(pf.beta) < 0.0 and a - SPLIT_GUARD <= d
+    inside = pf.contains(a)
+
+    def check(t: float) -> None:
+        if pole and d <= t + SPLIT_GUARD:
+            raise PoleInsideInterval(
+                f"integrand pole at x={d!r} touches [{a!r}, {t!r}]")
+        if not inside:
+            raise ValueError(f"{a!r} outside the power function's domain")
+        if not pf.contains(t):
+            raise ValueError(f"{t!r} outside the power function's domain")
+
+    return check
 
 
 def _quad(pf: PowerFunction, a: float, alpha: float, ts: list[float],
           tol: float, derivative: bool) -> Columns:
     """The oracle route over the sorted points ts: the columns (values,
     terms, estimates, status names) of J^alpha, or with `derivative` of
-    D^alpha, of f from a.  The job's checks and factors are made once
-    (_rlfi_at, _rlfd_at).  A point that meets ToleranceNotMet is truncated,
-    with no value and an infinite estimate; every other error raises."""
+    D^alpha, of f from a.  The job's factors, and its checks but those at
+    t, are made once (_rlfi_at, _rlfd_at, _interval_check).  A point that
+    meets ToleranceNotMet is truncated, with no value and an infinite
+    estimate; every other error raises."""
     at = (_rlfd_at if derivative else _rlfi_at)(pf, a, alpha, tol)
     values, estimates, statuses = [], [], []
     for t in ts:
@@ -541,10 +560,12 @@ def quad_rlfi(pf: PowerFunction, a: float, alpha: float, t: float,
 def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
              tol: float) -> Callable[[float], tuple[float, float]]:
     """quad_rlfi at one point t of a job, as (value, estimate): the
-    tolerance, the order, beta's float and sign, Gamma(alpha) and the
-    rule's parameters are made once."""
+    tolerance, the order, the interval's checks that do not depend on t,
+    beta's float and sign, Gamma(alpha) and the rule's parameters are made
+    once."""
     _require_tol(tol)
     require_order(alpha)
+    check_interval = _interval_check(pf, a)
     if alpha:
         gamma = kernels.gamma_value(alpha)
         rule, factor = _rule_of(alpha, False, pf.beta, a < pf.d)
@@ -552,7 +573,7 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
     def at(t: float) -> tuple[float, float]:
         if t < a:
             raise ValueError("quad_rlfi requires a <= t")
-        _require_interval(pf, a, t)
+        check_interval(t)
         if alpha == 0.0:
             return pf.value(t), 0.0
         if a == t:
@@ -593,10 +614,12 @@ def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,
 def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
              tol: float) -> Callable[[float], tuple[float, float]]:
     """quad_rlfd at one point t of a job, as (value, estimate): the
-    tolerance, the order, beta's float and sign, Gamma(1-alpha) and the
-    rule's parameters are made once."""
+    tolerance, the order, the interval's checks that do not depend on t,
+    beta's float and sign, Gamma(1-alpha) and the rule's parameters are made
+    once."""
     _require_tol(tol)
     require_order(alpha)
+    check_interval = _interval_check(pf, a)
     integer = isinstance(pf.beta, IntegerExp)
     if alpha:
         rule, factor = _rule_of(alpha, True, pf.beta, a < pf.d)
@@ -608,7 +631,7 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
             return pf.value(t), 0.0
         if t <= a:
             raise EvalAtLowerLimit("the head term (t-a)^-alpha needs t > a")
-        _require_interval(pf, a, t)
+        check_interval(t)
         lo, hi, u = a - pf.d, t - pf.d, t - a
         if hi == 0.0 and not integer:
             return _rlfd_at_the_shift(rule, u, t)

@@ -12,7 +12,7 @@ import tracemalloc
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rlpower.cli
@@ -684,8 +684,32 @@ def _job_results(draw):
     return JobResult(head, ts, routes, columns)
 
 
+def _two_route_job(values, remainders):
+    """A 600-point job on two routes, with the value and remainder columns
+    given: three chunks of 256 points, the last one short."""
+    n = 600
+    ts = [1.0 + i / n for i in range(n)]
+    columns = [(values[j], list(range(n)), remainders[j], ["converged"] * n)
+               for j in range(2)]
+    return JobResult(("J", 0.35, "-3/2", -2.5, -1.0), ts, ["hyp", "series"],
+                     columns)
+
+
+_TINY_REMAINDERS = [[i * 1e-17 for i in range(600)] for _ in range(2)]
+
+
 @given(result=_job_results(), chunk=st.integers(1, 5),
        out_format=st.sampled_from(sorted(_WRITERS)))
+# the only non-finite float of a job is a remainder in the last chunk of its
+# second route
+@example(result=_two_route_job(
+    [[math.sqrt(i) / 3.0 for i in range(600)]] * 2,
+    [_TINY_REMAINDERS[0],
+     _TINY_REMAINDERS[1][:580] + [math.inf] + _TINY_REMAINDERS[1][581:]]),
+    chunk=256, out_format="jsonl")
+# a job of finite floats whose values sum beyond the float range
+@example(result=_two_route_job([[1e308] * 600] * 2, _TINY_REMAINDERS),
+         chunk=256, out_format="jsonl")
 @settings(max_examples=200, deadline=None)
 def test_emitting_a_job_result_is_writing_its_records(result, chunk, out_format):
     # small chunks, so that a job spans several
@@ -785,6 +809,34 @@ def test_grid_names_the_first_point_at_fault_in_job_order(capsys, op, alpha, gri
     code, out, err = run(capsys, "eval", "--op", op, "--alpha", alpha,
                          "--beta-int", "-3", "--d", "0", "--a", "1",
                          "--t", grid, "--route", routes, "--format", "csv")
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("op", ["J", "D"])
+@pytest.mark.parametrize("exponent, lower, grid, error", [
+    # a outside f's domain [0, inf)
+    (["--beta-rational", "1/2"], ["--d", "0", "--a", "-1"], "-0.5:0.5:3",
+     "ValueError: -1.0 outside the power function's domain"),
+    # the pole at 1 touches [0, t] from t = 1, the third point in t-major
+    # order, which the descending grid gives fourth; t = 1 is outside f's
+    # domain too, and the pole comes first
+    (["--beta-int", "-1"], ["--d", "1", "--a", "0"], "1.8:0.2:5",
+     "PoleInsideInterval: integrand pole at x=1.0 touches [0.0, 1.0]"),
+    # a outside (0, inf), and the pole at 0 touches [a, t] from the last
+    # point: a's error comes first
+    (["--beta-rational", "-1/2"], ["--d", "0", "--a", "-1"], "-0.9:0.5:3",
+     "ValueError: -1.0 outside the power function's domain"),
+    # ... and from the first point, where the pole comes first
+    (["--beta-rational", "-1/2"], ["--d", "0", "--a", "-1"], "0.5:0.9:2",
+     "PoleInsideInterval: integrand pole at x=0.0 touches [-1.0, 0.5]"),
+])
+def test_oracle_interval_errors_come_first_in_t_major_order(capsys, op, exponent,
+                                                            lower, grid, error):
+    # every grid point is finite and at least a, so with a inside f's domain
+    # every point is: a point outside it is the library's (test_oracle.py)
+    code, out, err = run(capsys, "eval", "--op", op, "--alpha", "0.5",
+                         *exponent, *lower, "--t", grid, "--route", "oracle",
+                         "--format", "csv")
     assert (code, out, err) == (1, "", f"error: {error}\n")
 
 

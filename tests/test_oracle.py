@@ -442,6 +442,14 @@ def graded():
                      2.941729864009291e34, 2.943133708102492e34)
     scaled += [(("D", beta, d, a, 0.06215523949978858, t),
                 displaced_exact(beta, d, a, -0.06215523949978858, t))]
+    # J and D below the float range, 3.2e-544 and 3.0e-497: the value
+    # rounds to 0, and its bound is not 0
+    beta, d, a, alpha, t = (rl.beta_real(9.699864823646791), 3.53786830737773e-54,
+                            5.833331481783392e-54, 0.42885126145679775,
+                            6.009552585608829e-54)
+    scaled += [((op, beta, d, a, alpha, t),
+                displaced_exact(beta, d, a, alpha if op == "J" else -alpha, t))
+               for op in "JD"]
     return centered + inside + scaled, beyond
 
 
@@ -596,6 +604,54 @@ def test_quad_rlfd_pole_names_the_interval():
         pf = rl.power_function(d, rl.beta_int(-2))
         with pytest.raises(PoleInsideInterval, match=r"touches \[0\.0, 1\.0\]"):
             rl.quad_rlfd(pf, 0.0, 0.5, 1.0)
+
+
+_OUTSIDE = (ValueError, "-1.0 outside the power function's domain")
+# (d, beta, a, points, the first error at each point): at a point the pole
+# comes first, then a, then t, and a job's first error is its first point's
+# in t-major order
+_INTERVAL_JOBS = {
+    # a outside f's domain [0, inf), at every point
+    "a outside": (0.0, rl.beta_rational(1, 2), -1.0, [-0.5, 0.0, 0.5],
+                  [_OUTSIDE] * 3),
+    # with a inside the domain, only a NaN t lies outside it
+    "t outside": (0.0, rl.beta_rational(1, 2), 0.5, [0.75, math.nan],
+                  [None, (ValueError, "nan outside the power function's domain")]),
+    # the pole at 1 touches [0, t] from the third point on, there within
+    # SPLIT_GUARD of t
+    "later pole": (1.0, rl.beta_int(-1), 0.0, [0.2, 0.6, 1.0 - 0.5e-12, 1.4],
+                   [None, None,
+                    (PoleInsideInterval,
+                     "integrand pole at x=1.0 touches [0.0, 0.9999999999995]"),
+                    (PoleInsideInterval,
+                     "integrand pole at x=1.0 touches [0.0, 1.4]")]),
+    # a outside (0, inf), and the pole at 0 touches [a, t] from the last
+    # point, where it comes first
+    "a outside, later pole": (0.0, rl.beta_rational(-1, 2), -1.0,
+                              [-0.9, -0.2, 0.5],
+                              [_OUTSIDE, _OUTSIDE,
+                               (PoleInsideInterval,
+                                "integrand pole at x=0.0 touches [-1.0, 0.5]")]),
+}
+
+
+@pytest.mark.parametrize("job", sorted(_INTERVAL_JOBS))
+@pytest.mark.parametrize("quad", [rl.quad_rlfi, rl.quad_rlfd])
+def test_interval_errors_come_pole_then_a_then_t(job, quad):
+    # each point on its own, then the route body over the job's points
+    d, beta, a, ts, errors = _INTERVAL_JOBS[job]
+    pf = rl.power_function(d, beta)
+    for t, error in zip(ts, errors):
+        if error is None:
+            quad(pf, a, 0.5, t)
+            continue
+        with pytest.raises(error[0]) as info:
+            quad(pf, a, 0.5, t)
+        assert (type(info.value), str(info.value)) == error
+    first = next(error for error in errors if error)
+    with pytest.raises(first[0]) as info:
+        oracle._quad(pf, a, 0.5, ts, oracle.DEFAULT_TOL, quad is rl.quad_rlfd)
+    assert (type(info.value), str(info.value)) == first
 
 
 @pytest.mark.parametrize("beta, d, a", [
