@@ -29,7 +29,7 @@ from .domain import (
     require_order,
     require_points,
 )
-from .errors import HypNotConverged, RLPowerError
+from .errors import RLPowerError
 
 _MACHINE_FMT = "%.17g"
 
@@ -346,25 +346,15 @@ def _job_from(values: dict) -> JobSpec:
 def _route_values(job: JobSpec, pf, win, sa: float, route: str,
                   ts: list[float]) -> series.Columns:
     """The columns (values, terms, remainders, statuses) over the sorted
-    points ts on one route, at the signed order sa.  Each route evaluates ts
-    in one call of its body; a convergence failure becomes a truncated
-    record with no value and an infinite remainder."""
+    points ts on one route, at the signed order sa: one call of the route's
+    body, which writes a point that fails to converge as a truncated record
+    and raises every other error."""
     if route == "series":
         return series._series(pf, win, sa, ts, job.tol, job.max_terms)
-    n = len(ts)
     if route == "closed":
-        return series._closed(pf, sa, ts), [0] * n, [0.0] * n, ["converged"] * n
+        return series._centered(pf, sa, ts, job.tol)
     if route == "hyp":
-        try:
-            return (hypergeom._hyp_form(pf, win, sa, ts), [0] * n, [0.0] * n,
-                    ["converged"] * n)
-        except HypNotConverged:
-            if n == 1:
-                return [math.nan], [0], [math.inf], ["truncated"]
-            # only the points whose 2F1 failed are truncated
-            points = [_route_values(job, pf, win, sa, route, [t]) for t in ts]
-            # the points' one-entry columns, joined column by column
-            return tuple([one[0] for one in column] for column in zip(*points))
+        return hypergeom._hyp_form(pf, win, sa, ts)
     return oracle._quad(pf, job.a, job.alpha, ts, job.quad_tol, job.op == "D")
 
 

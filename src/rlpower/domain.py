@@ -99,6 +99,15 @@ def beta_value(beta: BetaIndex) -> float:
     return beta.x
 
 
+def beta_slack(beta: BetaIndex) -> float:
+    """|beta_value(beta) - p/q| for a rational beta = p/q, the rounding that
+    a power |x|^beta magnifies by |ln|x||; 0 for the other exponents."""
+    if not isinstance(beta, RationalExp):
+        return 0.0
+    num, den = beta_value(beta).as_integer_ratio()
+    return abs(num * beta.q - beta.p * den) / (den * beta.q)
+
+
 class DomainSpec(enum.Enum):
     ALL_REALS = "R"
     ALL_REALS_EXCEPT_D = "R\\{d}"

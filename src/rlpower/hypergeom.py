@@ -31,6 +31,7 @@ HypNotConverged instead.
 
 from __future__ import annotations
 
+import math
 import operator
 
 from ._backend import kernels
@@ -49,6 +50,7 @@ from .errors import (
     ParamPole,
     WindowViolation,
 )
+from .series import Columns
 
 DEFAULT_TOL = 1e-14
 MAX_TERMS = 20000
@@ -62,16 +64,23 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     the Pfaff transformation to x/(x-1) in (0, 1/2).  Errors name the
     caller's parameters, not the transformed ones.
     """
-    return _hyp2f1(a, b, c, [x])[0]
+    (value,), (status,) = _hyp2f1(a, b, c, [x])
+    if status != "converged":
+        raise HypNotConverged(f"2F1 series failed to converge for a={a!r}, "
+                              f"b={b!r}, c={c!r}, arg={x!r}")
+    return value
 
 
-def _hyp2f1(a: float, b: float, c: float, xs: list[float]) -> list[float]:
-    # hyp2f1 at every argument of xs; the Pfaff decision is made once
+def _hyp2f1(a: float, b: float, c: float,
+            xs: list[float]) -> tuple[list[float], list[str]]:
+    # hyp2f1 at every argument of xs, with its status name: a series that
+    # stops at MAX_TERMS or diverges is truncated, with value NaN.  The
+    # Pfaff decision is made once.
     pfaff = kernels.nonpos_int_index(a) < 0 and kernels.nonpos_int_index(b) < 0
     # transform on the larger parameter when c - b < -1 would cancel
     p, q = (b, a) if c - b < -1.0 and b > a else (a, b)
     cq = c - q
-    values = []
+    values, statuses = [], []
     for x in xs:
         if pfaff and -1.0 < x < 0.0:
             front = (1.0 - x) ** -p
@@ -85,18 +94,25 @@ def _hyp2f1(a: float, b: float, c: float, xs: list[float]) -> list[float]:
             raise ParamPole(f"c={c!r} hits a non-positive integer before termination")
         if status == kernels.STATUS_ARG_OUT:
             raise ArgOutOfDisk(f"|arg|={abs(x)!r} >= 1 with no termination")
-        if status != kernels.STATUS_CONVERGED:
-            raise HypNotConverged(f"2F1 series failed to converge for a={a!r}, "
-                                  f"b={b!r}, c={c!r}, arg={x!r}")
-        values.append(front * value)
-    return values
+        if status == kernels.STATUS_CONVERGED:
+            values.append(front * value)
+            statuses.append("converged")
+        else:
+            values.append(math.nan)
+            statuses.append("truncated")
+    return values, statuses
 
 
 def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
-              ts: list[float]) -> list[float]:
-    """J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa, over the
-    sorted points ts.  The checks, (a-d)^beta, Gamma(c) and the Pfaff
-    decision are made once.  Each point costs one 2F1 series."""
+              ts: list[float]) -> Columns:
+    """J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa: the
+    columns (values, terms, remainders, status names) over the sorted points
+    ts.  The checks, (a-d)^beta, Gamma(c) and the Pfaff decision are made
+    once, and each point costs one 2F1 series.  A converged point has terms
+    and remainder 0.  A point whose 2F1 stops at MAX_TERMS or diverges is
+    truncated, with value NaN, terms 0 and remainder inf, and so is every
+    point at a c within 1e-12 of the pole c = 0 but not on it, which the
+    series would take for the limit f'(t)."""
     require_points(win, win.a, pf.d, sa, ts)
     A = win.a - pf.d
     if A == 0.0:  # the centered window
@@ -105,39 +121,57 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
             "use the series, closed or oracle routes at the shift")
     beta = beta_value(pf.beta)
     c = 1.0 + sa
-    if kernels.nonpos_int_index(c) == 0:
-        if c != 0.0:
-            # next to the pole the series would be taken as the limit f'(t)
-            raise HypNotConverged(f"c={c!r} within 1e-12 of the pole c = 0")
+    n = len(ts)
+    if c == 0.0:
         # the removable pole c = 0 of 2F1/Gamma(c): D of order 1 is f'(t)
         lead = branch_power(A, pf.beta) * beta / A
-        return [lead * h for h in
-                _hyp2f1(2.0, 1.0 - beta, 2.0, [-((t - win.a) / A) for t in ts])]
-    values = []
-    for t in ts:  # the points on the lower limit lead the sorted list
-        if t != win.a:
-            break
-        values.append(0.0 if sa > 0.0 else branch_power(A, pf.beta))
-    if len(values) < len(ts):
-        front = branch_power(A, pf.beta)
-        gamma_c = kernels.gamma_value(c)
-        scales, xs = [], []
-        for t in ts[len(values):]:
-            u = t - win.a
-            scales.append(front * float_power(u, sa) / gamma_c)
-            xs.append(-(u / A))
-        values += map(operator.mul, scales, _hyp2f1(1.0, -beta, c, xs))
-    return values
+        values, statuses = _hyp2f1(2.0, 1.0 - beta, 2.0,
+                                   [-((t - win.a) / A) for t in ts])
+        values = [lead * h for h in values]
+    elif kernels.nonpos_int_index(c) == 0:
+        values, statuses = [math.nan] * n, ["truncated"] * n
+    else:
+        values = []
+        for t in ts:  # the points on the lower limit lead the sorted list
+            if t != win.a:
+                break
+            values.append(0.0 if sa > 0.0 else branch_power(A, pf.beta))
+        statuses = ["converged"] * len(values)
+        if len(values) < n:
+            front = branch_power(A, pf.beta)
+            gamma_c = kernels.gamma_value(c)
+            scales, xs = [], []
+            for t in ts[len(values):]:
+                u = t - win.a
+                scales.append(front * float_power(u, sa) / gamma_c)
+                xs.append(-(u / A))
+            hs, more = _hyp2f1(1.0, -beta, c, xs)
+            values += map(operator.mul, scales, hs)
+            statuses += more
+    return (values, [0] * n,
+            [0.0 if status == "converged" else math.inf for status in statuses],
+            statuses)
+
+
+def _value(columns: Columns, sa: float, t: float) -> float:
+    # a body's one-point columns as its value; raises unless converged
+    (value,), _, _, (status,) = columns
+    if status != "converged":
+        raise HypNotConverged(f"2F1 form at t={t!r} with c={1.0 + sa!r} "
+                              "failed to converge")
+    return value
 
 
 def rlfi_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float) -> float:
     """Fractional integral through the closed 2F1 form; real inside the window."""
-    return _hyp_form(pf, win, require_order(alpha), [t])[0]
+    sa = require_order(alpha)
+    return _value(_hyp_form(pf, win, sa, [t]), sa, t)
 
 
 def rlfd_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float) -> float:
     """Fractional derivative: the integral's 2F1 form at order -alpha;
     at alpha = 1 the removable pole c = 0 gives f'(t)."""
-    return _hyp_form(pf, win, -require_order(alpha), [t])[0]
+    sa = -require_order(alpha)
+    return _value(_hyp_form(pf, win, sa, [t]), sa, t)

@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 
 from ._backend import kernels
 from .domain import (BetaIndex, IntegerExp, PowerFunction, RationalExp,
-                     beta_value, float_power, require_order)
+                     beta_slack, beta_value, float_power, require_order)
 from .errors import (EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet,
                      ValueOverflow)
 from .series import Columns
@@ -484,9 +484,7 @@ def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
     # at most 6.8 + 2 |beta|, and beyond the tails on 1 105 graded cells
     # (centered, shift inside, 1e-11 to 1 beyond an end) 4.1 + 2 |beta|
     floor = (16.0 + 2.0 * abs(b)) * math.ulp(1.0)
-    num, den = b.as_integer_ratio()
-    slack = abs(num * beta.q - beta.p * den) / (den * beta.q) if rational \
-        else 0.0
+    slack = beta_slack(beta)
     odd = beta.m % 2 if integer else rational and beta.p % 2
     sign = -1.0 if below and odd else 1.0
     flip = -1.0 if below and not integer else 1.0

@@ -58,6 +58,7 @@ from .domain import (
     BetaIndex,
     EvalWindow,
     PowerFunction,
+    beta_slack,
     beta_value,
     branch_power,
     float_power,
@@ -156,7 +157,8 @@ def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
     """
     require_points(win, win.a, pf.d, sa, ts)
     if win.a == pf.d:
-        return _centered(pf, sa, ts, tol)
+        values, _, bounds, statuses = _centered(pf, sa, ts, tol)
+        return values, [pf.beta.m + 1] * len(ts), bounds, statuses
     A = win.a - pf.d
     front = branch_power(A, pf.beta)
     if A > 0.0:
@@ -180,40 +182,88 @@ def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
 
 def _centered(pf: PowerFunction, sa: float, ts: list[float],
               tol: float) -> Columns:
-    """On the centered window, the one term left of the m + 1, at each of the
-    sorted points ts: _closed's value, whose bound is the roundoff of
-    Gamma(m+1)/Gamma(m+sa+1) (t-d)^(m+sa) as _closed evaluates it,
+    """The centered gamma-ratio form Gamma(beta+1)/Gamma(beta+sa+1)
+    (t-d)^(beta+sa), beta > -1, at each of the sorted points ts: the columns
+    (values, terms 0, bounds, status names), the closed route's and, with
+    terms m + 1, the series route's on the centered window.  The coefficient
+    is made once, as exp(lgamma - lgamma) with Gamma's sign.  With
+    e = beta + sa, b beta's float and s = |b - p/q| for a rational
+    beta = p/q (else 0), the bound is the roundoff of that form,
 
-        (_CENTERED_ULPS + 2 (|lgamma(m+1)| + |lgamma(m+sa+1)|
-                             + |(m+sa) ln(t-d)|)) eps |value|
-        + _TINY (m + 2),
+        (_CENTERED_ULPS + 2 (|lgamma(b+1)| + |lgamma(e+1)|) + 2 |e ln(t-d)|
+         + psi(e+1) (|e| + |e+1|) + psi(b+1) |b+1|) eps |value|
+        + (psi(e+1) + psi(b+1) + |ln(t-d)|) s |value|
+        + _TINY (|coefficient| + 1),
 
-    the last term for a value in the subnormal range (the coefficient is at
-    most m + 1).  At m = 0 an order within 1e-12 of 1 but not 1 is taken for
-    the pole of Gamma(sa+1), as the kernels' pole test has it, and its 0 has
-    an unknown (inf) bound.
+    psi(y) >= |digamma(y)| (_digamma_size) carrying the rounding of the
+    arguments e + 1 and b + 1, and of beta to b, through lgamma, and the
+    last term a value in the subnormal range.  A beta + sa + 1 within 1e-12
+    of a pole of Gamma(beta+sa+1) is taken for the pole, as the kernels'
+    pole test has it: the value 0 is exact where beta + sa + 1 = 0 exactly,
+    and otherwise has an unknown (inf) bound.
     """
-    m = pf.beta.m
-    values = _closed(pf, sa, ts)
-    n = len(values)
-    exponent = m + sa
-    if kernels.nonpos_int_index(exponent + 1.0) >= 0:
-        exact = sa == -1.0
-        return (values, [m + 1] * n, [0.0 if exact else math.inf] * n,
-                ["converged" if exact else "truncated"] * n)
-    ulps = _CENTERED_ULPS + 2.0 * (abs(math.lgamma(m + 1.0))
-                                   + abs(math.lgamma(exponent + 1.0)))
-    tiny = _TINY * (m + 2.0)
-    d, log, bounds, statuses = pf.d, math.log, [], []
-    for t, value in zip(ts, values):
+    beta = beta_value(pf.beta)
+    # within 1e-12 of -1 counts as the numerator pole of Gamma(beta+1)
+    if beta + 1.0 <= _INT_TOL:
+        raise BetaOutOfRange(f"centered closed form requires beta > -1, got {beta!r}")
+    require_order(abs(sa))
+    exponent = beta + sa
+    pole = kernels.nonpos_int_index(exponent + 1.0) >= 0
+    # twice the rounding of a rational beta: its first-order effect is exact
+    slack = 2.0 * beta_slack(pf.beta)
+    rel = 0.0
+    try:
+        if pole:
+            coeff = 0.0
+        else:
+            psi_e = _digamma_size(exponent + 1.0)
+            psi_b = _digamma_size(beta + 1.0)
+            rel = (_CENTERED_ULPS + 2.0 * (abs(math.lgamma(beta + 1.0))
+                                           + abs(math.lgamma(exponent + 1.0)))
+                   + psi_e * (abs(exponent) + abs(exponent + 1.0))
+                   + psi_b * (beta + 1.0)) * _EPS + (psi_e + psi_b) * slack
+            coeff = kernels.gamma_sign(exponent + 1.0) * math.exp(
+                math.lgamma(beta + 1.0) - math.lgamma(exponent + 1.0))
+    except OverflowError:
+        coeff = math.inf  # every point's value is beyond the float range
+    per_log = 2.0 * abs(exponent) * _EPS + slack
+    tiny = _TINY * (abs(coeff) + 1.0)
+    d, exp, log = pf.d, math.exp, math.log
+    values, bounds, statuses = [], [], []
+    for t in ts:
         x = t - d
+        if x < 0.0:
+            raise WindowViolation("centered forms need t >= d")
+        lx = log(x) if x > 0.0 else 0.0
+        try:
+            value = coeff * exp(exponent * lx) if x > 0.0 else 0.0
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value) or math.isinf(coeff):
+            raise ValueOverflow(f"centered value at t - d = {x!r} with beta={beta!r}, "
+                                f"sa={sa!r} is beyond the float range")
+        if x == 0.0 and exponent <= 0.0 and coeff != 0.0:
+            if exponent < 0.0:
+                raise EvalAtLowerLimit("centered value is singular at t = d")
+            value = coeff
         size = abs(value)
-        bound = (ulps + (2.0 * abs(exponent * log(x)) if x > 0.0 else 0.0)) \
-            * _EPS * size + tiny
+        bound = (rel + per_log * abs(lx)) * size + tiny
+        values.append(value)
         bounds.append(bound)
         statuses.append("converged" if bound <= tol * max(1.0, size)
                         else "truncated")
-    return values, [m + 1] * n, bounds, statuses
+    n = len(values)
+    if pole:
+        exact = slack == 0.0 and math.fsum((beta, sa, 1.0)) == 0.0
+        return (values, [0] * n, [0.0 if exact else math.inf] * n,
+                ["converged" if exact else "truncated"] * n)
+    return values, [0] * n, bounds, statuses
+
+
+def _digamma_size(y: float) -> float:
+    """An upper bound of |digamma(y)| for y > -1, y != 0: digamma(y) =
+    digamma(y + 2) - 1/y - 1/(y + 1), and |digamma| < ln(2 + |y|) on (1, inf)."""
+    return 1.0 / abs(y) + 1.0 / abs(y + 1.0) + math.log(2.0 + abs(y))
 
 
 def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
@@ -363,48 +413,10 @@ def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
 
 def closed_centered(pf: PowerFunction, sa: float, t: float) -> float:
     """Centered closed forms Gamma(beta+1)/Gamma(beta+sa+1) (t-d)^(beta+sa)
-    at the signed order sa (+alpha integral, -alpha derivative).
+    at the signed order sa (+alpha integral, -alpha derivative): the value
+    of _centered's one point, whatever its status.
 
     Valid for beta > -1 only; the Euler-beta argument behind them fails below
     that, which is exactly what the displaced series exist to work around.
     """
-    return _closed(pf, sa, [t])[0]
-
-
-def _closed(pf: PowerFunction, sa: float, ts: list[float]) -> list[float]:
-    # closed_centered over the sorted points ts; the coefficient is made once
-    beta = beta_value(pf.beta)
-    # within 1e-12 of -1 counts as the numerator pole of Gamma(beta+1)
-    if beta + 1.0 <= _INT_TOL:
-        raise BetaOutOfRange(f"centered closed form requires beta > -1, got {beta!r}")
-    require_order(abs(sa))
-    exponent = beta + sa
-    try:
-        if kernels.nonpos_int_index(exponent + 1.0) >= 0:
-            coeff = 0.0  # a pole of Gamma(beta+sa+1)
-        else:
-            coeff = kernels.gamma_sign(exponent + 1.0) * math.exp(
-                math.lgamma(beta + 1.0) - math.lgamma(exponent + 1.0))
-    except OverflowError:
-        coeff = math.inf  # every point's value is beyond the float range
-    values = []
-    for t in ts:
-        x = t - pf.d
-        if x < 0.0:
-            raise WindowViolation("centered forms need t >= d")
-        try:
-            value = coeff * math.exp(exponent * math.log(x)) if x > 0.0 else 0.0
-        except OverflowError:
-            value = math.inf
-        if math.isinf(value) or math.isinf(coeff):
-            raise ValueOverflow(f"centered value at t - d = {x!r} with beta={beta!r}, "
-                                f"sa={sa!r} is beyond the float range")
-        if x > 0.0:
-            values.append(value)
-        elif exponent > 0.0 or coeff == 0.0:
-            values.append(0.0)
-        elif exponent == 0.0:
-            values.append(coeff)
-        else:
-            raise EvalAtLowerLimit("centered value is singular at t = d")
-    return values
+    return _centered(pf, sa, [t], DEFAULT_TOL)[0][0]

@@ -474,6 +474,38 @@ def test_hyp_not_converged_exit_two(capsys, monkeypatch):
     assert rec.remainder == math.inf
 
 
+@pytest.mark.parametrize("op, alpha", [("J", "0.5"), ("D", "0.4"), ("D", "1")])
+def test_run_job_truncates_exactly_the_hyp_points_at_the_term_cap(monkeypatch,
+                                                                  op, alpha):
+    # a lowered term cap that only the far points of the job reach: the hyp
+    # route's records are truncated there, and elsewhere they hold the
+    # scalar entry's value, bit for bit
+    monkeypatch.setattr(rlpower.hypergeom, "MAX_TERMS", 30)
+    argv = ["eval", "--op", op, "--alpha", alpha, "--beta-real", "-1.7",
+            "--d", "0", "--a", "1", "--t", "1.95:1.01:7", "--route", "hyp,series"]
+    cli = rlpower.cli
+    job = cli._job_from({**cli._DEFAULTS, **vars(cli.build_parser().parse_args(
+        cli._join_negative_values(argv)))})
+    pf = rlpower.power_function(0.0, job.beta)
+    win = rlpower.make_window(1.0, pf)
+    entry = rlpower.rlfi_hyp_form if op == "J" else rlpower.rlfd_hyp_form
+    truncated = 0
+    for record in run_job(job):
+        if record.route != "hyp":
+            continue
+        point = (record.terms, record.remainder, record.status)
+        try:
+            value = entry(pf, win, job.alpha, record.t)
+        except rlpower.HypNotConverged:
+            truncated += 1
+            assert math.isnan(record.value)
+            assert point == (0, math.inf, "truncated")
+            continue
+        assert record.value.hex() == value.hex()
+        assert point == (0, 0.0, "converged")
+    assert 0 < truncated < 7
+
+
 @pytest.mark.parametrize("route", ["series", "hyp"])
 def test_order_one_derivative_at_lower_limit(capsys, route):
     # D^1 = f' is regular at t = a: f'(1) = 2 for f(t) = t^2

@@ -3,13 +3,14 @@ one-point case, bit for bit, errors included."""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import pytest
 
 import rlpower as rl
 from rlpower import hypergeom, series
-from rlpower.errors import RLPowerError, SeriesNotConverged
+from rlpower.errors import HypNotConverged, RLPowerError, SeriesNotConverged
 
 ALPHAS = (0.0, 0.35, 1.0)
 FRACS = (0.0, 0.3, 0.7, 0.99)
@@ -49,6 +50,18 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _hyp_point(entry):
+    """A scalar hyp entry as a point of the hyp body's columns: a value is
+    converged with terms and remainder 0, and HypNotConverged is a truncated
+    point with no value and an infinite remainder."""
+    def point(*args):
+        try:
+            return entry(*args), 0, 0.0, "converged"
+        except HypNotConverged:
+            return math.nan, 0, math.inf, "truncated"
+    return point
+
+
 def _grid_outcomes(body, ts):
     """The body's values, or the error it raises in place of the first
     point's outcome that is an error."""
@@ -82,7 +95,8 @@ def test_scalar_entries_are_the_one_point_grid(d, a, beta, alpha, op):
     cases = (
         (series_entry, lambda xs: zip(*series._series(
             pf, win, sa, xs, series.DEFAULT_TOL, series.DEFAULT_MAX_TERMS))),
-        (hyp_entry, lambda xs: hypergeom._hyp_form(pf, win, sa, xs)),
+        (_hyp_point(hyp_entry),
+         lambda xs: zip(*hypergeom._hyp_form(pf, win, sa, xs))),
     )
     for entry, body in cases:
         scalars = [_outcome(entry, pf, win, alpha, t) for t in ts]
@@ -109,8 +123,8 @@ def test_closed_centered_is_the_one_point_grid(beta, sa):
     pf = rl.power_function(-0.75, beta)
     ts = [pf.d, pf.d + 0.5, pf.d + 0.99, pf.d + 3.0, pf.d + 1e3]
     scalars = [_outcome(rl.closed_centered, pf, sa, t) for t in ts]
-    assert _grid_outcomes(lambda xs: series._closed(pf, sa, xs), ts) == \
-        _expected(scalars)
+    assert _grid_outcomes(lambda xs: series._centered(
+        pf, sa, xs, series.DEFAULT_TOL)[0], ts) == _expected(scalars)
 
 
 def test_hyp2f1_is_the_one_point_grid():
@@ -118,5 +132,7 @@ def test_hyp2f1_is_the_one_point_grid():
     # terminating series
     for a, b, c in ((1.0, 3.0, 1.5), (1.0, 12.7, 0.65), (1.0, -2.0, 1.35)):
         xs = [-0.999, -0.5, -1e-9, 0.0, 0.25, 0.49]
-        assert [_bits(v) for v in hypergeom._hyp2f1(a, b, c, xs)] == \
+        values, statuses = hypergeom._hyp2f1(a, b, c, xs)
+        assert [_bits(v) for v in values] == \
             [_bits(rl.hyp2f1(a, b, c, x)) for x in xs]
+        assert statuses == ["converged"] * len(xs)

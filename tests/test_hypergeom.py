@@ -184,6 +184,53 @@ def test_rlfd_hyp_form_next_to_order_one_is_typed():
         rl.rlfd_hyp_form(pf, win, 0.9999999999991, 1.000001)
 
 
+# (op, alpha, beta, d, a, t grid) whose 2F1 needs 10 to 58 terms over its
+# points at tolerance 1e-14: above the shift, below it, and D of order 1,
+# the removable pole c = 0, whose 2F1(2, 1-beta; 2; x) is Pfaff-transformed
+_CAP_JOBS = (
+    ("J", 0.5, rl.beta_real(2.7), 0.0, 1.0, (1.0, 1.01, 1.3, 1.6, 1.8, 1.95)),
+    ("D", 0.4, rl.beta_rational(-7, 3), 0.0, 1.0, (1.01, 1.3, 1.6, 1.95)),
+    ("J", 0.35, rl.beta_rational(2, 3), 2.0, 1.0, (1.0, 1.05, 1.3, 1.45, 1.49)),
+    ("D", 1.0, rl.beta_real(-1.7), 0.0, 1.0, (1.0, 1.2, 1.6, 1.95)),
+)
+
+
+@pytest.mark.parametrize("op,alpha,beta,d,a,ts", _CAP_JOBS)
+def test_hyp_form_truncates_exactly_the_points_at_the_term_cap(
+        monkeypatch, op, alpha, beta, d, a, ts):
+    # with the cap lowered, only the far points reach it: those are truncated
+    # records, and every other point is the scalar entry's value, bit for bit
+    monkeypatch.setattr(hypergeom, "MAX_TERMS", 30)
+    pf = rl.power_function(d, beta)
+    win = rl.make_window(a, pf)
+    entry = rl.rlfi_hyp_form if op == "J" else rl.rlfd_hyp_form
+    sa = alpha if op == "J" else -alpha
+    columns = hypergeom._hyp_form(pf, win, sa, list(ts))
+    truncated = 0
+    for t, value, terms, remainder, status in zip(ts, *columns):
+        try:
+            expected = entry(pf, win, alpha, t)
+        except HypNotConverged:
+            truncated += 1
+            assert math.isnan(value)
+            assert (terms, remainder, status) == (0, math.inf, "truncated")
+            continue
+        assert value.hex() == expected.hex()
+        assert (terms, remainder, status) == (0, 0.0, "converged")
+    assert 0 < truncated < len(ts)
+
+
+def test_hyp_form_next_to_order_one_truncates_every_point():
+    # c = 1 - alpha within 1e-12 of the pole c = 0: no point has a value
+    pf = rl.power_function(0.0, rl.beta_int(-2))
+    win = rl.make_window(1.0, pf)
+    values, terms, remainders, statuses = hypergeom._hyp_form(
+        pf, win, -0.9999999999991, [1.000001, 1.2, 1.5])
+    assert all(map(math.isnan, values))
+    assert (terms, remainders, statuses) == \
+        ([0] * 3, [math.inf] * 3, ["truncated"] * 3)
+
+
 # (beta, its value, sign of f(t) = (t - d)^beta below the shift) for
 # D^1 = f' on both sides of the shift; 2/3 has a real power below it
 _ORDER_ONE_BETAS = (

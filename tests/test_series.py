@@ -22,6 +22,7 @@ from rlpower.errors import (
 from conftest import rel_err
 from reference import (
     _polynomial,
+    centered_exact,
     gamma_ratio,
     partial_sum,
     remainder_bound,
@@ -314,6 +315,90 @@ def test_centered_series_lies_within_its_bound(centered_probes, backend,
         for t, ref, value, terms, bound, status in zip(ts, refs, *columns):
             assert (terms, status) == (pf.beta.m + 1, "converged")
             assert abs(mp.mpf(value) - ref) <= bound, (pf, sa, t, value, bound)
+            checked += 1
+    assert checked >= 800
+
+
+def _closed_beta(rng, kind, sa):
+    """A beta > -1 of one probe class at the signed order sa, or None."""
+    if kind == 0:
+        return rl.beta_int(rng.randint(0, 12) if rng.random() < 0.7
+                           else rng.randint(0, 200))
+    if kind == 1:
+        q = rng.choice((3, 7, 11, 97, 1000))
+        return rl.beta_rational(rng.randint(1 - q, 60 * q), q)
+    if kind == 2:
+        b = rng.uniform(-1.0, 1.0) if rng.random() < 0.7 \
+            else rng.uniform(-1.0, 150.0)
+        return rl.beta_real(b) if b > -1.0 + 1e-9 else None
+    if kind == 5:  # beta within 1e-2 of -1
+        if rng.random() < 0.5:
+            q = rng.choice((1000, 12345, 99991))
+            return rl.beta_rational(rng.randint(1, 20) - q, q)
+        return rl.beta_real(-1.0 + 10.0 ** rng.uniform(-11.0, -2.0))
+    # beta + sa near 0 (kind 3), or beta + sa + 1 from 1e-11 to 1e-2 off
+    # the pole of Gamma(beta+sa+1) at 0 (kind 4)
+    b = -sa if kind == 3 else -1.0 - sa + rng.choice((1.0, -1.0)) * 10.0 \
+        ** rng.uniform(-11.0, -2.0)
+    if rng.random() < 0.5:
+        q = rng.choice((3, 7, 11, 97, 1000))
+        p = round(b * q)
+        return rl.beta_rational(p, q) if p and p > -q else None
+    offset = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-15.0, -3.0)
+    b += offset if kind == 3 else 0.0
+    return rl.beta_real(b) if b > -1.0 + 1e-9 else None
+
+
+def _closed_probes():
+    """(pf, sa, sorted ts, 40-digit values): random closed-route jobs, J and
+    D, orders 0 to 1, in six classes: integer m <= 200; rational p/q, q up to
+    1000; declared-real beta; beta + sa near 0; beta + sa + 1 from 1e-11 to
+    1e-2 off 0; beta within 1e-2 of -1.  t - d runs from 1e-300 to 1e300 as
+    far as the value stays a float, and some points give subnormal values."""
+    rng = random.Random(22)
+    probes = []
+    while len(probes) < 360:
+        kind = len(probes) % 6
+        alpha = rng.choice((0.0, 1.0, 0.5, rng.random(), rng.random()))
+        sa = alpha if rng.random() < 0.5 else -alpha
+        if kind in (3, 4):
+            sa = -rng.uniform(0.01, 1.0)
+        beta = _closed_beta(rng, kind, sa)
+        if beta is None:
+            continue
+        e = beta_value(beta) + sa
+        if rng.random() < 0.1 and e > 0.2:
+            xs = [10.0 ** (rng.uniform(-323.0, -308.0) / e) for _ in range(3)]
+        else:
+            span = 300.0 / max(1.0, abs(e))
+            xs = [10.0 ** rng.uniform(-span, span) for _ in range(3)]
+        d = rng.choice((0.0, rng.uniform(-10.0, 10.0), rng.uniform(-1e6, 1e6)))
+        pf = rl.power_function(d, beta)
+        ts = sorted(t for t in (d + x for x in xs) if t > d)
+        probes.append((pf, sa, ts, [centered_exact(beta, d, sa, t) for t in ts]))
+    return probes
+
+
+@pytest.fixture(scope="module")
+def closed_probes():
+    return _closed_probes()
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_closed_route_lies_within_its_remainder(closed_probes, backend,
+                                                monkeypatch, compiled_kernels):
+    # the closed route's columns: terms 0, and a remainder that holds the
+    # 40-digit gamma ratio, converged where it meets the tolerance
+    monkeypatch.setattr(series, "kernels",
+                        _kernels_py if backend == "pure" else compiled_kernels)
+    checked = 0
+    for pf, sa, ts, refs in closed_probes:
+        columns = series._centered(pf, sa, ts, series.DEFAULT_TOL)
+        for t, ref, value, terms, bound, status in zip(ts, refs, *columns):
+            assert terms == 0
+            assert abs(mp.mpf(value) - ref) <= bound, (pf, sa, t, value, bound)
+            assert (status == "converged") == \
+                (bound <= series.DEFAULT_TOL * max(1.0, abs(value)))
             checked += 1
     assert checked >= 800
 
