@@ -139,7 +139,7 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
         statuses = ["converged"] * len(values)
         if len(values) < n:
             front = branch_power(A, pf.beta)
-            gamma_c = kernels.gamma_value(c)
+            gamma_c = math.gamma(c)
             scales, xs = [], []
             for t in ts[len(values):]:
                 u = t - win.a

@@ -52,7 +52,6 @@ import functools
 import math
 from typing import Callable, NamedTuple
 
-from ._backend import kernels
 from .domain import (BetaIndex, IntegerExp, PowerFunction, RationalExp,
                      beta_slack, beta_value, float_power, require_order)
 from .errors import (EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet,
@@ -565,7 +564,10 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
     require_order(alpha)
     check_interval = _interval_check(pf, a)
     if alpha:
-        gamma = kernels.gamma_value(alpha)
+        try:
+            gamma = math.gamma(alpha)
+        except OverflowError:  # about 1/alpha at a subnormal alpha
+            gamma = math.inf
         rule, factor = _rule_of(alpha, False, pf.beta, a < pf.d)
 
     def at(t: float) -> tuple[float, float]:
@@ -622,7 +624,7 @@ def _rlfd_at(pf: PowerFunction, a: float, alpha: float,
     if alpha:
         rule, factor = _rule_of(alpha, True, pf.beta, a < pf.d)
     if 0.0 < alpha < 1.0:
-        gamma = kernels.gamma_value(1.0 - alpha)
+        gamma = math.gamma(1.0 - alpha)
 
     def at(t: float) -> tuple[float, float]:
         if alpha == 0.0:
@@ -692,7 +694,7 @@ def _rlfd_at_the_shift(rule: _Rule, u: float, t: float) -> QuadEstimate:
         return QuadEstimate(0.0, 0.0)
     e = b - alpha
     value = -rule.sign * alpha * float_power(u, e) \
-        / (e * kernels.gamma_value(1.0 - alpha))
+        / (e * math.gamma(1.0 - alpha))
     estimate = rule.floor * abs(value) * (1.0 + e * abs(math.log(u)) + b / e)
     if not (math.isfinite(value) and math.isfinite(estimate)):
         raise ValueOverflow(f"D^{alpha!r} at t={t!r} is beyond the float range")

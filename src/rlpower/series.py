@@ -312,7 +312,7 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
                     ["converged"] * n)
         return values, [1] * n, [math.inf] * n, ["truncated"] * n
     c = 1.0 + sa
-    scale = front / kernels.gamma_value(c)  # > 0
+    scale = front / math.gamma(c)  # > 0
     scale_sa = max(1.0, -sa / c)
     floor_sa = floor_ulps * scale_sa
     k_sa = kernels.nonpos_int_index(sa)

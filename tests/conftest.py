@@ -19,6 +19,7 @@ from typing import NamedTuple
 import pytest
 
 import rlpower as rl
+from rlpower import hypergeom, series
 from rlpower.domain import EvalWindow, IntegerExp, PowerFunction
 
 
@@ -106,6 +107,16 @@ def deep_window_idx(grid) -> list[int]:
               if c.frac == 0.9 and nonterminating(c)]
     assert len(picked) >= 100
     return picked[:100]
+
+
+# the package's modules that call the kernel backend
+KERNEL_MODULES = (series, hypergeom)
+
+
+def use_kernels(monkeypatch, kernels) -> None:
+    """Run the package on the kernel module `kernels` for one test."""
+    for module in KERNEL_MODULES:
+        monkeypatch.setattr(module, "kernels", kernels)
 
 
 _KERNELS_C = Path(rl.__file__).with_name("_kernels_cy.c")

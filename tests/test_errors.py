@@ -11,15 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rlpower as rl
-from rlpower import _kernels_py, hypergeom, oracle, series
+from rlpower import _kernels_py, oracle
 from rlpower.cli import main
 from rlpower.domain import branch_power
+
+from conftest import KERNEL_MODULES
 
 
 @contextlib.contextmanager
 def _backend(kernels):
     """Run the routes on the given kernel module."""
-    saved = [(mod, mod.kernels) for mod in (series, hypergeom, oracle)]
+    saved = [(mod, mod.kernels) for mod in KERNEL_MODULES]
     for mod, _ in saved:
         mod.kernels = kernels
     try:

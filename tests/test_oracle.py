@@ -21,6 +21,7 @@ from rlpower.domain import IntegerExp, RationalExp, beta_value, branch_power
 from rlpower.errors import (EvalAtLowerLimit, PoleInsideInterval, ToleranceNotMet,
                             ValueOverflow)
 
+from conftest import KERNEL_MODULES, use_kernels
 from reference import (centered_exact, displaced_exact, log_reference,
                        shift_inside_exact)
 
@@ -281,7 +282,7 @@ def test_sweep_holds_the_hard_cells(sweep):
 def test_quad_rlfd_within_estimate_of_2f1(sweep, backend, monkeypatch,
                                           compiled_kernels):
     kernels = _kernels_py if backend == "pure" else compiled_kernels
-    monkeypatch.setattr(oracle, "kernels", kernels)
+    use_kernels(monkeypatch, kernels)
     for (beta, d, a, alpha, t), ref in sweep:
         got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
         assert abs(got.value - ref) <= got.error_estimate, (beta, a, alpha, t)
@@ -360,8 +361,8 @@ _CENTERED_CELLS = [
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_quad_rlfd_centered_fractional_grid(backend, monkeypatch,
                                             compiled_kernels):
-    monkeypatch.setattr(oracle, "kernels",
-                        _kernels_py if backend == "pure" else compiled_kernels)
+    use_kernels(monkeypatch,
+                _kernels_py if backend == "pure" else compiled_kernels)
     assert len(_CENTERED_CELLS) == 135
     for beta, d, alpha, t in _CENTERED_CELLS:
         got = rl.quad_rlfd(rl.power_function(d, beta), d, alpha, t)
@@ -385,8 +386,8 @@ def inside():
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_quad_rlfd_shift_inside_interval(inside, backend, monkeypatch,
                                          compiled_kernels):
-    monkeypatch.setattr(oracle, "kernels",
-                        _kernels_py if backend == "pure" else compiled_kernels)
+    use_kernels(monkeypatch,
+                _kernels_py if backend == "pure" else compiled_kernels)
     for (beta, d, a, alpha, t), ref in inside:
         got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
         assert abs(got.value - ref) <= got.error_estimate, (beta, d, alpha)
@@ -459,8 +460,8 @@ def test_graded_panels_lie_within_their_bound(graded, backend, monkeypatch,
     # every cell takes the graded panels, and its value lies within the
     # proven bound; with the shift outside [a, t] the bound is within 1e-11
     # of max(1, |value|)
-    monkeypatch.setattr(oracle, "kernels",
-                        _kernels_py if backend == "pure" else compiled_kernels)
+    use_kernels(monkeypatch,
+                _kernels_py if backend == "pure" else compiled_kernels)
     calls = []
     panels = oracle._graded
 
@@ -511,8 +512,8 @@ def _random_cells(count, seed, window=True):
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_quad_rlfd_random_displaced_cells(backend, monkeypatch,
                                           compiled_kernels):
-    monkeypatch.setattr(oracle, "kernels",
-                        _kernels_py if backend == "pure" else compiled_kernels)
+    use_kernels(monkeypatch,
+                _kernels_py if backend == "pure" else compiled_kernels)
     for beta, d, a, alpha, t in _random_cells(300, 11):
         got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
         ref = displaced_exact(beta, d, a, -alpha, t)
@@ -532,8 +533,8 @@ def test_quad_rlfd_random_cells_without_a_window(unwindowed, backend,
     # the estimate within 1e-11 of max(1, |value|).  The Caputo split with
     # its head at f(a) cancels at small orders where f(a) is far from f(t):
     # on 3 000 random cells of this kind its estimates reached 2.2e-9
-    monkeypatch.setattr(oracle, "kernels",
-                        _kernels_py if backend == "pure" else compiled_kernels)
+    use_kernels(monkeypatch,
+                _kernels_py if backend == "pure" else compiled_kernels)
     for (beta, d, a, alpha, t), ref in unwindowed:
         got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, t)
         assert abs(got.value - ref) <= got.error_estimate, (beta, d, a, alpha, t)
@@ -579,8 +580,8 @@ def test_quad_rlfd_at_the_shift_folds_f_into_the_weight(backend, monkeypatch,
                                                        compiled_kernels):
     # -alpha (t-a)^(beta-alpha) / ((beta-alpha) Gamma(1-alpha)) within its
     # estimate; 6 000 such cells needed at most 0.09 of it
-    monkeypatch.setattr(oracle, "kernels",
-                        _kernels_py if backend == "pure" else compiled_kernels)
+    use_kernels(monkeypatch,
+                _kernels_py if backend == "pure" else compiled_kernels)
     for beta, d, a, alpha in _shift_cells(200, 17):
         got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, d)
         ref = displaced_exact(beta, d, a, -alpha, d)
@@ -683,8 +684,8 @@ def test_tiny_exponent_is_fast_and_exact(beta, d, a):
 def test_quad_rlfi_beyond_the_float_range_is_typed(d, a, t, backend, monkeypatch,
                                                    compiled_kernels):
     # t - a next to the float range: the integral's u^(1+alpha) overflows
-    monkeypatch.setattr(oracle, "kernels",
-                        _kernels_py if backend == "pure" else compiled_kernels)
+    use_kernels(monkeypatch,
+                _kernels_py if backend == "pure" else compiled_kernels)
     with pytest.raises(ValueOverflow, match="beyond the float range"):
         rl.quad_rlfi(rl.power_function(d, rl.beta_int(1)), a, 0.99, t)
 
@@ -835,8 +836,8 @@ def test_rule_values_lie_within_their_bound(window, backend, monkeypatch,
                                            compiled_kernels):
     # every window cell with |beta| <= 30 takes a product rule, whose tail
     # bound plus floor holds the 40-digit value
-    monkeypatch.setattr(oracle, "kernels",
-                        _kernels_py if backend == "pure" else compiled_kernels)
+    use_kernels(monkeypatch,
+                _kernels_py if backend == "pure" else compiled_kernels)
 
     def no_fallback(*args, **kwargs):
         raise AssertionError("a window cell fell back to the graded panels")
@@ -906,10 +907,11 @@ def test_route_body_is_the_one_point_entries(compiled_kernels, op, beta, side,
     ts = sorted(a + frac * gap for frac in fracs)
     pf = rl.power_function(d, beta)
     quad = rl.quad_rlfd if op == "D" else rl.quad_rlfi
-    saved = oracle.kernels
+    saved = [(module, module.kernels) for module in KERNEL_MODULES]
     try:
         for kernels in (_kernels_py, compiled_kernels):
-            oracle.kernels = kernels
+            for module, _ in saved:
+                module.kernels = kernels
             try:
                 columns = oracle._quad(pf, a, alpha, ts, oracle.DEFAULT_TOL,
                                        op == "D")
@@ -927,4 +929,5 @@ def test_route_body_is_the_one_point_entries(compiled_kernels, op, beta, side,
             assert [tuple(map(repr, row)) for row in zip(*columns)] == \
                 [tuple(map(repr, row)) for row in points]
     finally:
-        oracle.kernels = saved
+        for module, kernels in saved:
+            module.kernels = kernels
