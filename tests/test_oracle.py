@@ -289,8 +289,19 @@ def test_quad_rlfd_within_estimate_of_2f1(sweep, backend, monkeypatch,
 
 
 def test_quad_rlfd_order_zero_is_f():
-    pf = rl.power_function(0.0, rl.beta_rational(-3, 2))
-    assert rl.quad_rlfd(pf, 1.0, 0.0, 1.7) == (pf.value(1.7), 0.0)
+    # J^0 = D^0 = f(t), whose rounding, of t - d and of the power, lies
+    # within the bound
+    for d, beta, a, t in ((0.0, rl.beta_rational(-3, 2), 1.0, 1.7),
+                          (0.1, rl.beta_rational(1, 3), 0.15, 0.7),
+                          (0.1, rl.beta_int(3), 0.15, 12345.6789),
+                          (1e-20, rl.beta_int(25), 1.0, 3.0)):
+        pf = rl.power_function(d, beta)
+        with mp.workdps(40):
+            want = (mp.mpf(t) - mp.mpf(d)) ** _mp_beta(beta)
+        for quad in (rl.quad_rlfi, rl.quad_rlfd):
+            got = quad(pf, a, 0.0, t)
+            assert got.value == pf.value(t)
+            assert abs(got.value - want) <= got.error_estimate, (beta, t)
 
 
 @pytest.mark.parametrize("beta, a, t, sign", [
@@ -303,6 +314,8 @@ def test_quad_rlfd_order_zero_is_f():
     (rl.beta_rational(61, 7), 1e-30, 1.3e-30, 1),
     (rl.beta_rational(22, 9), 1e-12, 1.3e-12, 1),
     (rl.beta_rational(22, 9), 1e-30, 1.3e-30, 1),
+    # f'(t) of 2.2e-377 below the float range, which rounds to 0
+    (rl.beta_int(40), 1e-10, 2e-10, 1),
 ])
 def test_quad_rlfd_order_one_is_f_prime(beta, a, t, sign):
     got = rl.quad_rlfd(rl.power_function(0.0, beta), a, 1.0, t)
@@ -310,8 +323,9 @@ def test_quad_rlfd_order_one_is_f_prime(beta, a, t, sign):
         b = _mp_beta(beta)
         want = sign * b * abs(mp.mpf(t)) ** (b - 1)
     assert abs(got.value - want) <= got.error_estimate
-    assert got.error_estimate \
-        <= 1e-14 * abs(got.value) * max(1.0, abs(math.log(abs(t))))
+    # plus two smallest subnormals for a value that rounds to 0
+    assert got.error_estimate <= 1e-14 * abs(got.value) \
+        * max(1.0, abs(math.log(abs(t)))) + (2.0 ** -1073 if not got.value else 0.0)
 
 
 def test_quad_rlfd_centered_fractional_exponent():
@@ -579,12 +593,18 @@ def _shift_cells(n, seed):
 def test_quad_rlfd_at_the_shift_folds_f_into_the_weight(backend, monkeypatch,
                                                        compiled_kernels):
     # -alpha (t-a)^(beta-alpha) / ((beta-alpha) Gamma(1-alpha)) within its
-    # estimate; 6 000 such cells needed at most 0.09 of it
+    # estimate; 6 000 such cells needed at most 0.09 of it.  The last two
+    # cells fold J and D below the float range, about 2.8e-412 and
+    # -2.2e-387, which round to 0
     use_kernels(monkeypatch,
                 _kernels_py if backend == "pure" else compiled_kernels)
-    for beta, d, a, alpha in _shift_cells(200, 17):
-        got = rl.quad_rlfd(rl.power_function(d, beta), a, alpha, d)
-        ref = displaced_exact(beta, d, a, -alpha, d)
+    cells = [(rl.quad_rlfd, cell) for cell in _shift_cells(200, 17)]
+    cells += [(rl.quad_rlfi, (rl.beta_int(20), 0.0, -1e-20, 0.5)),
+              (rl.quad_rlfd, (rl.beta_rational(40, 3), 0.0, -1e-30, 0.5))]
+    for quad, (beta, d, a, alpha) in cells:
+        got = quad(rl.power_function(d, beta), a, alpha, d)
+        sa = alpha if quad is rl.quad_rlfi else -alpha
+        ref = displaced_exact(beta, d, a, sa, d)
         assert abs(got.value - ref) <= got.error_estimate, (beta, d, a, alpha)
 
 
