@@ -25,8 +25,13 @@ in a and b); in the forms above that is beta < -2 - sa.
 At sa = -1 (D of order 1) c = 0 is a removable pole:
 2F1(a, b; c; x)/Gamma(c) -> a b x 2F1(a+1, b+1; 2; x), which makes
 D = (a-d)^beta beta/(a-d) 2F1(2, 1-beta; 2; -w) = f'(t), regular at t = a.
-A c within 1e-12 of 0 but not 0 would be taken as that pole, so it raises
-HypNotConverged instead.
+A c within 1e-12 of 0 but not 0 would be taken as that pole.
+
+The route body ``_hyp_form`` returns the columns (values, terms, remainders,
+status names) over a job's points.  A point whose 2F1 stops at MAX_TERMS or
+diverges, and every point of a c next to the pole c = 0, is truncated: value
+NaN, terms 0, remainder inf, where ``hyp2f1`` and the scalar entries raise
+HypNotConverged.  A converged point has terms and remainder 0.
 """
 
 from __future__ import annotations
@@ -44,12 +49,7 @@ from .domain import (
     require_order,
     require_points,
 )
-from .errors import (
-    ArgOutOfDisk,
-    HypNotConverged,
-    ParamPole,
-    WindowViolation,
-)
+from .errors import ArgOutOfDisk, HypNotConverged, ParamPole, WindowViolation
 from .series import Columns
 
 DEFAULT_TOL = 1e-14
@@ -73,9 +73,8 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
 
 def _hyp2f1(a: float, b: float, c: float,
             xs: list[float]) -> tuple[list[float], list[str]]:
-    # hyp2f1 at every argument of xs, with its status name: a series that
-    # stops at MAX_TERMS or diverges is truncated, with value NaN.  The
-    # Pfaff decision is made once.
+    # hyp2f1 at every argument of xs, and its status name: truncated, with
+    # value NaN, where it does not converge.  The Pfaff decision is made once
     pfaff = kernels.nonpos_int_index(a) < 0 and kernels.nonpos_int_index(b) < 0
     # transform on the larger parameter when c - b < -1 would cancel
     p, q = (b, a) if c - b < -1.0 and b > a else (a, b)
@@ -94,25 +93,18 @@ def _hyp2f1(a: float, b: float, c: float,
             raise ParamPole(f"c={c!r} hits a non-positive integer before termination")
         if status == kernels.STATUS_ARG_OUT:
             raise ArgOutOfDisk(f"|arg|={abs(x)!r} >= 1 with no termination")
-        if status == kernels.STATUS_CONVERGED:
-            values.append(front * value)
-            statuses.append("converged")
-        else:
-            values.append(math.nan)
-            statuses.append("truncated")
+        converged = status == kernels.STATUS_CONVERGED
+        values.append(front * value if converged else math.nan)
+        statuses.append("converged" if converged else "truncated")
     return values, statuses
 
 
 def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
               ts: list[float]) -> Columns:
     """J (sa = alpha) or D (sa = -alpha) as one 2F1 with c = 1 + sa: the
-    columns (values, terms, remainders, status names) over the sorted points
-    ts.  The checks, (a-d)^beta, Gamma(c) and the Pfaff decision are made
-    once, and each point costs one 2F1 series.  A converged point has terms
-    and remainder 0.  A point whose 2F1 stops at MAX_TERMS or diverges is
-    truncated, with value NaN, terms 0 and remainder inf, and so is every
-    point at a c within 1e-12 of the pole c = 0 but not on it, which the
-    series would take for the limit f'(t)."""
+    columns over the sorted points ts (see the module).  The checks,
+    (a-d)^beta, Gamma(c) and the Pfaff decision are made once, and each
+    point costs one 2F1 series."""
     require_points(win, win.a, pf.d, sa, ts)
     A = win.a - pf.d
     if A == 0.0:  # the centered window
@@ -122,40 +114,29 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
     beta = beta_value(pf.beta)
     c = 1.0 + sa
     n = len(ts)
-    if c == 0.0:
-        # the removable pole c = 0 of 2F1/Gamma(c): D of order 1 is f'(t)
-        lead = branch_power(A, pf.beta) * beta / A
-        values, statuses = _hyp2f1(2.0, 1.0 - beta, 2.0,
-                                   [-((t - win.a) / A) for t in ts])
-        values = [lead * h for h in values]
-    elif kernels.nonpos_int_index(c) == 0:
+    if c != 0.0 and kernels.nonpos_int_index(c) == 0:
         values, statuses = [math.nan] * n, ["truncated"] * n
     else:
-        values = []
-        for t in ts:  # the points on the lower limit lead the sorted list
-            if t != win.a:
-                break
-            values.append(0.0 if sa > 0.0 else branch_power(A, pf.beta))
-        statuses = ["converged"] * len(values)
-        if len(values) < n:
-            front = branch_power(A, pf.beta)
-            gamma_c = math.gamma(c)
-            scales, xs = [], []
-            for t in ts[len(values):]:
-                u = t - win.a
-                scales.append(front * float_power(u, sa) / gamma_c)
-                xs.append(-(u / A))
-            hs, more = _hyp2f1(1.0, -beta, c, xs)
-            values += map(operator.mul, scales, hs)
-            statuses += more
+        if c == 0.0:
+            # the removable pole c = 0 of 2F1/Gamma(c): D of order 1 is f'(t)
+            params = (2.0, 1.0 - beta, 2.0)
+            scales = [branch_power(A, pf.beta) * beta / A] * n
+        else:
+            params = (1.0, -beta, c)
+            front, gamma_c = branch_power(A, pf.beta), math.gamma(c)
+            # + 0.0: J at t = a is 0.0 on either side of the shift
+            scales = [front * float_power(t - win.a, sa) / gamma_c + 0.0
+                      for t in ts]
+        values, statuses = _hyp2f1(*params, [-((t - win.a) / A) for t in ts])
+        values = list(map(operator.mul, scales, values))
     return (values, [0] * n,
             [0.0 if status == "converged" else math.inf for status in statuses],
             statuses)
 
 
-def _value(columns: Columns, sa: float, t: float) -> float:
-    # a body's one-point columns as its value; raises unless converged
-    (value,), _, _, (status,) = columns
+def _value(pf: PowerFunction, win: EvalWindow, sa: float, t: float) -> float:
+    # the body's one point; HypNotConverged where it is truncated
+    (value,), _, _, (status,) = _hyp_form(pf, win, sa, [t])
     if status != "converged":
         raise HypNotConverged(f"2F1 form at t={t!r} with c={1.0 + sa!r} "
                               "failed to converge")
@@ -165,13 +146,11 @@ def _value(columns: Columns, sa: float, t: float) -> float:
 def rlfi_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float) -> float:
     """Fractional integral through the closed 2F1 form; real inside the window."""
-    sa = require_order(alpha)
-    return _value(_hyp_form(pf, win, sa, [t]), sa, t)
+    return _value(pf, win, require_order(alpha), t)
 
 
 def rlfd_hyp_form(pf: PowerFunction, win: EvalWindow, alpha: float,
                   t: float) -> float:
     """Fractional derivative: the integral's 2F1 form at order -alpha;
     at alpha = 1 the removable pole c = 0 gives f'(t)."""
-    sa = -require_order(alpha)
-    return _value(_hyp_form(pf, win, sa, [t]), sa, t)
+    return _value(pf, win, -require_order(alpha), t)

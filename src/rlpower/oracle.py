@@ -36,7 +36,9 @@ analytic and a normal float on [a, t]; elsewhere the panels are graded
 toward t and the shift (_graded); a panel below the normal float range adds
 the smallest subnormal to its bound.  D's head, made once per point from
 f(t) as a float times a power of 2, goes to either body.  At t = d, f is
-(t-x)^beta up to sign and folds into the weight.
+(t-x)^beta up to sign and folds into the weight.  These closed forms, f'(t)
+at order 1 and f(t) at order 0 report the floor and a rational beta's
+rounding too, and two smallest subnormals below the normal range.
 
 The route body _quad evaluates a job's sorted points: the checks that do
 not depend on t (_interval_check), the gamma factors and the rule's
@@ -492,29 +494,27 @@ def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
 
 
 def _floor(b: float) -> float:
-    """The roundoff floor for beta's float b, in units of the magnitude
-    summed, with 2 |beta| ulps for the rounded a - d and t - a, which move
-    every offset alike.  Measured against 40-digit mpmath, both backends: J
-    on 40 000 random window cells at most 6.3 + 2 |beta| ulps of the
-    magnitude, D on 79 707 at most 6.8 + 2 |beta|, and beyond the tails on
-    1 105 graded cells (centered, shift inside, 1e-11 to 1 beyond an end)
-    4.1 + 2 |beta|."""
+    # the roundoff floor, in ulps of the magnitude summed, with 2 |beta| ulps
+    # for the rounded a - d and t - a, which move every offset alike.
+    # Measured against 40-digit mpmath, both backends: J on 40 000 random
+    # window cells at most 6.3 + 2 |beta| ulps of the magnitude, D on 79 707
+    # at most 6.8 + 2 |beta|, and beyond the tails on 1 105 graded cells
+    # (centered, shift inside, 1e-11 to 1 beyond an end) 4.1 + 2 |beta|
     return (16.0 + 2.0 * abs(b)) * math.ulp(1.0)
 
 
 def _underflow(value: float) -> float:
-    """The rounding of a closed form's value below the normal float range:
-    up to a smallest subnormal each for its power and its last operation."""
+    # a closed form's value below the normal range: up to a smallest
+    # subnormal each for the rounding of its power and of its last operation
     return 2.0 * _SUBNORMAL if abs(value) < _TINY else 0.0
 
 
 def _f_at(pf: PowerFunction, t: float) -> tuple[float, float]:
-    """J^0 = D^0 = f(t), with its rounding as f'(t) at order 1 reports it:
-    the floor, and a rational beta's rounding magnified by |ln|t-d||."""
-    value, hi = pf.value(t), t - pf.d
-    spread = abs(math.log(abs(hi))) if hi else 0.0
-    return value, (_floor(beta_value(pf.beta)) + beta_slack(pf.beta) * spread) \
-        * abs(value) + _underflow(value)
+    # J^0 = D^0 = f(t), with the rounding that f'(t) reports at order 1
+    value, hi = pf.value(t), abs(t - pf.d)
+    slack = beta_slack(pf.beta) * abs(math.log(hi)) if hi else 0.0
+    return value, (_floor(beta_value(pf.beta)) + slack) * abs(value) \
+        + _underflow(value)
 
 
 def _require_tol(tol: float) -> None:
