@@ -64,22 +64,22 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     the Pfaff transformation to x/(x-1) in (0, 1/2).  Errors name the
     caller's parameters, not the transformed ones.
     """
-    (value,), (status,) = _hyp2f1(a, b, c, [x])
-    if status != "converged":
+    (value,), failed = _hyp2f1(a, b, c, [x])
+    if failed:
         raise HypNotConverged(f"2F1 series failed to converge for a={a!r}, "
                               f"b={b!r}, c={c!r}, arg={x!r}")
     return value
 
 
 def _hyp2f1(a: float, b: float, c: float,
-            xs: list[float]) -> tuple[list[float], list[str]]:
-    # hyp2f1 at every argument of xs, and its status name: truncated, with
-    # value NaN, where it does not converge.  The Pfaff decision is made once
+            xs: list[float]) -> tuple[list[float], list[int]]:
+    # hyp2f1 at every argument of xs, and the indices of those whose series
+    # does not converge, whose value is NaN.  The Pfaff decision is made once
     pfaff = kernels.nonpos_int_index(a) < 0 and kernels.nonpos_int_index(b) < 0
     # transform on the larger parameter when c - b < -1 would cancel
     p, q = (b, a) if c - b < -1.0 and b > a else (a, b)
     cq = c - q
-    values, statuses = [], []
+    values, failed = [], []
     for x in xs:
         if pfaff and -1.0 < x < 0.0:
             front = (1.0 - x) ** -p
@@ -93,10 +93,11 @@ def _hyp2f1(a: float, b: float, c: float,
             raise ParamPole(f"c={c!r} hits a non-positive integer before termination")
         if status == kernels.STATUS_ARG_OUT:
             raise ArgOutOfDisk(f"|arg|={abs(x)!r} >= 1 with no termination")
-        converged = status == kernels.STATUS_CONVERGED
-        values.append(front * value if converged else math.nan)
-        statuses.append("converged" if converged else "truncated")
-    return values, statuses
+        if status != kernels.STATUS_CONVERGED:
+            failed.append(len(values))
+            value = math.nan
+        values.append(front * value)
+    return values, failed
 
 
 def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
@@ -115,7 +116,7 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
     c = 1.0 + sa
     n = len(ts)
     if c != 0.0 and kernels.nonpos_int_index(c) == 0:
-        values, statuses = [math.nan] * n, ["truncated"] * n
+        values, failed = [math.nan] * n, range(n)
     else:
         if c == 0.0:
             # the removable pole c = 0 of 2F1/Gamma(c): D of order 1 is f'(t)
@@ -127,11 +128,12 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
             # + 0.0: J at t = a is 0.0 on either side of the shift
             scales = [front * float_power(t - win.a, sa) / gamma_c + 0.0
                       for t in ts]
-        values, statuses = _hyp2f1(*params, [-((t - win.a) / A) for t in ts])
+        values, failed = _hyp2f1(*params, [-((t - win.a) / A) for t in ts])
         values = list(map(operator.mul, scales, values))
-    return (values, [0] * n,
-            [0.0 if status == "converged" else math.inf for status in statuses],
-            statuses)
+    bounds, statuses = [0.0] * n, ["converged"] * n
+    for i in failed:
+        bounds[i], statuses[i] = math.inf, "truncated"
+    return values, [0] * n, bounds, statuses
 
 
 def _value(pf: PowerFunction, win: EvalWindow, sa: float, t: float) -> float:

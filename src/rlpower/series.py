@@ -222,7 +222,7 @@ def _centered(pf: PowerFunction, sa: float, ts: list[float],
     except OverflowError:
         coeff = math.inf  # every point's value is beyond the float range
     per_log, tiny = 2.0 * abs(exponent) * _EPS + slack, _TINY * (abs(coeff) + 1.0)
-    d, exp, log = pf.d, math.exp, math.log
+    d, exp, log, isinf, huge = pf.d, math.exp, math.log, math.isinf, math.isinf(coeff)
     values, bounds, statuses = [], [], []
     for t in ts:
         x = t - d
@@ -233,7 +233,7 @@ def _centered(pf: PowerFunction, sa: float, ts: list[float],
             value = coeff * exp(exponent * lx) if x > 0.0 else 0.0
         except OverflowError:
             value = math.inf
-        if math.isinf(value) or math.isinf(coeff):
+        if isinf(value) or huge:
             raise ValueOverflow(f"centered value at t - d = {x!r} with beta={beta!r}, "
                                 f"sa={sa!r} is beyond the float range")
         if x == 0.0 and exponent <= 0.0 and coeff != 0.0:
@@ -244,7 +244,7 @@ def _centered(pf: PowerFunction, sa: float, ts: list[float],
         bound = (rel + per_log * abs(lx)) * size + tiny
         values.append(value)
         bounds.append(bound)
-        statuses.append("converged" if bound <= tol * max(1.0, size)
+        statuses.append("converged" if bound <= tol * (size if size > 1.0 else 1.0)
                         else "truncated")
     n = len(values)
     if pole:

@@ -132,7 +132,7 @@ def test_hyp2f1_is_the_one_point_grid():
     # terminating series
     for a, b, c in ((1.0, 3.0, 1.5), (1.0, 12.7, 0.65), (1.0, -2.0, 1.35)):
         xs = [-0.999, -0.5, -1e-9, 0.0, 0.25, 0.49]
-        values, statuses = hypergeom._hyp2f1(a, b, c, xs)
+        values, failed = hypergeom._hyp2f1(a, b, c, xs)
         assert [_bits(v) for v in values] == \
             [_bits(rl.hyp2f1(a, b, c, x)) for x in xs]
-        assert statuses == ["converged"] * len(xs)
+        assert failed == []
