@@ -118,18 +118,21 @@ def _hyp_form(pf: PowerFunction, win: EvalWindow, sa: float,
     if c != 0.0 and kernels.nonpos_int_index(c) == 0:
         values, failed = [math.nan] * n, range(n)
     else:
+        front, xs = branch_power(A, pf.beta), []
+        for t in ts:
+            xs.append(-((t - win.a) / A))
         if c == 0.0:
             # the removable pole c = 0 of 2F1/Gamma(c): D of order 1 is f'(t)
-            params = (2.0, 1.0 - beta, 2.0)
-            scales = [branch_power(A, pf.beta) * beta / A] * n
+            lead = front * beta / A
+            values, failed = _hyp2f1(2.0, 1.0 - beta, 2.0, xs)
+            values = [lead * h for h in values]
         else:
-            params = (1.0, -beta, c)
-            front, gamma_c = branch_power(A, pf.beta), math.gamma(c)
-            # + 0.0: J at t = a is 0.0 on either side of the shift
-            scales = [front * float_power(t - win.a, sa) / gamma_c + 0.0
-                      for t in ts]
-        values, failed = _hyp2f1(*params, [-((t - win.a) / A) for t in ts])
-        values = list(map(operator.mul, scales, values))
+            gamma_c, scales = math.gamma(c), []
+            for t in ts:
+                # + 0.0: J at t = a is 0.0 on either side of the shift
+                scales.append(front * float_power(t - win.a, sa) / gamma_c + 0.0)
+            values, failed = _hyp2f1(1.0, -beta, c, xs)
+            values = list(map(operator.mul, scales, values))
     bounds, statuses = [0.0] * n, ["converged"] * n
     for i in failed:
         bounds[i], statuses[i] = math.inf, "truncated"

@@ -253,6 +253,25 @@ def test_closed_route_centered_value(capsys):
     assert rec.value == pytest.approx(0.75225277806367504, rel=1e-12)
 
 
+@pytest.mark.parametrize("op", ["J", "D"])
+def test_closed_route_reports_the_centered_floor(capsys, op):
+    # the closed and series routes run one centered body: the same value and
+    # remainder, which is the form's roundoff floor, not 0; the closed route
+    # sums no terms
+    code, out, err = run(capsys, "eval", "--op", op, "--alpha", "0.5",
+                         "--beta-int", "3", "--centered", "--t", "0.5:3:4",
+                         "--route", "closed,series", "--format", "csv")
+    assert (code, err) == (0, "")
+    records = parse_csv_records(out)
+    closed, series = records[0::2], records[1::2]
+    assert [(r.route, r.terms) for r in closed] == [("closed", 0)] * 4
+    assert [(r.route, r.terms) for r in series] == [("series", 4)] * 4
+    for c, s in zip(closed, series):
+        assert (c.value, c.remainder, c.status) == \
+            (s.value, s.remainder, "converged")
+        assert 0.0 < c.remainder <= 1e-13 * max(1.0, abs(c.value))
+
+
 def test_centered_derivative_at_the_shift_is_zero(capsys):
     # on the centered window the one term left is (t-d)^(2-0.5): 0 at t = a
     code, out, err = run(capsys, "eval", "--op", "D", "--alpha", "0.5",
