@@ -337,38 +337,59 @@ def hyp2f1_series(a: float, b: float, c: float, x: float, tol: float,
     ax = abs(x)
     if kterm < 0 and ax >= 1.0:
         return math.nan, 0, STATUS_ARG_OUT
+    # The compiled twin's single loop split in two, with its floating-point
+    # operations in the same order: k is its term index as a float, |term|
+    # is carried in size, |.| is spelled as comparisons (cheaper than abs()
+    # here), and value - value != 0.0 is true exactly for NaN and +-inf.
     total = 0.0
     comp = 0.0
     term = 1.0
-    idx = 0
-    small_streak = 0
-    status = STATUS_TRUNCATED
-    while idx < max_terms:
+    size = 1.0
+    k = 0.0
+    n = 0
+    if kterm >= 0:
+        while n < max_terms:
+            n += 1
+            t = total + term
+            if total >= size or total <= -size:
+                comp += (total - t) + term
+            else:
+                comp += (term - t) + total
+            total = t
+            value = total + comp
+            if value - value != 0.0 or size > _HUGE:
+                return value, n, STATUS_DIVERGED
+            if n > kterm:
+                return value, n, STATUS_CONVERGED
+            term = term * (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
+            size = term if term >= 0.0 else -term
+            k += 1.0
+        return total + comp, n, STATUS_TRUNCATED
+    # the stop rule |term| <= 0.5 tol max(1, |value|) (1 - |x|), twice running,
+    # rounded as ((0.5 tol) scale) (1 - |x|)
+    half_tol = 0.5 * tol
+    one_m_ax = 1.0 - ax
+    small = False
+    while n < max_terms:
+        n += 1
         t = total + term
-        if abs(total) >= abs(term):
+        if total >= size or total <= -size:
             comp += (total - t) + term
         else:
             comp += (term - t) + total
         total = t
-        cur = idx
-        idx += 1
         value = total + comp
-        if not math.isfinite(value) or abs(term) > _HUGE:
-            status = STATUS_DIVERGED
-            break
-        if kterm >= 0 and cur >= kterm:
-            status = STATUS_CONVERGED
-            break
-        term = term * (a + cur) * (b + cur) / ((c + cur) * (1.0 + cur)) * x
-        scale = abs(value)
-        if scale < 1.0:
-            scale = 1.0
-        if kterm < 0:
-            if abs(term) <= 0.5 * tol * scale * (1.0 - ax):
-                small_streak += 1
-                if small_streak >= 2:
-                    status = STATUS_CONVERGED
-                    break
-            else:
-                small_streak = 0
-    return total + comp, idx, status
+        if value - value != 0.0 or size > _HUGE:
+            return value, n, STATUS_DIVERGED
+        term = term * (a + k) * (b + k) / ((c + k) * (1.0 + k)) * x
+        size = term if term >= 0.0 else -term
+        k += 1.0
+        # value is finite here
+        scale = value if value >= 1.0 else -value if value <= -1.0 else 1.0
+        if size <= half_tol * scale * one_m_ax:
+            if small:
+                return value, n, STATUS_CONVERGED
+            small = True
+        else:
+            small = False
+    return total + comp, n, STATUS_TRUNCATED

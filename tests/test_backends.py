@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rlpower import _kernels_py
 
@@ -40,6 +43,11 @@ def _close(x, y, rel=5e-13):
     return abs(x - y) <= rel * max(1.0, abs(x), abs(y))
 
 
+def _bits(x: float) -> str:
+    # a float's exact value, sign of zero included; every NaN is one value
+    return "nan" if math.isnan(x) else x.hex()
+
+
 def test_backend_selected():
     import rlpower
     assert rlpower.backend_name() in ("compiled", "pure-python")
@@ -67,8 +75,10 @@ def test_power_series_matches(cy):
                                               1e-10, 10000)
                 cc = cy.power_series(1.0, beta, 1.0, u, sa, is_int,
                                      1e-10, 10000)
-                assert _close(py[0], cc[0])
+                # the bound goes through each twin's own lgamma
+                assert _bits(py[0]) == _bits(cc[0])
                 assert py[1] == cc[1]
+                assert _close(py[2], cc[2])
                 assert py[3] == cc[3]
 
 
@@ -81,13 +91,49 @@ def test_neg_int_series_matches(cy):
             assert py[1] == cc[1]
 
 
-def test_hyp2f1_series_matches(cy):
-    for a in (-3.0, 0.4, 2.2):
-        for x in (-0.8, 0.3, 0.8):
-            py = _kernels_py.hyp2f1_series(a, 0.7, 1.3, x, 1e-14, 20000)
-            cc = cy.hyp2f1_series(a, 0.7, 1.3, x, 1e-14, 20000)
-            assert _close(py[0], cc[0])
-            assert py[2] == cc[2]
+def _gauss_parameter(rng: random.Random) -> float:
+    # real, a non-positive integer, within 1e-12 of one, or large (whose
+    # terms can pass the kernel's divergence threshold)
+    kind, n = rng.random(), float(-rng.randint(0, 30))
+    if kind < 0.2:
+        return n
+    if kind < 0.35:
+        return n + rng.uniform(-1e-12, 1e-12)
+    return rng.uniform(-30.0, 30.0) if kind < 0.9 else rng.uniform(-400.0, 400.0)
+
+
+@st.composite
+def _gauss_calls(draw):
+    # hyp2f1_series's arguments, from a drawn seed: hypothesis's own bounded
+    # floats are mostly 0, tiny or end values, which leave the loop at once
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b, c = (_gauss_parameter(rng) for _ in range(3))
+    # (-3, 3), the Pfaff arguments (0, 1/2), or next to +-1
+    x = rng.choice((rng.uniform(-3.0, 3.0), rng.uniform(0.0, 0.5),
+                    rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-4.0, -1.0))))
+    return a, b, c, x, 10.0 ** rng.uniform(-16.0, -8.0), rng.choice((5, 50, 20000))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(call=_gauss_calls())
+@example(call=(-3.0, 0.7, 1.3, -0.8, 1e-14, 20000))
+@example(call=(-3.0, 0.7, 1.3, 0.3, 1e-14, 20000))
+@example(call=(-3.0, 0.7, 1.3, 0.8, 1e-14, 20000))
+@example(call=(0.4, 0.7, 1.3, -0.8, 1e-14, 20000))
+@example(call=(0.4, 0.7, 1.3, 0.3, 1e-14, 20000))
+@example(call=(0.4, 0.7, 1.3, 0.8, 1e-14, 20000))
+@example(call=(2.2, 0.7, 1.3, -0.8, 1e-14, 20000))
+@example(call=(2.2, 0.7, 1.3, 0.3, 1e-14, 20000))
+@example(call=(2.2, 0.7, 1.3, 0.8, 1e-14, 20000))
+# terms past the divergence threshold, on each of the two loops
+@example(call=(400.0, 400.0, 0.5, 0.99, 1e-14, 20000))
+@example(call=(-300.0, 250.0, 1.5, 2.5, 1e-14, 20000))
+def test_hyp2f1_series_matches(compiled_kernels, call):
+    # the pure twin's loops differ from the compiled one's, not their
+    # floating-point operations: value, terms and status are the same
+    py = _kernels_py.hyp2f1_series(*call)
+    cc = compiled_kernels.hyp2f1_series(*call)
+    assert (_bits(py[0]), py[1], py[2]) == (_bits(cc[0]), cc[1], cc[2])
 
 
 def test_hyp_forms_match_at_window_edge(monkeypatch, cy):
@@ -107,8 +153,8 @@ def test_hyp_forms_match_at_window_edge(monkeypatch, cy):
         values[backend] = [fn(pf, win, alpha, 1.999)
                            for pf, win, alpha in cases
                            for fn in (rl.rlfi_hyp_form, rl.rlfd_hyp_form)]
-    for py, cc in zip(values[_kernels_py], values[cy]):
-        assert _close(py, cc, rel=1e-9)
+    assert ([_bits(v) for v in values[_kernels_py]]
+            == [_bits(v) for v in values[cy]])
 
 
 def test_tail_bound_matches(cy):
