@@ -78,7 +78,7 @@ class QuadEstimate(NamedTuple):
 
 # a job's parameters, made once by _rule_of
 _Rule = collections.namedtuple(
-    "_Rule", "alpha derivative e power degree mass floor flip b sign slack")
+    "_Rule", "alpha derivative e power degree mass floor flip b sign slack lift")
 
 
 # The rules are built in fixed point: integers in units of 2^-_BITS, about
@@ -199,7 +199,9 @@ def _by_rule(lo: float, hi: float, u: float, scale: float, head: float,
     divided = power != e
     # the shift's distance from the midpoint, in half-widths
     yd = abs(lo + hi) / u
-    rho_d, rounding = 1.0, floor
+    # the floor, and D's rounded 1 - alpha, which its scale (u/2)^(1-alpha)
+    # magnifies by |ln(u/2)| <= |ln u| + 1
+    rho_d, rounding = 1.0, floor + rule.lift * (abs(math.log(u)) + 1.0)
     try:
         if yd > 1.0:
             # |x|^power and |x|^e are least at an end; past the largest
@@ -336,12 +338,20 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
                for yd, e_ in geo]
         # the nodes take each distance in units of the power of 2 next to
         # the one from the middle, which is exact, and the scale that unit^e,
-        # as unit^power / unit where the nodes do
+        # as unit^power / unit where the nodes do.  Past |power| 512 a node's
+        # power in those units can leave the float range (2^1100 at half a
+        # unit), so the nodes take it as m 2^k (_power), 2^k counted from
+        # the end where it is largest, and the scale that end's 2^k
         for i, (x_hi, x_lo, x_u, e_, p) in enumerate(powers):
             unit = math.frexp(x_hi + x_lo)[1] - 1
-            powers[i] = (math.ldexp(x_hi, -unit), math.ldexp(x_lo, -unit),
-                         math.ldexp(x_u, -unit), e_, p)
+            x_hi, x_lo = math.ldexp(x_hi, -unit), math.ldexp(x_lo, -unit)
             part, shift = _power(math.ldexp(1.0, unit), p)
+            top = None
+            if abs(p) > 512.0:
+                top = _power(min(x_hi, x_lo) if p < 0.0 else max(x_hi, x_lo),
+                             p)[1]
+                shift += top
+            powers[i] = (x_hi, x_lo, math.ldexp(x_u, -unit), e_, p, top)
             scale, expo = scale * part, expo + shift - (unit if p != e_ else 0)
         if smooth:
             part, shift = _power(t0, -alpha)
@@ -354,9 +364,14 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
             total = absum = 0.0
             for h, r, weight in _rule(alpha if lifted else order, n, lifted):
                 v = weight
-                for x_hi, x_lo, x_u, e_, p in powers:
+                for x_hi, x_lo, x_u, e_, p, top in powers:
                     x = x_hi - x_u * r if r < 0.5 else x_lo + x_u * h
-                    v *= x ** p / x if p != e_ else x ** p
+                    if top is None:
+                        v *= x ** p / x if p != e_ else x ** p
+                    else:
+                        m, k = _power(x, p)
+                        m = math.ldexp(m, k - top)
+                        v *= m / x if p != e_ else m
                 if smooth:
                     # x - x0 from the end nearer to it
                     v *= math.expm1(-alpha * math.log1p(
@@ -395,6 +410,9 @@ def _graded(lo: float, hi: float, u: float, gamma: float, head: float,
                     # below the normal range a value rounds to a multiple of
                     # the smallest subnormal, and one below that to 0
                     bound += _SUBNORMAL
+                if lifted:
+                    # the rounded order of (w/2)^(1-alpha), as in _by_rule
+                    bound += rule.lift * (abs(math.log(w)) + 1.0) * magnitude
                 return value, bound + exponent * spread * magnitude, magnitude
         return None
 
@@ -465,8 +483,10 @@ def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
     sign of f(x) = (x-d)^beta against |x|^beta, times beta for f'.  The rule
     holds g's e and power, a polynomial g's degree, the weight's mass, flip
     = -1 where g is of -x, b = beta's float, sign = f(x) / |x-d|^beta below
-    the shift, and both bodies' rounding: floor, and slack = |b - p/q| for
-    a rational beta = p/q, which |x-d|^b magnifies by |ln|x-d||."""
+    the shift, and both bodies' rounding: floor, slack = |b - p/q| for
+    a rational beta = p/q, which |x-d|^b magnifies by |ln|x-d||, and for D
+    lift, the rounding of the lifted weight's order 1 - alpha, which its
+    scale (u/2)^(1-alpha) magnifies by |ln(u/2)|."""
     b = beta_value(beta)
     integer = isinstance(beta, IntegerExp)
     rational = isinstance(beta, RationalExp)
@@ -489,8 +509,10 @@ def _rule_of(alpha: float, derivative: bool, beta: BetaIndex,
     # the weight's integral, none for D at alpha = 1
     mass = 2.0 ** alpha / alpha if not derivative else math.inf \
         if alpha == 1.0 else 2.0 ** (1.0 - alpha) * alpha / (1.0 - alpha)
+    # exact: 1 - alpha = fl(1 - alpha) + ((1 - fl(1 - alpha)) - alpha)
+    lift = abs((1.0 - (1.0 - alpha)) - alpha) if derivative else 0.0
     return _Rule(alpha, derivative, e, power, degree, mass, floor, flip, b, sign,
-                 slack), factor
+                 slack, lift), factor
 
 
 def _floor(b: float) -> float:
@@ -598,7 +620,9 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
         if a == t:
             return 0.0, 0.0
         lo, hi, u = a - pf.d, t - pf.d, t - a
-        if hi == 0.0:
+        if gamma == math.inf:
+            value, estimate = _rlfi_tiny_order(pf, rule.b, alpha, lo, hi, u, t)
+        elif hi == 0.0:
             # f(x) = f(-1) (t-x)^beta folds into the weight: J is exact
             e = alpha + rule.b
             value = rule.sign * float_power(u, e) / (e * gamma)
@@ -616,6 +640,35 @@ def _rlfi_at(pf: PowerFunction, a: float, alpha: float,
         return value, estimate
 
     return at
+
+
+def _rlfi_tiny_order(pf: PowerFunction, b: float, alpha: float, lo: float,
+                     hi: float, u: float, t: float) -> tuple[float, float]:
+    """J^alpha at t, offsets lo = a - d and hi = t - d, u = t - a > 0, at an
+    order below about 5.6e-309, where Gamma(alpha) and the weight's mass
+    2^alpha/alpha overflow though their quotient does not:
+
+        J = f(t) u^alpha / Gamma(1+alpha)
+            + alpha / Gamma(1+alpha) integral_a^t (t-x)^(alpha-1) (f(x) - f(t)) dx.
+
+    u^alpha / Gamma(1+alpha) is 1 to within alpha (|ln u| + 1) < 1e-305, far
+    inside f(t)'s rounding, so the first term is f(t) as at order 0
+    (_f_at).  With 1/Gamma(1+alpha) and u^alpha below 2, the second is at
+    most 4 alpha L u where f' is bounded on [a, t], L = max |f'| at its
+    ends, and else (0 < beta < 1 with the shift in [a, t], where f(x) - f(t)
+    is at most 2 |t-x|^beta) at most 8 alpha u^beta / beta."""
+    value, estimate = _f_at(pf, t)
+    try:
+        if b == 0.0:
+            rest = 0.0
+        elif 0.0 < b < 1.0 and lo <= 0.0 <= hi:
+            rest = 8.0 * u ** b / b
+        else:
+            rest = 4.0 * abs(b) * max(abs(lo) ** (b - 1.0),
+                                      abs(hi) ** (b - 1.0)) * u
+    except OverflowError:
+        rest = math.inf
+    return value, estimate + alpha * rest
 
 
 def quad_rlfd(pf: PowerFunction, a: float, alpha: float, t: float,

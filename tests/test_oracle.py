@@ -465,6 +465,12 @@ def graded():
     scaled += [((op, beta, d, a, alpha, t),
                 displaced_exact(beta, d, a, alpha if op == "J" else -alpha, t))
                for op in "JD"]
+    # |beta| = 1100, whose node powers leave the float range in a panel's
+    # units (0.5^-1100) where J is 5.1e-4 and D -2.6e-4
+    beta = rl.beta_int(-1100)
+    scaled += [((op, beta, 0.0, 1.0, 0.5, 2.0),
+                displaced_exact(beta, 0.0, 1.0, 0.5 if op == "J" else -0.5, 2.0))
+               for op in "JD"]
     return centered + inside + scaled, beyond
 
 
@@ -841,6 +847,16 @@ _EDGE_CELLS = [(op, _token_beta(token), 0.0, 1.0, alpha, 1.999)
 # t - a = 0.3 (a - d) with a - d tiny
 _ROUNDING_CELLS = [(op, rl.beta_rational(61, 7), 0.0, gap, 0.3, 1.3 * gap)
                    for gap in (1e-12, 1e-30) for op in "JD"]
+# D's scale (u/2)^(1-alpha) takes 1 - alpha rounded, which ln(u/2) = 179
+# magnifies past the floor where head and body cancel at far offsets
+_FAR_CELLS = [("D", rl.beta_int(2), -2.5853665419124254e77, -2.4131045771079455e78,
+               0.4691963531439633, -1.5675688893556235e78)]
+# orders below about 5.6e-309, where Gamma(alpha) overflows: f(t) and the
+# bound of the rest of J
+_TINY_ORDER_CELLS = [("J", rl.beta_int(0), 0.0, 1.0, 2.225073858507e-311, 1.5),
+                     ("J", rl.beta_int(3), 5.0, 1.0, 2.225073858507e-311, 1.5),
+                     ("J", rl.beta_rational(-5, 2), 0.0, 1.0, 5e-324, 1.5),
+                     ("J", rl.beta_real(0.4), -1e-200, 0.0, 5.5e-309, 1e-100)]
 
 
 @pytest.fixture(scope="module")
@@ -848,14 +864,16 @@ def window():
     return [(cell, displaced_exact(cell[1], cell[2], cell[3],
                                    cell[4] if cell[0] == "J" else -cell[4],
                                    cell[5]))
-            for cell in _window_cells(300, 16) + _EDGE_CELLS + _ROUNDING_CELLS]
+            for cell in _window_cells(300, 16) + _EDGE_CELLS + _ROUNDING_CELLS
+            + _FAR_CELLS + _TINY_ORDER_CELLS]
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_rule_values_lie_within_their_bound(window, backend, monkeypatch,
                                            compiled_kernels):
     # every window cell with |beta| <= 30 takes a product rule, whose tail
-    # bound plus floor holds the 40-digit value
+    # bound plus floor holds the 40-digit value; at a subnormal order J is
+    # f(t) with the bound of the rest
     use_kernels(monkeypatch,
                 _kernels_py if backend == "pure" else compiled_kernels)
 
