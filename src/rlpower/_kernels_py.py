@@ -1,9 +1,13 @@
 """Scalar numeric kernels: gamma core, operator series loops, 2F1 series.
 
 Pure-Python twin of the compiled module ``_kernels_cy``.  The two files must
-be kept in lockstep: same function names, same argument order, same branch
-structure.  Everything works on plain floats so the compiled build carries no
-CPython object traffic inside the hot loops.
+be kept in lockstep: same function names, same argument order, and for
+``hyp2f1_series`` the same outputs bit for bit (value, term count and
+status), which ``tests/test_backends.py`` checks as a property.  The loops
+may differ: this one takes the floating-point operations of the compiled
+one in the same order, with fewer interpreter operations a term.
+Everything works on plain floats so the compiled build carries no CPython
+object traffic inside the hot loops.
 
 Conventions used throughout:
 

@@ -29,8 +29,9 @@ the interpolant's error is proven (Trefethen, Approximation Theory and
 Approximation Practice, Thm 8.2): the tail is M_0 4 M rho^-n / (rho - 1),
 M_0 the weight's mass (_tail).  A panel takes the smallest n whose tail
 meets tol times its magnitude, and a value's bound is its tails plus one
-rounding term times the magnitude: the roundoff floor, and a rational
-beta's rounding magnified by |ln|x-d|| (_rule_of).  [a, t] is first one
+rounding term times the magnitude: the roundoff floor, a rational beta's
+rounding magnified by |ln|x-d||, and D's rounded 1 - alpha magnified by
+|ln(u/2)| (_rule_of).  [a, t] is first one
 panel with its weight at t (_by_rule), which serves every cell where f is
 analytic and a normal float on [a, t]; elsewhere the panels are graded
 toward t and the shift (_graded); a panel below the normal float range adds
@@ -38,7 +39,9 @@ the smallest subnormal to its bound.  D's head, made once per point from
 f(t) as a float times a power of 2, goes to either body.  At t = d, f is
 (t-x)^beta up to sign and folds into the weight.  These closed forms, f'(t)
 at order 1 and f(t) at order 0 report the floor and a rational beta's
-rounding too, and two smallest subnormals below the normal range.
+rounding too, and two smallest subnormals below the normal range.  Below
+an order of about 5.6e-309, where Gamma(alpha) overflows, J is f(t) with a
+bound on the rest (_rlfi_tiny_order).
 
 The route body _quad evaluates a job's sorted points: the checks that do
 not depend on t (_interval_check), the gamma factors and the rule's
