@@ -105,54 +105,98 @@ def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
     geometric form is used with the side-dependent endpoint: |t - d| below the
     shift, |a - d| above it (the below-side factor is not an upper bound above
     the shift).  A bound beyond the float range is inf, as in the compiled
-    twin.
+    twin.  This is the per-call evaluator :func:`_tail_bound_of_p` at one
+    p; the series loops build that evaluator once and call it at each p.
     """
-    try:
-        if u <= 0.0:
-            return 0.0
-        abs_a = abs(A)
-        abs_td = abs(A + u)
-        if sa + p - 1.0 < 0.0:
-            # First derivative-side truncation: integrate (t-x)^sa exactly and
-            # bound |x-d|^(beta-1) by its endpoint maximum.
-            if sa <= -1.0 + _INT_TOL:
-                return math.inf
-            w = max(abs_a ** (beta - 1.0), abs_td ** (beta - 1.0))
-            return abs(beta) * w * u ** (1.0 + sa) / math.exp(math.lgamma(2.0 + sa))
-        if beta_is_int:
-            m = int(math.floor(beta + 0.5))
-            if m >= 0:
-                if p >= m + 1:
-                    return 0.0
-                ln_ratio = math.lgamma(m + 1.0) - math.lgamma(m - p + 2.0)
-            else:
-                mm = float(-m)
-                omega = abs_td if A < 0.0 else abs_a
-                ln_b = (math.lgamma(mm + p) - math.lgamma(mm) - math.lgamma(sa + p)
-                        + sa * math.log(u) + p * (math.log(u) - math.log(omega))
-                        - mm * math.log(omega))
-                return math.exp(ln_b)
-        else:
-            if p <= beta + 1.0:
-                ln_ratio = math.lgamma(beta + 1.0) - math.lgamma(beta - p + 2.0)
+    return _tail_bound_of_p(beta, beta_is_int, A, u, sa)(p)
+
+
+def _no_tail(p) -> float:
+    return 0.0
+
+
+def _tail_bound_of_p(beta: float, beta_is_int: int, A: float, u: float,
+                     sa: float):
+    """:func:`series_tail_bound` at fixed (beta, A, u, sa), as a function of p.
+
+    What does not depend on p is made once: the logs of u, |t - d| and
+    |a - d|; lgamma(m + 1), lgamma(beta + 1) or lgamma(beta + 1) +
+    log|sinpi(beta)| - log(pi); for beta = -m < 0, lgamma(m), log(omega) and
+    their products.  A p then pays its own lgammas, one expm1 and one exp.
+    Every floating-point operation keeps the grouping of the one-p formula,
+    so the bounds are the same bit for bit.  The parts that can raise (log 0
+    at |t - d| = 0, lgamma past the float range, the log of a zero sinpi) are
+    made at the first p that needs them: building never raises, and each p
+    returns or raises what the one-p formula does.
+    """
+    if u <= 0.0:
+        return _no_tail
+    abs_a = abs(A)
+    abs_td = abs(A + u)
+    ln_u = math.log(u)
+    beta_1 = beta + 1.0
+    lgamma, exp, expm1, inf = math.lgamma, math.exp, math.expm1, math.inf
+    m = lg_m1 = lg_b1 = ln_c = ln_td = ln_a = None
+    mm = lg_mm = sa_ln_u = ln_u_omega = mm_ln_omega = None
+
+    def bound(p) -> float:
+        nonlocal m, lg_m1, lg_b1, ln_c, ln_td, ln_a
+        nonlocal mm, lg_mm, sa_ln_u, ln_u_omega, mm_ln_omega
+        try:
+            s = sa + p
+            q = s - 1.0
+            if q < 0.0:
+                # First derivative-side truncation: integrate (t-x)^sa exactly
+                # and bound |x-d|^(beta-1) by its endpoint maximum.
+                if sa <= -1.0 + _INT_TOL:
+                    return inf
+                w = max(abs_a ** (beta - 1.0), abs_td ** (beta - 1.0))
+                return abs(beta) * w * u ** (1.0 + sa) / exp(lgamma(2.0 + sa))
+            if beta_is_int:
+                if m is None:
+                    m = int(math.floor(beta + 0.5))
+                if m >= 0:
+                    if p >= m + 1:
+                        return 0.0
+                    if lg_m1 is None:
+                        lg_m1 = lgamma(m + 1.0)
+                    ln_ratio = lg_m1 - lgamma(m - p + 2.0)
+                else:
+                    if mm_ln_omega is None:
+                        f = float(-m)
+                        lg_f = lgamma(f)
+                        ln_omega = math.log(abs_td if A < 0.0 else abs_a)
+                        mm, lg_mm, sa_ln_u, ln_u_omega, mm_ln_omega = (
+                            f, lg_f, sa * ln_u, ln_u - ln_omega, f * ln_omega)
+                    return exp(lgamma(mm + p) - lg_mm - lgamma(s) + sa_ln_u
+                               + p * ln_u_omega - mm_ln_omega)
+            elif p <= beta_1:
+                if lg_b1 is None:
+                    lg_b1 = lgamma(beta_1)
+                ln_ratio = lg_b1 - lgamma(beta - p + 2.0)
             else:
                 # |Gamma(beta-p+2)| rewritten through reflection so no huge
                 # intermediate gamma is ever formed.
-                ln_ratio = (math.lgamma(beta + 1.0) + math.log(abs(sinpi(beta)))
-                            - math.log(math.pi) + math.lgamma(p - beta - 1.0))
-        nu = beta - p + 1.0
-        e1 = nu * math.log(abs_td)
-        e2 = nu * math.log(abs_a)
-        if e1 >= e2:
-            big, small = e1, e2
-        else:
-            big, small = e2, e1
-        brace = -math.expm1(small - big)
-        return math.exp(ln_ratio - math.lgamma(sa + p)
-                        + (sa + p - 1.0) * math.log(u) + big) * brace
-    except OverflowError:
-        # exp, ** and lgamma past the float range: C returns inf there
-        return math.inf
+                if ln_c is None:
+                    ln_c = (lgamma(beta_1) + math.log(abs(sinpi(beta)))
+                            - math.log(math.pi))
+                ln_ratio = ln_c + lgamma(p - beta - 1.0)
+            if ln_a is None:
+                ln_td, ln_a = math.log(abs_td), math.log(abs_a)
+            nu = beta - p + 1.0
+            e1 = nu * ln_td
+            e2 = nu * ln_a
+            if e1 >= e2:
+                big, small = e1, e2
+            else:
+                big, small = e2, e1
+            brace = -expm1(small - big)
+            return exp(ln_ratio - lgamma(s) + q * ln_u + big) * brace
+        except OverflowError:
+            # exp, ** and lgamma past the float range: C returns inf there
+            return inf
+
+    return bound
 
 
 def _start_index(sa: float) -> int:
@@ -185,42 +229,49 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     for j in range(k0):
         coef *= (beta - j) / A
     term = coef * u ** (sa + k0) / gamma_value(sa + k0 + 1.0)
+    tail = _tail_bound_of_p(beta, beta_is_int, A, u, sa)
+    # As in hyp2f1_series: k is the term index as a float, |term| is carried
+    # in size, |.| is spelled as comparisons and value - value != 0.0 is true
+    # exactly for NaN and +-inf; the floating-point operations are those of
+    # the compiled twin, in the same order.  Past k += 1.0, k is the number
+    # of series indices summed, the tail bound's p.
     total = 0.0
     comp = 0.0
     sum_abs = 0.0
-    k = k0
+    size = term if term >= 0.0 else -term
+    k = float(k0)
     added = 0
     bound = math.inf
     status = STATUS_TRUNCATED
     while True:
         t = total + term
-        if abs(total) >= abs(term):
+        if total >= size or total <= -size:
             comp += (total - t) + term
         else:
             comp += (term - t) + total
         total = t
-        sum_abs += abs(term)
+        sum_abs += size
         added += 1
-        p = k + 1
         value = total + comp
-        if not math.isfinite(value) or abs(term) > _HUGE:
+        if value - value != 0.0 or size > _HUGE:
             bound = math.inf
             status = STATUS_DIVERGED
             break
         term = term * (beta - k) * u / ((sa + k + 1.0) * A)
-        k += 1
-        scale = abs(value)
-        if scale < 1.0:
-            scale = 1.0
-        if abs(term) <= tol * scale:
-            bound = series_tail_bound(beta, beta_is_int, A, u, sa, p)
-            if bound <= tol * scale:
-                if _EPS * sum_abs <= tol * scale:
+        size = term if term >= 0.0 else -term
+        k += 1.0
+        # value is finite here
+        scale = value if value >= 1.0 else -value if value <= -1.0 else 1.0
+        threshold = tol * scale
+        if size <= threshold:
+            bound = tail(k)
+            if bound <= threshold:
+                if _EPS * sum_abs <= threshold:
                     status = STATUS_CONVERGED
                 # roundoff floor above tolerance: more terms cannot help
                 break
         if added >= max_terms:
-            bound = series_tail_bound(beta, beta_is_int, A, u, sa, p)
+            bound = tail(k)
             break
     floor = _EPS * sum_abs
     if floor > bound:
@@ -274,6 +325,7 @@ def neg_int_series(m: int, A: float, u: float, sa: float, tol: float,
     s = A ** (-(m + k0)) * u ** (sa + k0)
     if k0 & 1:
         s = -s
+    tail = _tail_bound_of_p(float(-m), 1, A, u, sa)
     total = 0.0
     comp = 0.0
     sum_abs = 0.0
@@ -305,13 +357,13 @@ def neg_int_series(m: int, A: float, u: float, sa: float, tol: float,
         if scale < 1.0:
             scale = 1.0
         if abs(nxt) <= tol * scale:
-            bound = series_tail_bound(float(-m), 1, A, u, sa, p)
+            bound = tail(p)
             if bound <= tol * scale:
                 if _EPS * sum_abs <= tol * scale:
                     status = STATUS_CONVERGED
                 break
         if added >= max_terms:
-            bound = series_tail_bound(float(-m), 1, A, u, sa, p)
+            bound = tail(p)
             break
     floor = _EPS * sum_abs
     if floor > bound:

@@ -10,6 +10,8 @@ exposes an intermediate the package does not return:
   as one closed term;
 * the alternating series for beta = -m, m >= 1;
 * the truncated displaced series and its explicit tail bound after p terms;
+* the pure twin's displaced-series kernel with its tail bound made afresh at
+  every p, the loop the package's pure kernel must match bit for bit;
 * the Taylor route, which integrates the binomial expansion of f at a term by
   term;
 * the logarithm series of the beta = -1 integral at order 1;
@@ -31,6 +33,9 @@ import math
 import mpmath as mp
 
 from rlpower._backend import kernels
+from rlpower._kernels_py import (_EPS, _HUGE, STATUS_CONVERGED, STATUS_DIVERGED,
+                                 STATUS_TRUNCATED, _start_index, gamma_value,
+                                 sinpi)
 from rlpower.cli import CSV_COLUMNS, EvalRecord
 from rlpower.domain import (
     EvalWindow,
@@ -330,6 +335,135 @@ def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
         raise SeriesNotConverged(
             f"taylor_route: {status.value} after {terms} terms", result)
     return result
+
+
+# --- the pure displaced-series kernel, one tail bound at a time ---------------
+# The pure twin's power_series and series_tail_bound as they were before the
+# loop built its tail bound once per call.  The package's pure power_series
+# must return what this one does, bit for bit, or raise the same exception.
+
+def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
+                      sa: float, p: int) -> float:
+    """Upper bound on the tail after the first p series indices.
+
+    Integration-by-parts estimate: the |t - x| factor is bounded by its
+    endpoint value and the |x - d| power is integrated exactly, which is valid
+    on both sides of the shift.  For negative integer exponents the simpler
+    geometric form is used with the side-dependent endpoint: |t - d| below the
+    shift, |a - d| above it (the below-side factor is not an upper bound above
+    the shift).  A bound beyond the float range is inf, as in the compiled
+    twin.
+    """
+    try:
+        if u <= 0.0:
+            return 0.0
+        abs_a = abs(A)
+        abs_td = abs(A + u)
+        if sa + p - 1.0 < 0.0:
+            # First derivative-side truncation: integrate (t-x)^sa exactly and
+            # bound |x-d|^(beta-1) by its endpoint maximum.
+            if sa <= -1.0 + _INT_TOL:
+                return math.inf
+            w = max(abs_a ** (beta - 1.0), abs_td ** (beta - 1.0))
+            return abs(beta) * w * u ** (1.0 + sa) / math.exp(math.lgamma(2.0 + sa))
+        if beta_is_int:
+            m = int(math.floor(beta + 0.5))
+            if m >= 0:
+                if p >= m + 1:
+                    return 0.0
+                ln_ratio = math.lgamma(m + 1.0) - math.lgamma(m - p + 2.0)
+            else:
+                mm = float(-m)
+                omega = abs_td if A < 0.0 else abs_a
+                ln_b = (math.lgamma(mm + p) - math.lgamma(mm) - math.lgamma(sa + p)
+                        + sa * math.log(u) + p * (math.log(u) - math.log(omega))
+                        - mm * math.log(omega))
+                return math.exp(ln_b)
+        else:
+            if p <= beta + 1.0:
+                ln_ratio = math.lgamma(beta + 1.0) - math.lgamma(beta - p + 2.0)
+            else:
+                # |Gamma(beta-p+2)| rewritten through reflection so no huge
+                # intermediate gamma is ever formed.
+                ln_ratio = (math.lgamma(beta + 1.0) + math.log(abs(sinpi(beta)))
+                            - math.log(math.pi) + math.lgamma(p - beta - 1.0))
+        nu = beta - p + 1.0
+        e1 = nu * math.log(abs_td)
+        e2 = nu * math.log(abs_a)
+        if e1 >= e2:
+            big, small = e1, e2
+        else:
+            big, small = e2, e1
+        brace = -math.expm1(small - big)
+        return math.exp(ln_ratio - math.lgamma(sa + p)
+                        + (sa + p - 1.0) * math.log(u) + big) * brace
+    except OverflowError:
+        # exp, ** and lgamma past the float range: C returns inf there
+        return math.inf
+
+
+def power_series(front: float, beta: float, A: float, u: float, sa: float,
+                 beta_is_int: int, tol: float, max_terms: int):
+    """Displaced power-operator series.
+
+    Sums ``Gamma(beta+1) (a-d)^(beta-k) (t-a)^(sa+k) /
+    (Gamma(beta-k+1) Gamma(sa+k+1))`` over k with Neumaier compensation and
+    the coefficient recurrence ``*(beta-k) u / ((sa+k+1) A)``.
+
+    The reported bound covers both the analytic tail and the summation's
+    roundoff floor eps * sum|term|: alternating series whose terms grow far
+    above the result (steep exponents near the window edge) cannot reach
+    tolerances below that floor in doubles, and claiming otherwise would be
+    lying.  Returns ``(value, terms_used, bound, status)``.
+    """
+    if u == 0.0 and sa > 0.0:
+        return 0.0, 0, 0.0, STATUS_CONVERGED
+    k0 = _start_index(sa)
+    coef = front
+    for j in range(k0):
+        coef *= (beta - j) / A
+    term = coef * u ** (sa + k0) / gamma_value(sa + k0 + 1.0)
+    total = 0.0
+    comp = 0.0
+    sum_abs = 0.0
+    k = k0
+    added = 0
+    bound = math.inf
+    status = STATUS_TRUNCATED
+    while True:
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        sum_abs += abs(term)
+        added += 1
+        p = k + 1
+        value = total + comp
+        if not math.isfinite(value) or abs(term) > _HUGE:
+            bound = math.inf
+            status = STATUS_DIVERGED
+            break
+        term = term * (beta - k) * u / ((sa + k + 1.0) * A)
+        k += 1
+        scale = abs(value)
+        if scale < 1.0:
+            scale = 1.0
+        if abs(term) <= tol * scale:
+            bound = series_tail_bound(beta, beta_is_int, A, u, sa, p)
+            if bound <= tol * scale:
+                if _EPS * sum_abs <= tol * scale:
+                    status = STATUS_CONVERGED
+                # roundoff floor above tolerance: more terms cannot help
+                break
+        if added >= max_terms:
+            bound = series_tail_bound(beta, beta_is_int, A, u, sa, p)
+            break
+    floor = _EPS * sum_abs
+    if floor > bound:
+        bound = floor
+    return total + comp, added, bound, status
 
 
 # --- closed-form companions -------------------------------------------------

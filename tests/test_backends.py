@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from rlpower import _kernels_py
 
 
@@ -35,6 +36,9 @@ def test_kernel_sources_change_together():
         "_kernels_cy.c":
             "2c8d77823388f84d1d141700c9da47a5f03c3dbc590ea6ccc7efdb680a6279bf",
     }
+
+
+_EPS = 2.220446049250313e-16
 
 
 def _close(x, y, rel=5e-13):
@@ -68,18 +72,143 @@ def test_sinpi_and_pole_index_match(cy):
 
 
 def test_power_series_matches(cy):
+    # above the shift (A = 1), and below it (A = -1, where the window is half
+    # of |A|) out to its edge, where the series route calls this kernel
+    cells = [(1.0, u) for u in (0.2, 0.6, 0.85)]
+    cells += [(-1.0, frac * 0.5) for frac in (0.5, 0.9, 0.99, 0.999)]
     for beta, is_int in ((-2.5, 0), (0.5, 0), (3.0, 1), (-2.0, 1)):
         for sa in (0.3, -0.3, 0.9, -0.9):
-            for u in (0.2, 0.6, 0.85):
-                py = _kernels_py.power_series(1.0, beta, 1.0, u, sa, is_int,
+            for A, u in cells:
+                py = _kernels_py.power_series(1.0, beta, A, u, sa, is_int,
                                               1e-10, 10000)
-                cc = cy.power_series(1.0, beta, 1.0, u, sa, is_int,
+                cc = cy.power_series(1.0, beta, A, u, sa, is_int,
                                      1e-10, 10000)
-                # the bound goes through each twin's own lgamma
+                # the bound goes through each twin's own lgamma, the exp of
+                # a sum of lgammas near lgamma(terms): a few of its ulps apart
                 assert _bits(py[0]) == _bits(cc[0])
                 assert py[1] == cc[1]
-                assert _close(py[2], cc[2])
+                rel = max(5e-13, 8 * _EPS * math.lgamma(py[1] + 1.0))
+                assert _close(py[2], cc[2], rel)
                 assert py[3] == cc[3]
+
+
+def _series_beta(rng: random.Random) -> float:
+    # integer, rational or real up to 400 in size, or within 1e-12 of an
+    # integer
+    kind = rng.random()
+    n = rng.randint(-400, 400) if rng.random() < 0.2 else rng.randint(-30, 30)
+    if kind < 0.25:
+        return float(n)
+    if kind < 0.5:
+        q = rng.randint(2, 9)
+        return rng.randint(-400 * q, 400 * q) / q if n % 5 == 0 else n / q
+    if kind < 0.65:
+        return n + rng.uniform(-1e-12, 1e-12)
+    return rng.uniform(-400.0, 400.0) if kind < 0.7 else rng.uniform(-30.0, 30.0)
+
+
+@st.composite
+def _series_calls(draw):
+    # power_series's arguments, from a drawn seed as in _gauss_calls; the
+    # integer flag goes by value, as in series._beta_kernel_form
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    beta = _series_beta(rng)
+    is_int = 1 if abs(beta - math.floor(beta + 0.5)) <= 1e-12 else 0
+    A = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
+    # the window is |A| above the shift and half of it below
+    window = -0.5 * A if A < 0.0 else A
+    u = window * rng.choice((0.0, rng.uniform(0.0, 0.999), rng.uniform(0.9, 0.999),
+                             0.999))
+    sa = rng.choice((0.0, 1.0, -1.0, -1.0 + 1e-13, rng.uniform(-1.0, 1.0),
+                     rng.uniform(-1.0, 1.0)))
+    front = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+    return (front, beta, A, u, sa, is_int, 10.0 ** rng.uniform(-16.0, -6.0),
+            rng.choice((5, 50, 10000)))
+
+
+def _outcome(fn, call):
+    try:
+        value, terms, bound, status = fn(*call)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return _bits(value), terms, _bits(bound), status
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(call=_series_calls())
+# the slowest edge-sweep cells: 2/3 and 4/3 below the shift at 0.999 of the
+# window, and -1 and -3 at 0.99
+@example(call=(1.0, 2.0 / 3.0, -1.0, 0.999 * 0.5, 0.5, 0, 1e-10, 10000))
+@example(call=(1.0, 4.0 / 3.0, -1.0, 0.999 * 0.5, -0.25, 0, 1e-10, 10000))
+@example(call=(-1.0, -1.0, -1.0, 0.99 * 0.5, 0.75, 1, 1e-10, 10000))
+@example(call=(-1.0, -3.0, -1.0, 0.99 * 0.5, -0.5, 1, 1e-10, 10000))
+def test_power_series_matches_its_reference(call):
+    # the pure kernel builds its tail bound once a call; the reference makes
+    # it afresh at every p: the same value, terms, bound and status, bit for
+    # bit, or the same exception
+    assert (_outcome(_kernels_py.power_series, call)
+            == _outcome(reference.power_series, call))
+
+
+# (beta, beta_is_int, A, u, sa): each branch of the tail bound over p = 0..60
+_TAIL_BRANCHES = (
+    (2.5, 0, -1.0, 0.3, -0.4),             # p = 0 with sa < 0
+    (2.5, 0, 1.0, 0.3, -1.0 + 1e-13),      # sa within 1e-12 of -1: inf
+    (4.0, 1, -1.0, 0.3, 0.5),              # m >= 0: 0 from p = m + 1 on
+    (-3.0, 1, -1.0, 0.45, 0.5),            # m < 0 below the shift
+    (-3.0, 1, 1.0, 0.9, -0.5),             # m < 0 above the shift
+    (7.3, 0, -1.0, 0.45, 0.25),            # non-integer, p on both sides of
+    (-2.5, 0, 1.0, 0.6, 0.75),             # beta + 1
+    (-400.0, 1, -0.02, 0.0099, 0.4415),    # exp past the float range: inf
+    (300.5, 0, -1.0, 0.49, -0.5),          # lgamma(beta + 1) past exp's range
+    (2.5, 0, -1.0, 0.0, 0.5),              # u = 0: 0
+)
+
+# Inputs where some part of the bound raises, or overflows, at some p but not
+# at others; building its evaluator must not raise
+_TAIL_FAULTS = (
+    (2.5, 0, -1.0, 1.0, -0.5),             # t = d: log 0 past p = 1
+    (3.0, 0, -1.0, 0.3, 0.5),              # zero sinpi(beta) past p = beta + 1
+    (1e306, 1, -1.0, 0.3, 0.5),            # lgamma(m + 1) past the float range
+    (-1e306, 1, -1.0, 0.3, 0.5),           # lgamma(m) past the float range
+    (math.inf, 1, -1.0, 0.3, -0.5),        # m of an infinite beta
+    (math.nan, 1, -1.0, 0.3, -0.5),        # m of a NaN beta
+    (-3.0, 1, 0.0, 0.3, 0.5),              # a = d: log 0 of omega
+)
+
+
+def _tail_outcome(fn, p):
+    try:
+        return _bits(fn(p))
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("args", _TAIL_BRANCHES + _TAIL_FAULTS)
+def test_tail_bound_evaluator_is_the_bound_at_every_p(args):
+    bound = _kernels_py._tail_bound_of_p(*args)
+    outcomes = [_tail_outcome(bound, p) for p in range(61)]
+    assert outcomes == [
+        _tail_outcome(lambda p: _kernels_py.series_tail_bound(*args, p), p)
+        for p in range(61)]
+    assert outcomes == [
+        _tail_outcome(lambda p: reference.series_tail_bound(*args, p), p)
+        for p in range(61)]
+    # the evaluator at a float p, as the series loop calls it
+    assert [_tail_outcome(bound, float(p)) for p in range(61)] == outcomes
+
+
+def test_tail_bound_branches_are_reached():
+    # the cells of _TAIL_BRANCHES reach the values their branches give
+    at = {args: [_kernels_py.series_tail_bound(*args, p) for p in range(61)]
+          for args in _TAIL_BRANCHES}
+    assert 0.0 < at[_TAIL_BRANCHES[0]][0] < math.inf
+    assert at[_TAIL_BRANCHES[1]][:2] == [math.inf, math.inf]
+    assert at[_TAIL_BRANCHES[2]][4] > 0.0 and set(at[_TAIL_BRANCHES[2]][5:]) == {0.0}
+    for args in _TAIL_BRANCHES[3:7]:
+        assert all(0.0 < b < math.inf for b in at[args][2:])
+    assert set(at[_TAIL_BRANCHES[7]]) == {math.inf}
+    assert set(at[_TAIL_BRANCHES[9]]) == {0.0}
 
 
 def test_neg_int_series_matches(cy):

@@ -84,9 +84,11 @@ def test_integral_and_derivative_entries_take_the_same_parameters():
 
 
 # kept in step with their compiled twins in _kernels_cy.pyx, which only the
-# tests call
+# tests call; the pure series loops call series_tail_bound's per-call
+# evaluator, so only the tests call the pure series_tail_bound itself
 UNREFERENCED_KERNELS = {("_kernels_py", "power_series_partial"),
-                        ("_kernels_py", "neg_int_series")}
+                        ("_kernels_py", "neg_int_series"),
+                        ("_kernels_py", "series_tail_bound")}
 
 
 def test_every_module_level_definition_is_referenced_in_the_package():
