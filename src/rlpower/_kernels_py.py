@@ -6,6 +6,12 @@ be kept in lockstep: same function names, same argument order, and for
 status), which ``tests/test_backends.py`` checks as a property.  The loops
 may differ: this one takes the floating-point operations of the compiled
 one in the same order, with fewer interpreter operations a term.
+``power_series`` builds its tail bound once a call and returns what it did
+when it made the bound afresh at every p, bit for bit; that loop is kept in
+``tests/reference.py``, and ``tests/test_backends.py`` checks the two as a
+property.  Its value, term count and status are the compiled twin's; its
+bound agrees with the compiled one to within lgamma's rounding, since each
+twin has its own lgamma.
 Everything works on plain floats so the compiled build carries no CPython
 object traffic inside the hot loops.
 
