@@ -33,9 +33,6 @@ import math
 import mpmath as mp
 
 from rlpower._backend import kernels
-from rlpower._kernels_py import (_EPS, _HUGE, STATUS_CONVERGED, STATUS_DIVERGED,
-                                 STATUS_TRUNCATED, _start_index, gamma_value,
-                                 sinpi)
 from rlpower.cli import CSV_COLUMNS, EvalRecord
 from rlpower.domain import (
     EvalWindow,
@@ -339,8 +336,70 @@ def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
 
 # --- the pure displaced-series kernel, one tail bound at a time ---------------
 # The pure twin's power_series and series_tail_bound as they were before the
-# loop built its tail bound once per call.  The package's pure power_series
-# must return what this one does, bit for bit, or raise the same exception.
+# loop built its tail bound once per call, with their own copies of the
+# helpers and constants they call, so that a change to the package's copies
+# shows.  The package's pure power_series must return what this one does, bit
+# for bit, or raise the same exception.
+
+_STATUS_CONVERGED = 0
+_STATUS_TRUNCATED = 1
+_STATUS_DIVERGED = 2
+_HUGE = 1e290
+_EPS = 2.220446049250313e-16
+_SQRT_TWO_PI = 2.5066282746310002
+# Lanczos coefficients, g = 7, n = 9.
+_LANCZOS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
+)
+
+
+def _sinpi(x: float) -> float:
+    """sin(pi*x) with argument reduction done on x, accurate near integers."""
+    n = math.floor(x + 0.5)
+    s = math.sin(math.pi * (x - n))
+    if int(n) & 1:
+        return -s
+    return s
+
+
+def _gamma_positive(z: float) -> float:
+    # z >= 0.5 only
+    if z > 180.0:
+        return math.inf
+    z -= 1.0
+    acc = _LANCZOS[0]
+    for i in range(1, 9):
+        acc += _LANCZOS[i] / (z + i)
+    t = z + 7.5
+    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+
+
+def _gamma_value(z: float) -> float:
+    """Gamma for non-pole arguments; reflection below 0.5."""
+    if z < 0.5:
+        return math.pi / (_sinpi(z) * _gamma_positive(1.0 - z))
+    return _gamma_positive(z)
+
+
+def _start_index(sa: float) -> int:
+    # Smallest k with 1/Gamma(sa+k+1) finite and nonzero; skips the exact
+    # zero coefficients at sa = -1 (classical-derivative reduction).
+    x = sa + 1.0
+    if x > 0.5:
+        return 0
+    n = math.floor(x + 0.5)
+    if abs(x - n) <= _INT_TOL:
+        return int(-n) + 1
+    return 0
+
 
 def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
                       sa: float, p: int) -> float:
@@ -385,7 +444,7 @@ def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
             else:
                 # |Gamma(beta-p+2)| rewritten through reflection so no huge
                 # intermediate gamma is ever formed.
-                ln_ratio = (math.lgamma(beta + 1.0) + math.log(abs(sinpi(beta)))
+                ln_ratio = (math.lgamma(beta + 1.0) + math.log(abs(_sinpi(beta)))
                             - math.log(math.pi) + math.lgamma(p - beta - 1.0))
         nu = beta - p + 1.0
         e1 = nu * math.log(abs_td)
@@ -417,19 +476,19 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     lying.  Returns ``(value, terms_used, bound, status)``.
     """
     if u == 0.0 and sa > 0.0:
-        return 0.0, 0, 0.0, STATUS_CONVERGED
+        return 0.0, 0, 0.0, _STATUS_CONVERGED
     k0 = _start_index(sa)
     coef = front
     for j in range(k0):
         coef *= (beta - j) / A
-    term = coef * u ** (sa + k0) / gamma_value(sa + k0 + 1.0)
+    term = coef * u ** (sa + k0) / _gamma_value(sa + k0 + 1.0)
     total = 0.0
     comp = 0.0
     sum_abs = 0.0
     k = k0
     added = 0
     bound = math.inf
-    status = STATUS_TRUNCATED
+    status = _STATUS_TRUNCATED
     while True:
         t = total + term
         if abs(total) >= abs(term):
@@ -443,7 +502,7 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
         value = total + comp
         if not math.isfinite(value) or abs(term) > _HUGE:
             bound = math.inf
-            status = STATUS_DIVERGED
+            status = _STATUS_DIVERGED
             break
         term = term * (beta - k) * u / ((sa + k + 1.0) * A)
         k += 1
@@ -454,7 +513,7 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
             bound = series_tail_bound(beta, beta_is_int, A, u, sa, p)
             if bound <= tol * scale:
                 if _EPS * sum_abs <= tol * scale:
-                    status = STATUS_CONVERGED
+                    status = _STATUS_CONVERGED
                 # roundoff floor above tolerance: more terms cannot help
                 break
         if added >= max_terms:

@@ -83,11 +83,12 @@ def test_power_series_matches(cy):
                                               1e-10, 10000)
                 cc = cy.power_series(1.0, beta, A, u, sa, is_int,
                                      1e-10, 10000)
-                # the bound goes through each twin's own lgamma, the exp of
-                # a sum of lgammas near lgamma(terms): a few of its ulps apart
+                # the bound goes through each twin's own lgamma; at the term
+                # cap it is the exp of lgammas near lgamma(10 001), whose
+                # rounding each twin does its own way: a few ulps of that
                 assert _bits(py[0]) == _bits(cc[0])
                 assert py[1] == cc[1]
-                rel = max(5e-13, 8 * _EPS * math.lgamma(py[1] + 1.0))
+                rel = 8 * _EPS * math.lgamma(10001.0) if py[1] == 10000 else 5e-13
                 assert _close(py[2], cc[2], rel)
                 assert py[3] == cc[3]
 
@@ -188,9 +189,6 @@ def _tail_outcome(fn, p):
 def test_tail_bound_evaluator_is_the_bound_at_every_p(args):
     bound = _kernels_py._tail_bound_of_p(*args)
     outcomes = [_tail_outcome(bound, p) for p in range(61)]
-    assert outcomes == [
-        _tail_outcome(lambda p: _kernels_py.series_tail_bound(*args, p), p)
-        for p in range(61)]
     assert outcomes == [
         _tail_outcome(lambda p: reference.series_tail_bound(*args, p), p)
         for p in range(61)]
