@@ -1,19 +1,23 @@
-"""Scalar numeric kernels: gamma core, operator series loops, 2F1 series.
+"""Scalar numeric kernels: the displaced power series and the 2F1 series.
 
-Pure-Python twin of the compiled module ``_kernels_cy``.  The two files must
-be kept in lockstep: same function names, same argument order, and for
-``hyp2f1_series`` the same outputs bit for bit (value, term count and
-status), which ``tests/test_backends.py`` checks as a property.  The loops
-may differ: this one takes the floating-point operations of the compiled
-one in the same order, with fewer interpreter operations a term.
-``power_series`` builds its tail bound once a call and returns what it did
-when it made the bound afresh at every p, bit for bit; that loop is kept in
-``tests/reference.py``, and ``tests/test_backends.py`` checks the two as a
-property.  Its value, term count and status are the compiled twin's; its
-bound agrees with the compiled one to within lgamma's rounding, since each
-twin has its own lgamma.
-Everything works on plain floats so the compiled build carries no CPython
-object traffic inside the hot loops.
+Pure-Python twin of what the routes call in the compiled module
+``_kernels_cy``: ``nonpos_int_index``, ``power_series``, ``hyp2f1_series``
+and the status codes, with the helpers they call.  Every public function
+here has a compiled twin of the same name and argument order, and
+``hyp2f1_series`` returns the same outputs bit for bit (value, term count
+and status), which ``tests/test_backends.py`` checks as a property.  The
+compiled module also exports ``gamma_sign``, ``series_tail_bound``,
+``power_series_partial`` and ``neg_int_series``, which no route calls; it
+keeps them until it is rewritten, since its ``.c`` is generated from the
+``.pyx`` by Cython, and their pure copies live in ``tests/reference.py``.
+The loops may differ: this one takes the floating-point operations of the
+compiled one in the same order, with fewer interpreter operations a term.
+``power_series`` builds its tail bound once a call and returns, bit for bit,
+the old loop's outputs that ``tests/reference.py`` keeps, where the bound is
+made afresh at every p.  Its value, term count and status are the compiled
+twin's; its bound agrees with the compiled one to within lgamma's rounding,
+since each twin has its own lgamma.  Everything works on plain floats so the
+compiled build carries no CPython object traffic inside the hot loops.
 
 Conventions used throughout:
 
@@ -94,16 +98,14 @@ def gamma_value(z: float) -> float:
     return _gamma_positive(z)
 
 
-def gamma_sign(z: float) -> float:
-    """Sign of Gamma at a non-pole argument."""
-    if z > 0.0:
-        return 1.0
-    return 1.0 if sinpi(z) > 0.0 else -1.0
+def _no_tail(p) -> float:
+    return 0.0
 
 
-def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
-                      sa: float, p: int) -> float:
-    """Upper bound on the tail after the first p series indices.
+def _tail_bound_of_p(beta: float, beta_is_int: int, A: float, u: float,
+                     sa: float):
+    """Upper bound on the tail after the first p series indices, at fixed
+    (beta, A, u, sa), as a function of p.
 
     Integration-by-parts estimate: the |t - x| factor is bounded by its
     endpoint value and the |x - d| power is integrated exactly, which is valid
@@ -111,29 +113,18 @@ def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
     geometric form is used with the side-dependent endpoint: |t - d| below the
     shift, |a - d| above it (the below-side factor is not an upper bound above
     the shift).  A bound beyond the float range is inf, as in the compiled
-    twin.  This is the per-call evaluator :func:`_tail_bound_of_p` at one
-    p; the series loops build that evaluator once and call it at each p.
-    """
-    return _tail_bound_of_p(beta, beta_is_int, A, u, sa)(p)
-
-
-def _no_tail(p) -> float:
-    return 0.0
-
-
-def _tail_bound_of_p(beta: float, beta_is_int: int, A: float, u: float,
-                     sa: float):
-    """:func:`series_tail_bound` at fixed (beta, A, u, sa), as a function of p.
+    twin's ``series_tail_bound``, which is this bound at one p.
 
     What does not depend on p is made once: the logs of u, |t - d| and
     |a - d|; lgamma(m + 1), lgamma(beta + 1) or lgamma(beta + 1) +
     log|sinpi(beta)| - log(pi); for beta = -m < 0, lgamma(m), log(omega) and
     their products.  A p then pays its own lgammas, one expm1 and one exp.
     Every floating-point operation keeps the grouping of the one-p formula,
-    so the bounds are the same bit for bit.  The parts that can raise (log 0
-    at |t - d| = 0, lgamma past the float range, the log of a zero sinpi) are
-    made at the first p that needs them: building never raises, and each p
-    returns or raises what the one-p formula does.
+    ``series_tail_bound`` in ``tests/reference.py``, so the bounds are the
+    same bit for bit.  The parts that can raise (log 0 at |t - d| = 0, lgamma
+    past the float range, the log of a zero sinpi) are made at the first p
+    that needs them: building never raises, and each p returns or raises what
+    the one-p formula does.
     """
     if u <= 0.0:
         return _no_tail
@@ -278,98 +269,6 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
                 break
         if added >= max_terms:
             bound = tail(k)
-            break
-    floor = _EPS * sum_abs
-    if floor > bound:
-        bound = floor
-    return total + comp, added, bound, status
-
-
-def power_series_partial(front: float, beta: float, A: float, u: float,
-                         sa: float, p: int) -> float:
-    """Exact partial sum over series indices 0..p-1 (zero coefficients included)."""
-    if p <= 0:
-        return 0.0
-    if u == 0.0 and sa > 0.0:
-        return 0.0
-    k0 = _start_index(sa)
-    if k0 >= p:
-        return 0.0
-    coef = front
-    for j in range(k0):
-        coef *= (beta - j) / A
-    term = coef * u ** (sa + k0) / gamma_value(sa + k0 + 1.0)
-    total = 0.0
-    comp = 0.0
-    for k in range(k0, p):
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        term = term * (beta - k) * u / ((sa + k + 1.0) * A)
-    return total + comp
-
-
-def neg_int_series(m: int, A: float, u: float, sa: float, tol: float,
-                   max_terms: int):
-    """Alternating form for beta = -m: sum of
-    ``(-1)^k Gamma(m+k) (a-d)^{-(m+k)} (t-a)^{sa+k} / (Gamma(m) Gamma(sa+k+1))``.
-
-    Same contract as :func:`power_series`; kept as a separate accumulation so
-    the two routes really are independent arithmetic paths.
-    """
-    if u == 0.0 and sa > 0.0:
-        return 0.0, 0, 0.0, STATUS_CONVERGED
-    k0 = _start_index(sa)
-    # r_k = Gamma(m+k)/(Gamma(m) Gamma(sa+k+1)); s_k = (-1)^k A^{-(m+k)} u^{sa+k}
-    r = 1.0
-    for j in range(k0):
-        r *= (m + j)
-    r /= gamma_value(sa + k0 + 1.0)
-    s = A ** (-(m + k0)) * u ** (sa + k0)
-    if k0 & 1:
-        s = -s
-    tail = _tail_bound_of_p(float(-m), 1, A, u, sa)
-    total = 0.0
-    comp = 0.0
-    sum_abs = 0.0
-    k = k0
-    added = 0
-    bound = math.inf
-    status = STATUS_TRUNCATED
-    while True:
-        term = r * s
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        sum_abs += abs(term)
-        added += 1
-        p = k + 1
-        value = total + comp
-        if not math.isfinite(value) or abs(term) > _HUGE:
-            bound = math.inf
-            status = STATUS_DIVERGED
-            break
-        r = r * (m + k) / (sa + k + 1.0)
-        s = s * (-u) / A
-        k += 1
-        nxt = r * s
-        scale = abs(value)
-        if scale < 1.0:
-            scale = 1.0
-        if abs(nxt) <= tol * scale:
-            bound = tail(p)
-            if bound <= tol * scale:
-                if _EPS * sum_abs <= tol * scale:
-                    status = STATUS_CONVERGED
-                break
-        if added >= max_terms:
-            bound = tail(p)
             break
     floor = _EPS * sum_abs
     if floor > bound:

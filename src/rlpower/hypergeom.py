@@ -33,28 +33,8 @@ diverges, and every point of a c next to the pole c = 0, is truncated: value
 NaN, terms 0, remainder inf, where ``hyp2f1`` and the scalar entries raise
 HypNotConverged.  A converged point has terms and remainder 0.
 
-Term sequences.  With w = (t-a)/(a-d) and z = w/(1+w) = (t-a)/(t-d), each
-route sums, after its front factors:
-
-  side   beta               series route             hyp route
-  -----  -----------------  -----------------------  ------------------------
-  above  integer m >= 0     2F1(sa, -m; 1+sa; z)     2F1(1, -m; 1+sa; -w)
-  above  -2-sa <= beta,     2F1(sa, -beta; 1+sa; z)  Pfaff on a:
-         not integer >= 0                            2F1(1, 1+sa+beta; 1+sa; z)
-  above  beta < -2-sa       2F1(sa, -beta; 1+sa; z)  Pfaff on b:
-                                                     2F1(-beta, sa; 1+sa; z)
-  below  any                the displaced series,    2F1(1, -beta; 1+sa; -w)
-                            ratio (beta-k) w/(sa+k+1)
-  at d   beta > -1          the gamma ratio          none (WindowViolation)
-
-An integer m >= 0 stops both routes after m + 1 terms.  Where the hyp route
-takes Pfaff on b, it sums the series route's sequence (2F1 is symmetric in
-its first two parameters), and below the shift the two sequences coincide
-too: 2F1(1, -beta; 1+sa; -w) has the displaced series' term ratio and first
-term.  There the routes differ only in their arithmetic (kernel, gamma and
-stop rule), and the oracle is the independent check.  At sa = 0 the series
-route's 2F1 is 1; at sa = -1 it is f'(t) in closed form, and the hyp route
-sums 2F1(2, 1-beta; 2; -w) with the same Pfaff choice.
+The term sequence that each route sums, by side of the shift and range of
+beta, is tabled in the ``series`` module docstring.
 """
 
 from __future__ import annotations

@@ -236,7 +236,10 @@ def _centered(pf: PowerFunction, sa: float, ts: list[float],
     try:
         if not pole:
             lg_b, lg_e = math.lgamma(beta + 1.0), math.lgamma(exponent + 1.0)
-            coeff = kernels.gamma_sign(exponent + 1.0) * math.exp(lg_b - lg_e)
+            coeff = math.exp(lg_b - lg_e)
+            if exponent + 1.0 < 0.0:
+                # beta > -1 and |sa| <= 1 put it in (-1, 0), where Gamma < 0
+                coeff = -coeff
             psi_e = _digamma_size(exponent + 1.0)
             psi_b = _digamma_size(beta + 1.0)
             rel = (_CENTERED_ULPS + 2.0 * (abs(lg_b) + abs(lg_e))
