@@ -7,11 +7,12 @@ here has a compiled twin of the same name and argument order, and
 ``hyp2f1_series`` returns the same outputs bit for bit (value, term count
 and status), which ``tests/test_backends.py`` checks as a property.  The
 compiled module also exports ``gamma_sign``, ``series_tail_bound``,
-``power_series_partial`` and ``neg_int_series``, which no route calls; it
-keeps them until it is rewritten, since its ``.c`` is generated from the
-``.pyx`` by Cython, and their pure copies live in ``tests/reference.py``.
-The loops may differ: this one takes the floating-point operations of the
-compiled one in the same order, with fewer interpreter operations a term.
+``power_series_partial`` and ``neg_int_series``, which no route calls: its
+``.c`` changes only when Cython regenerates it from the ``.pyx``, so they
+stay until that module is rewritten.  Their pure copies are in
+``tests/reference.py``.  The loops may differ: this one takes the
+floating-point operations of the compiled one in the same order, with fewer
+interpreter operations a term.
 ``power_series`` builds its tail bound once a call and returns, bit for bit,
 the old loop's outputs that ``tests/reference.py`` keeps, where the bound is
 made afresh at every p.  Its value, term count and status are the compiled

@@ -12,6 +12,9 @@ exposes an intermediate the package does not return:
 * the truncated displaced series and its explicit tail bound after p terms;
 * the pure twin's displaced-series kernel with its tail bound made afresh at
   every p, the loop the package's pure kernel must match bit for bit;
+* the kernels that the compiled module exports and no route calls, in pure
+  Python: ``gamma_sign``, ``series_tail_bound``, ``power_series_partial``
+  and ``neg_int_series``;
 * the Taylor route, which integrates the binomial expansion of f at a term by
   term;
 * the logarithm series of the beta = -1 integral at order 1;
@@ -23,7 +26,8 @@ exposes an intermediate the package does not return:
   digits;
 * the reader of the CLI's csv records.
 
-The package itself calls none of them.
+The package itself calls none of them, and they take no kernel from the
+package: the arithmetic they share with it is copied here.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 
 import mpmath as mp
 
-from rlpower._backend import kernels
 from rlpower.cli import CSV_COLUMNS, EvalRecord
 from rlpower.domain import (
     EvalWindow,
@@ -76,8 +79,8 @@ def gamma_ratio(num: float, den: float) -> float:
     give that; a pole only in the denominator gives 0; a pole only in the
     numerator raises NumeratorPole.
     """
-    n = kernels.nonpos_int_index(num)
-    m = kernels.nonpos_int_index(den)
+    n = _nonpos_int_index(num)
+    m = _nonpos_int_index(den)
     if n >= 0 and m >= 0:
         sign = -1.0 if (m - n) & 1 else 1.0
         if m < 170 and n < 170:
@@ -88,7 +91,7 @@ def gamma_ratio(num: float, den: float) -> float:
     if n >= 0:
         raise NumeratorPole(
             f"gamma_ratio({num!r}, {den!r}): numerator pole with finite denominator")
-    sign = kernels.gamma_sign(num) * kernels.gamma_sign(den)
+    sign = gamma_sign(num) * gamma_sign(den)
     return sign * math.exp(math.lgamma(num) - math.lgamma(den))
 
 
@@ -103,14 +106,14 @@ def pochhammer_asc(z: float, k: int) -> float:
         for j in range(k):
             out *= z + j
         return out
-    n = kernels.nonpos_int_index(z)
+    n = _nonpos_int_index(z)
     if n >= 0:
         if n <= k - 1:
             return 0.0
         # all factors are negative integers; magnitude n!/(n-k)!
         mag = math.exp(math.lgamma(n + 1.0) - math.lgamma(n - k + 1.0))
         return -mag if k & 1 else mag
-    sign = kernels.gamma_sign(z + k) * kernels.gamma_sign(z)
+    sign = gamma_sign(z + k) * gamma_sign(z)
     return sign * math.exp(math.lgamma(z + k) - math.lgamma(z))
 
 
@@ -140,8 +143,8 @@ def gen_binomial(beta: float, k: int) -> float:
         raise ValueError("gen_binomial requires k >= 0")
     if k <= _PRODUCT_CUTOFF:
         return pochhammer_desc(beta, k) / math.factorial(k)
-    n_num = kernels.nonpos_int_index(beta + 1.0)
-    n_den = kernels.nonpos_int_index(beta - k + 1.0)
+    n_num = _nonpos_int_index(beta + 1.0)
+    n_den = _nonpos_int_index(beta - k + 1.0)
     if n_num >= 0 and n_den >= 0:
         # negative integer beta: both gammas sit at poles, ratio via the
         # factorial rule in log space
@@ -150,7 +153,7 @@ def gen_binomial(beta: float, k: int) -> float:
                                - math.lgamma(k + 1.0))
     if n_den >= 0:
         return 0.0
-    sign = kernels.gamma_sign(beta + 1.0) * kernels.gamma_sign(beta - k + 1.0)
+    sign = gamma_sign(beta + 1.0) * gamma_sign(beta - k + 1.0)
     return sign * math.exp(math.lgamma(beta + 1.0) - math.lgamma(beta - k + 1.0)
                            - math.lgamma(k + 1.0))
 
@@ -220,7 +223,7 @@ def _neg_integer(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
         raise ValueError("negative-integer route requires beta = IntegerExp(-m), m >= 1")
     require_in_window(win, t)
     _guard_lower_limit(win.a, sa, t)
-    value, terms, bound, code = kernels.neg_int_series(
+    value, terms, bound, code = neg_int_series(
         -pf.beta.m, win.a - pf.d, t - win.a, sa, tol, max_terms)
     return _scalar(([value], [terms], [bound], [_NAME_FROM_CODE[code]]), tol,
                    op_name)
@@ -261,7 +264,7 @@ def remainder_bound(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
         raise ValueError("p must be >= 1")
     require_in_window(win, t)
     b, is_int = _beta_kernel_form(pf.beta)
-    return kernels.series_tail_bound(b, is_int, win.a - pf.d, t - win.a, sa, p)
+    return series_tail_bound(b, is_int, win.a - pf.d, t - win.a, sa, p)
 
 
 def partial_sum(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
@@ -274,7 +277,7 @@ def partial_sum(pf: PowerFunction, win: EvalWindow, sa: float, t: float,
     b, _ = _beta_kernel_form(pf.beta)
     A = win.a - pf.d
     front = branch_power(A, pf.beta)
-    return kernels.power_series_partial(front, b, A, t - win.a, sa, p)
+    return power_series_partial(front, b, A, t - win.a, sa, p)
 
 
 def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
@@ -322,7 +325,7 @@ def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
             * shift_pow * _upow(u, alpha + k + 1)
         scale = max(1.0, abs(value))
         if abs(nxt) <= tol * scale:
-            bound = kernels.series_tail_bound(b, is_int, A, u, alpha, terms)
+            bound = series_tail_bound(b, is_int, A, u, alpha, terms)
             if bound <= tol * scale:
                 status = SeriesStatus.CONVERGED
                 break
@@ -334,12 +337,14 @@ def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
     return result
 
 
-# --- the pure displaced-series kernel, one tail bound at a time ---------------
+# --- the series kernels in pure Python --------------------------------------
 # The pure twin's power_series and series_tail_bound as they were before the
-# loop built its tail bound once per call, with their own copies of the
-# helpers and constants they call, so that a change to the package's copies
-# shows.  The package's pure power_series must return what this one does, bit
-# for bit, or raise the same exception.
+# loop built its tail bound once per call, and the kernels that only the
+# tests call (gamma_sign, power_series_partial and neg_int_series, which the
+# compiled module still exports), with their own copies of the helpers and
+# constants they call, so that a change to the package's copies shows.  The
+# package's pure power_series must return what this one does, bit for bit, or
+# raise the same exception.
 
 _STATUS_CONVERGED = 0
 _STATUS_TRUNCATED = 1
@@ -389,16 +394,30 @@ def _gamma_value(z: float) -> float:
     return _gamma_positive(z)
 
 
+def _nonpos_int_index(x: float) -> int:
+    """Return n >= 0 when x is within 1e-12 of -n, else -1."""
+    if x > 0.5:
+        return -1
+    n = math.floor(x + 0.5)
+    if abs(x - n) <= _INT_TOL:
+        return int(-n)
+    return -1
+
+
+def gamma_sign(z: float) -> float:
+    """Sign of Gamma at a non-pole argument."""
+    if z > 0.0:
+        return 1.0
+    return 1.0 if _sinpi(z) > 0.0 else -1.0
+
+
 def _start_index(sa: float) -> int:
     # Smallest k with 1/Gamma(sa+k+1) finite and nonzero; skips the exact
     # zero coefficients at sa = -1 (classical-derivative reduction).
-    x = sa + 1.0
-    if x > 0.5:
+    n = _nonpos_int_index(sa + 1.0)
+    if n < 0:
         return 0
-    n = math.floor(x + 0.5)
-    if abs(x - n) <= _INT_TOL:
-        return int(-n) + 1
-    return 0
+    return n + 1
 
 
 def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
@@ -525,6 +544,97 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     return total + comp, added, bound, status
 
 
+def power_series_partial(front: float, beta: float, A: float, u: float,
+                         sa: float, p: int) -> float:
+    """Exact partial sum over series indices 0..p-1 (zero coefficients included)."""
+    if p <= 0:
+        return 0.0
+    if u == 0.0 and sa > 0.0:
+        return 0.0
+    k0 = _start_index(sa)
+    if k0 >= p:
+        return 0.0
+    coef = front
+    for j in range(k0):
+        coef *= (beta - j) / A
+    term = coef * u ** (sa + k0) / _gamma_value(sa + k0 + 1.0)
+    total = 0.0
+    comp = 0.0
+    for k in range(k0, p):
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        term = term * (beta - k) * u / ((sa + k + 1.0) * A)
+    return total + comp
+
+
+def neg_int_series(m: int, A: float, u: float, sa: float, tol: float,
+                   max_terms: int):
+    """Alternating form for beta = -m: sum of
+    ``(-1)^k Gamma(m+k) (a-d)^{-(m+k)} (t-a)^{sa+k} / (Gamma(m) Gamma(sa+k+1))``.
+
+    Same contract as :func:`power_series`; kept as a separate accumulation so
+    the two routes really are independent arithmetic paths.
+    """
+    if u == 0.0 and sa > 0.0:
+        return 0.0, 0, 0.0, _STATUS_CONVERGED
+    k0 = _start_index(sa)
+    # r_k = Gamma(m+k)/(Gamma(m) Gamma(sa+k+1)); s_k = (-1)^k A^{-(m+k)} u^{sa+k}
+    r = 1.0
+    for j in range(k0):
+        r *= (m + j)
+    r /= _gamma_value(sa + k0 + 1.0)
+    s = A ** (-(m + k0)) * u ** (sa + k0)
+    if k0 & 1:
+        s = -s
+    total = 0.0
+    comp = 0.0
+    sum_abs = 0.0
+    k = k0
+    added = 0
+    bound = math.inf
+    status = _STATUS_TRUNCATED
+    while True:
+        term = r * s
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        sum_abs += abs(term)
+        added += 1
+        p = k + 1
+        value = total + comp
+        if not math.isfinite(value) or abs(term) > _HUGE:
+            bound = math.inf
+            status = _STATUS_DIVERGED
+            break
+        r = r * (m + k) / (sa + k + 1.0)
+        s = s * (-u) / A
+        k += 1
+        nxt = r * s
+        scale = abs(value)
+        if scale < 1.0:
+            scale = 1.0
+        if abs(nxt) <= tol * scale:
+            bound = series_tail_bound(float(-m), 1, A, u, sa, p)
+            if bound <= tol * scale:
+                if _EPS * sum_abs <= tol * scale:
+                    status = _STATUS_CONVERGED
+                break
+        if added >= max_terms:
+            bound = series_tail_bound(float(-m), 1, A, u, sa, p)
+            break
+    floor = _EPS * sum_abs
+    if floor > bound:
+        bound = floor
+    return total + comp, added, bound, status
+
+
 # --- closed-form companions -------------------------------------------------
 
 def log_reference(a: float, d: float, t: float) -> tuple[float, float]:
@@ -575,7 +685,7 @@ def connection_a6(alpha: float, beta: float, z: float) -> tuple[float, float]:
     if not 0.0 < z < 1.0:
         raise ArgOutOfDisk(f"connection split needs 0 < z < 1, got z={z!r}")
     c1 = gamma_ratio(s, s + 1.0) * gamma_ratio(alpha + 1.0, alpha)
-    c2 = kernels.gamma_value(alpha + 1.0) * gamma_ratio(-s, -beta)
+    c2 = _gamma_value(alpha + 1.0) * gamma_ratio(-s, -beta)
     return (c1 * hyp2f1(1.0, -beta, 1.0 - s, z),
             c2 * z ** s * hyp2f1(alpha, s + 1.0, s + 1.0, z))
 

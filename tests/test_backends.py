@@ -7,6 +7,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import random
 from pathlib import Path
@@ -198,7 +199,7 @@ def test_tail_bound_evaluator_is_the_bound_at_every_p(args):
 
 def test_tail_bound_branches_are_reached():
     # the cells of _TAIL_BRANCHES reach the values their branches give
-    at = {args: [_kernels_py.series_tail_bound(*args, p) for p in range(61)]
+    at = {args: [reference.series_tail_bound(*args, p) for p in range(61)]
           for args in _TAIL_BRANCHES}
     assert 0.0 < at[_TAIL_BRANCHES[0]][0] < math.inf
     assert at[_TAIL_BRANCHES[1]][:2] == [math.inf, math.inf]
@@ -209,10 +210,68 @@ def test_tail_bound_branches_are_reached():
     assert set(at[_TAIL_BRANCHES[9]]) == {0.0}
 
 
+# the kernels that the compiled module exports and no route calls; their pure
+# copies are in reference.py
+_COMPILED_ONLY = {"gamma_sign", "series_tail_bound", "power_series_partial",
+                  "neg_int_series"}
+
+
+def test_compiled_module_exports_the_pure_twin(cy):
+    # every public function of the pure twin has a compiled twin, and the
+    # compiled module's other public callables are the four above
+    pure = {name for name, obj in vars(_kernels_py).items()
+            if inspect.isfunction(obj) and obj.__module__ == _kernels_py.__name__
+            and not name.startswith("_")}
+    compiled = {name for name in dir(cy)
+                if not name.startswith("_") and callable(getattr(cy, name))}
+    assert pure <= compiled
+    assert compiled - pure == _COMPILED_ONLY
+
+    def codes(module):
+        return {name: getattr(module, name) for name in dir(module)
+                if name.startswith("STATUS_")}
+    assert codes(cy) == codes(_kernels_py)
+
+
+def test_gamma_sign_matches_its_reference(cy):
+    # z in (-1, 0), next to a pole -n from either side, or anywhere
+    rng = random.Random(20261020)
+    zs = []
+    for _ in range(5000):
+        kind = rng.random()
+        if kind < 0.4:
+            zs.append(rng.uniform(-1.0, 0.0))
+        elif kind < 0.8:
+            zs.append(-rng.randint(0, 60)
+                      + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -1.0))
+        else:
+            zs.append(rng.uniform(-200.0, 200.0))
+    assert [cy.gamma_sign(z) for z in zs] == [reference.gamma_sign(z) for z in zs]
+
+
+def test_power_series_partial_matches_its_reference(cy):
+    # u > 0 inside the window, sa at -1, 0, 1 or between, p up to 60: the
+    # same partial sum bit for bit
+    rng = random.Random(20261021)
+    mismatched = []
+    for _ in range(5000):
+        beta = _series_beta(rng)
+        A = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0)
+        window = -0.5 * A if A < 0.0 else A
+        call = (rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0), beta, A,
+                window * rng.choice((rng.uniform(1e-3, 0.999), 0.999)),
+                rng.choice((-1.0, 0.0, 1.0, rng.uniform(-1.0, 1.0))),
+                rng.randint(0, 60))
+        if (_bits(cy.power_series_partial(*call))
+                != _bits(reference.power_series_partial(*call))):
+            mismatched.append(call)
+    assert mismatched == []
+
+
 def test_neg_int_series_matches(cy):
     for m in (1, 2, 3):
         for sa in (0.5, -0.5):
-            py = _kernels_py.neg_int_series(m, 1.0, 0.7, sa, 1e-10, 10000)
+            py = reference.neg_int_series(m, 1.0, 0.7, sa, 1e-10, 10000)
             cc = cy.neg_int_series(m, 1.0, 0.7, sa, 1e-10, 10000)
             assert _close(py[0], cc[0])
             assert py[1] == cc[1]
@@ -288,7 +347,7 @@ def test_tail_bound_matches(cy):
     for beta, is_int in ((-1.5, 0), (2.5, 0), (-2.0, 1), (3.0, 1)):
         for p in (1, 2, 5, 20):
             for A in (1.0, -1.0):
-                py = _kernels_py.series_tail_bound(beta, is_int, A, 0.4, 0.5, p)
+                py = reference.series_tail_bound(beta, is_int, A, 0.4, 0.5, p)
                 cc = cy.series_tail_bound(beta, is_int, A, 0.4, 0.5, p)
                 assert _close(py, cc)
 

@@ -1,6 +1,6 @@
 """The package's name lists: ``__all__`` against what ``__init__`` imports
-and what the README documents, and no module-level definition without a
-caller in the package."""
+and what the README documents, no module-level definition without a caller
+in the package, and the kernels that the route modules call."""
 
 from __future__ import annotations
 
@@ -83,14 +83,6 @@ def test_integral_and_derivative_entries_take_the_same_parameters():
     assert differ == []
 
 
-# kept in step with their compiled twins in _kernels_cy.pyx, which only the
-# tests call; the pure series loops call series_tail_bound's per-call
-# evaluator, so only the tests call the pure series_tail_bound itself
-UNREFERENCED_KERNELS = {("_kernels_py", "power_series_partial"),
-                        ("_kernels_py", "neg_int_series"),
-                        ("_kernels_py", "series_tail_bound")}
-
-
 def test_every_module_level_definition_is_referenced_in_the_package():
     # a function or class counts as used when a statement of the package
     # other than its own definition names it: a name, an attribute or an
@@ -113,4 +105,32 @@ def test_every_module_level_definition_is_referenced_in_the_package():
     unused = {key for key, node in defined.items()
               if not any(key[1] in names for other, names in uses
                          if other is not node)}
-    assert unused == UNREFERENCED_KERNELS
+    assert unused == set()
+
+
+# the modules that run the routes, and what they may take from the kernel
+# backend: the two series loops, the pole test and the status codes
+ROUTE_MODULES = ("series", "hypergeom", "cli", "oracle", "domain")
+ROUTE_KERNELS = {"nonpos_int_index", "power_series", "hyp2f1_series",
+                 "STATUS_CONVERGED", "STATUS_TRUNCATED", "STATUS_DIVERGED",
+                 "STATUS_PARAM_POLE", "STATUS_ARG_OUT"}
+
+
+def test_routes_call_only_the_route_kernels():
+    # every kernels.<name> the route modules name, and no import from a
+    # kernel module itself
+    package = Path(rlpower.__file__).parent
+    named, imported = set(), set()
+    for module in ROUTE_MODULES:
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "kernels"):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                sources = {node.module} | {alias.name for alias in node.names}
+                imported |= {(module, name) for name in sources
+                             & {"_kernels_py", "_kernels_cy"}}
+    assert named == ROUTE_KERNELS
+    assert imported == set()
