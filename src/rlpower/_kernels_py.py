@@ -10,15 +10,20 @@ compiled module also exports ``gamma_sign``, ``series_tail_bound``,
 ``power_series_partial`` and ``neg_int_series``, which no route calls: its
 ``.c`` changes only when Cython regenerates it from the ``.pyx``, so they
 stay until that module is rewritten.  Their pure copies are in
-``tests/reference.py``.  The loops may differ: this one takes the
-floating-point operations of the compiled one in the same order, with fewer
-interpreter operations a term.
-``power_series`` builds its tail bound once a call and returns, bit for bit,
-the old loop's outputs that ``tests/reference.py`` keeps, where the bound is
-made afresh at every p.  Its value, term count and status are the compiled
-twin's; its bound agrees with the compiled one to within lgamma's rounding,
-since each twin has its own lgamma.  Everything works on plain floats so the
-compiled build carries no CPython object traffic inside the hot loops.
+``tests/reference.py``.  ``hyp2f1_series`` takes the floating-point
+operations of the compiled loop in the same order, with fewer interpreter
+operations a term.
+``power_series`` differs from the compiled loop in more than that: it
+builds its tail bound once a call, evaluates that bound only at the terms
+where it could stop the loop, and once the sum stops changing it advances on
+a lower bound of the tail bound alone, without summing the terms that no
+longer change it (its docstring has the proof).  Its outputs stay those of
+the old loop that ``tests/reference.py`` keeps, bit for bit, where the bound
+is made afresh at every term within the tolerance.  Its value, term count
+and status are the compiled twin's; its bound agrees with the compiled one
+to within lgamma's rounding, since each twin has its own lgamma.  Everything
+works on plain floats so the compiled build carries no CPython object
+traffic inside the hot loops.
 
 Conventions used throughout:
 
@@ -59,6 +64,15 @@ STATUS_ARG_OUT = 4
 _INT_TOL = 1e-12
 _HUGE = 1e290
 _EPS = 2.220446049250313e-16
+_INF = math.inf
+_TINY = 2.0 ** -1022  # the smallest normal float
+
+# power_series's skip and fast-forward (proved in its docstring): where they
+# hold, and the margin on the threshold that covers the bound's rounding
+_STEP_MAX_P = 2.0 ** 15
+_STEP_MAX_PARAM = 2.0 ** 13
+_SKIP_MARGIN = 1.000001
+_NO_STEP = 0.0, 0.0, 0.0, _INF
 
 
 def sinpi(x: float) -> float:
@@ -197,6 +211,51 @@ def _tail_bound_of_p(beta: float, beta_is_int: int, A: float, u: float,
     return bound
 
 
+def _tail_step(beta: float, beta_is_int: int, A: float, u: float, sa: float):
+    """The step of ``_tail_bound_of_p`` in the two regimes that run long.
+
+    Returns ``(b0, b1, c, p_lo)``: for p - 1 >= p_lo, bound(p) >=
+    bound(p - 1) (p + b0) / (p + b1) c in exact arithmetic, with p + b0 >= 1
+    and p + b1 >= 2.  ``p_lo`` is inf where no step is given.
+
+    * beta = -m' < 0 an integer, q >= 0: bound(p) is
+      Gamma(m'+p) u^(sa+p) / (Gamma(m') Gamma(sa+p) omega^(m'+p)), so
+      bound(p+1) / bound(p) = (p + m') / (p + sa) u / omega, exactly.
+    * beta not an integer, p >= beta + 2: bound(p) is a p-free factor times
+      Gamma(p-beta-1) u^(sa+p-1) mn^(beta-p+1) / Gamma(sa+p) times the brace
+      1 - (mn/mx)^(p-beta-1), where mn and mx are the smaller and the larger
+      of |t - d| and |a - d|.  The brace grows with p, so the ratio is at
+      least (p - beta - 1) / (p + sa) u / mn.
+
+    No step is given past |beta| or |sa| = 2^13, where c is not a normal
+    float, or, for the brace, where u < mx / 64: the brace is 1 - exp of
+    (p - beta - 1) times log(mn) - log(mx), whose size is at least
+    (p - beta - 1) u / mx, and each of the two products that make it rounds
+    by at most eps 745 (p - beta - 1), so the brace keeps all but 2^-35 of
+    its value.
+    """
+    if not (u > 0.0 and -_STEP_MAX_PARAM <= beta <= _STEP_MAX_PARAM
+            and -_STEP_MAX_PARAM <= sa <= _STEP_MAX_PARAM):
+        return _NO_STEP
+    abs_a = A if A >= 0.0 else -A
+    abs_td = A + u if A + u >= 0.0 else -(A + u)
+    if beta_is_int:
+        m = math.floor(beta + 0.5)
+        if m >= 0:
+            return _NO_STEP
+        b0, omega, p_lo = -m - 1.0, abs_td if A < 0.0 else abs_a, 2.0 - sa
+    else:
+        omega, mx = (abs_td, abs_a) if abs_td < abs_a else (abs_a, abs_td)
+        if not u >= 0.015625 * mx:
+            return _NO_STEP
+        b0 = -beta - 2.0
+        p_lo = beta + 2.0 if beta + sa > 0.0 else 2.0 - sa
+    c = u / omega if omega > 0.0 else 0.0
+    if not _TINY <= c < _INF:
+        return _NO_STEP
+    return b0, sa - 1.0, c, p_lo
+
+
 def _start_index(sa: float) -> int:
     # Smallest k with 1/Gamma(sa+k+1) finite and nonzero; skips the exact
     # zero coefficients at sa = -1 (classical-derivative reduction).
@@ -219,6 +278,60 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     above the result (steep exponents near the window edge) cannot reach
     tolerances below that floor in doubles, and claiming otherwise would be
     lying.  Returns ``(value, terms_used, bound, status)``.
+
+    The loop stops at the first p (series indices summed) where the pending
+    term and the tail bound B(p) are both within the threshold
+    tol max(1, |value|), or at max_terms.  Near the window edge the terms
+    fall within it long before B(p) does, and B(p) costs more than a term.
+    Two rules skip the work that cannot change the outputs; they return the
+    outputs of evaluating B(p) at every such p, bit for bit.  Neither applies
+    before a finite bound of at least 2^-1022 has been evaluated at some
+    p >= p_lo of ``_tail_step``, nor when tol is below 2^-1022 (the
+    threshold is at least tol), nor past k0 + max_terms = 2^15.
+
+    1. Certified skip.  The loop carries ``lower``: the last bound it
+       evaluated, times ``_tail_step``'s ratio at each p since, while every
+       pending term stays within the threshold (else lower is dropped).  It
+       evaluates B(p) only when lower <= threshold (1 + 1e-6), or when lower
+       is inf.  Proof that a skipped B(p) exceeds the threshold: call B*(p)
+       the bound in exact arithmetic from the per-call constants as rounded
+       (the logs, lgamma(m'), ...).  By ``_tail_step``, B*(p) >= B*(p0)
+       times the exact ratios, with exp of the rounded log-difference in
+       place of c.  With p <= 2^15 and |beta|, |sa| <= 2^13, every lgamma
+       argument is below 49 200 and every |log| of a float below 745, so
+       the exponent's summands are below 1.1e8 and their roundings, with
+       lgamma within a few ulps of its value (CPython's), add up to less
+       than 1e-7; the brace loses less than 2^-35.  So the computed B(p) is
+       within a factor exp(1e-7) of B*(p).  c is within 3 000 eps of exp of
+       the rounded log-difference, and b0, b1 and the products' roundings
+       add 5e-10 more over 2^15 steps, so
+       lower <= B(p) exp(2.3e-7) < B(p) (1 + 1e-6) / (1 + 3 eps), and
+       lower > threshold (1 + 1e-6) as rounded gives B(p) > threshold.  At
+       a bound below 2^-1022 the same holds for its unrounded value, which
+       is below 2^-1022 <= threshold.  A bound skipped after a finite bound
+       in its regime cannot raise: what raises (log 0, a zero sinpi) is
+       made once, at that first bound.
+    2. Stationary fast-forward.  Where a bound is skipped, with the pending
+       term (index k, size s, d = sa + k + 1 > 0) such that
+       s 2^55 < L = min(|total|, |comp|, sum_abs), L >= 2^-960,
+       u + 1 <= 2^20 d |A| and |u/A| max(1, |beta - k| / d) < 1 - 1e-9,
+       every later iteration changes only k and added, and the loop runs
+       rule 1 alone up to the first bound that stops it, or max_terms.
+       Proof: for k' >= k, |beta - k'| / (sa + k' + 1) <= max(1, its value
+       at k), as it falls while k' < beta and stays below 1 past beta, or
+       falls to 1 where beta + sa + 1 <= 0.  So the exact term ratio is
+       below 1 - 1e-9, and its roundings keep it below 1; an underflow of at
+       most 2^-1075 in each product of the recurrence adds at most 2^-1053
+       to a size, as u + 1 <= 2^20 d |A|.  So the computed sizes stay below
+       max(s, 2^-1053 / 1e-9) < max(s, 2^-1023): below a quarter ulp of
+       total, comp and sum_abs (2^-55 of a number is less than a quarter of
+       its ulp, and 2^-1023 2^55 < 2^-960) and within the threshold (at
+       least 2^-1022).  So total + term, comp +
+       ((total - t) + term) and sum_abs + size give back total, comp and
+       sum_abs (all nonzero, so no sign of zero changes); value, threshold
+       and the divergence test do not change; and at every later p the
+       pending term is within the threshold, so only B(p) can stop the
+       loop, as in rule 1.
     """
     if u == 0.0 and sa > 0.0:
         return 0.0, 0, 0.0, STATUS_CONVERGED
@@ -241,6 +354,8 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     added = 0
     bound = math.inf
     status = STATUS_TRUNCATED
+    lower = 0.0  # rule 1's lower bound on tail(k), or 0
+    p_lo = None  # _tail_step's, made at the first bound that does not stop
     while True:
         t = total + term
         if total >= size or total <= -size:
@@ -262,12 +377,46 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
         scale = value if value >= 1.0 else -value if value <= -1.0 else 1.0
         threshold = tol * scale
         if size <= threshold:
-            bound = tail(k)
-            if bound <= threshold:
-                if _EPS * sum_abs <= threshold:
-                    status = STATUS_CONVERGED
-                # roundoff floor above tolerance: more terms cannot help
-                break
+            if lower and (threshold * _SKIP_MARGIN
+                          < (lower := lower * ((k + b0) / (k + b1) * c)) < _INF):
+                # rule 1: tail(k) > threshold; rule 2 where the sum stands
+                least = size * 2.0 ** 55 + 2.0 ** -960
+                d = sa + k + 1.0
+                if ((least < comp or least < -comp)
+                        and (least < total or least < -total)
+                        and least < sum_abs and d > 0.0
+                        and u + 1.0 <= 2.0 ** 20 * d * abs(A)
+                        and abs(u / A) * max(1.0, abs(beta - k) / d)
+                        < 1.0 - 1e-9):
+                    thr_hi = threshold * _SKIP_MARGIN
+                    while added < max_terms:
+                        added += 1
+                        k += 1.0
+                        lower *= (k + b0) / (k + b1) * c
+                        if not thr_hi < lower < _INF:
+                            bound = tail(k)
+                            if bound <= threshold:
+                                if _EPS * sum_abs <= threshold:
+                                    status = STATUS_CONVERGED
+                                break
+                            lower = bound if _TINY <= bound < _INF else 0.0
+                    else:
+                        bound = tail(k)
+                    break
+            else:
+                bound = tail(k)
+                if bound <= threshold:
+                    if _EPS * sum_abs <= threshold:
+                        status = STATUS_CONVERGED
+                    # roundoff floor above tolerance: more terms cannot help
+                    break
+                if p_lo is None:
+                    b0, b1, c, p_lo = _tail_step(beta, beta_is_int, A, u, sa)
+                    if tol < _TINY or k0 + max_terms > _STEP_MAX_P:
+                        p_lo = _INF
+                lower = bound if k >= p_lo and _TINY <= bound < _INF else 0.0
+        elif lower:
+            lower = 0.0
         if added >= max_terms:
             bound = tail(k)
             break

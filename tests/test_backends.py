@@ -74,24 +74,30 @@ def test_sinpi_and_pole_index_match(cy):
 
 def test_power_series_matches(cy):
     # above the shift (A = 1), and below it (A = -1, where the window is half
-    # of |A|) out to its edge, where the series route calls this kernel
+    # of |A|) out to its edge, where the series route calls this kernel; and
+    # edge-sweep's exponents and orders below the shift near its edge, where
+    # the pure loop skips most tail bounds
     cells = [(1.0, u) for u in (0.2, 0.6, 0.85)]
     cells += [(-1.0, frac * 0.5) for frac in (0.5, 0.9, 0.99, 0.999)]
-    for beta, is_int in ((-2.5, 0), (0.5, 0), (3.0, 1), (-2.0, 1)):
-        for sa in (0.3, -0.3, 0.9, -0.9):
-            for A, u in cells:
-                py = _kernels_py.power_series(1.0, beta, A, u, sa, is_int,
-                                              1e-10, 10000)
-                cc = cy.power_series(1.0, beta, A, u, sa, is_int,
-                                     1e-10, 10000)
-                # the bound goes through each twin's own lgamma; at the term
-                # cap it is the exp of lgammas near lgamma(10 001), whose
-                # rounding each twin does its own way: a few ulps of that
-                assert _bits(py[0]) == _bits(cc[0])
-                assert py[1] == cc[1]
-                rel = 8 * _EPS * math.lgamma(10001.0) if py[1] == 10000 else 5e-13
-                assert _close(py[2], cc[2], rel)
-                assert py[3] == cc[3]
+    calls = [(beta, is_int, sa, A, u)
+             for beta, is_int in ((-2.5, 0), (0.5, 0), (3.0, 1), (-2.0, 1))
+             for sa in (0.3, -0.3, 0.9, -0.9) for A, u in cells]
+    calls += [(beta, is_int, sa, -1.0, frac * 0.5)
+              for beta, is_int in ((-3.0, 1), (-1.0, 1), (2.0 / 3.0, 0),
+                                   (4.0 / 3.0, 0))
+              for sa in (0.25, -0.25, 0.5, -0.5, 0.75, -0.75)
+              for frac in (0.9, 0.99, 0.999)]
+    for beta, is_int, sa, A, u in calls:
+        py = _kernels_py.power_series(1.0, beta, A, u, sa, is_int, 1e-10, 10000)
+        cc = cy.power_series(1.0, beta, A, u, sa, is_int, 1e-10, 10000)
+        # the bound goes through each twin's own lgamma; at the term cap it
+        # is the exp of lgammas near lgamma(10 001), whose rounding each twin
+        # does its own way: a few ulps of that
+        assert _bits(py[0]) == _bits(cc[0])
+        assert py[1] == cc[1]
+        rel = 8 * _EPS * math.lgamma(10001.0) if py[1] == 10000 else 5e-13
+        assert _close(py[2], cc[2], rel)
+        assert py[3] == cc[3]
 
 
 def _series_beta(rng: random.Random) -> float:
@@ -135,20 +141,65 @@ def _outcome(fn, call):
     return _bits(value), terms, _bits(bound), status
 
 
+# edge-sweep cells below the shift: 2/3 at 0.999 of the window and -1 at
+# 0.99, two of the slowest; and -3 at 0.999, which runs to the term cap with
+# the sum standing still from about term 115 on
+_EDGE_2_3 = (1.0, 2.0 / 3.0, -1.0, 0.999 * 0.5, 0.5, 0, 1e-10, 10000)
+_EDGE_MINUS_1 = (-1.0, -1.0, -1.0, 0.99 * 0.5, 0.75, 1, 1e-10, 10000)
+_EDGE_MINUS_3_CAP = (-1.0, -3.0, -1.0, 0.999 * 0.5, 0.5, 1, 1e-10, 10000)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(call=_series_calls())
 # the slowest edge-sweep cells: 2/3 and 4/3 below the shift at 0.999 of the
-# window, and -1 and -3 at 0.99
-@example(call=(1.0, 2.0 / 3.0, -1.0, 0.999 * 0.5, 0.5, 0, 1e-10, 10000))
+# window, and -1 and -3 at 0.99, where the tail bound grows before it falls
+@example(call=_EDGE_2_3)
 @example(call=(1.0, 4.0 / 3.0, -1.0, 0.999 * 0.5, -0.25, 0, 1e-10, 10000))
-@example(call=(-1.0, -1.0, -1.0, 0.99 * 0.5, 0.75, 1, 1e-10, 10000))
+@example(call=_EDGE_MINUS_1)
 @example(call=(-1.0, -3.0, -1.0, 0.99 * 0.5, -0.5, 1, 1e-10, 10000))
+@example(call=(-1.0, -3.0, -1.0, 0.99 * 0.5, -0.75, 1, 1e-10, 10000))
+# the term cap reached while the loop runs on the bound alone
+@example(call=_EDGE_MINUS_3_CAP)
+# tol 0, and tol 1e-320, where the bound reaches the subnormal range: every
+# bound within the threshold is evaluated
+@example(call=_EDGE_2_3[:6] + (0.0, 10000))
+@example(call=_EDGE_2_3[:6] + (1e-320, 10000))
+# front 0: every term and comp stay 0, so the sum never stands still
+@example(call=(0.0,) + _EDGE_2_3[1:])
+# above the shift at 0.999 of the window: bounds are skipped, but the terms
+# fall by about 0.1% a step and the sum never stands still
+@example(call=(1.0, 7.0 / 3.0, 2.0, 0.999 * 2.0, -0.6, 0, 1e-15, 10000))
+# the term cap at the edge before the bound is near the tolerance
+@example(call=_EDGE_2_3[:7] + (5,))
+@example(call=_EDGE_2_3[:7] + (50,))
 def test_power_series_matches_its_reference(call):
-    # the pure kernel builds its tail bound once a call; the reference makes
-    # it afresh at every p: the same value, terms, bound and status, bit for
+    # the pure kernel builds its tail bound once a call and evaluates it only
+    # where it could stop the loop; the reference makes it afresh at every p
+    # within the tolerance: the same value, terms, bound and status, bit for
     # bit, or the same exception
     assert (_outcome(_kernels_py.power_series, call)
             == _outcome(reference.power_series, call))
+
+
+def test_power_series_skips_the_bounds_that_cannot_stop_it(monkeypatch):
+    # a few tail bounds a call, where the loop that evaluates one at every
+    # term within the tolerance takes 2 098, 1 221 and 9 964
+    build = _kernels_py._tail_bound_of_p
+    evaluated = []
+
+    def counting_build(*args):
+        bound = build(*args)
+
+        def counting_bound(p):
+            evaluated.append(p)
+            return bound(p)
+        return counting_bound
+
+    monkeypatch.setattr(_kernels_py, "_tail_bound_of_p", counting_build)
+    for call in (_EDGE_2_3, _EDGE_MINUS_1, _EDGE_MINUS_3_CAP):
+        evaluated.clear()
+        _kernels_py.power_series(*call)
+        assert 1 <= len(evaluated) <= 10
 
 
 # (beta, beta_is_int, A, u, sa): each branch of the tail bound over p = 0..60
