@@ -68,7 +68,9 @@ _INF = math.inf
 _TINY = 2.0 ** -1022  # the smallest normal float
 
 # power_series's skip and fast-forward (proved in its docstring): where they
-# hold, and the margin on the threshold that covers the bound's rounding
+# start and hold, and the margin on the threshold that covers the bound's
+# rounding
+_STEP_FROM_P = 16.0
 _STEP_MAX_P = 2.0 ** 15
 _STEP_MAX_PARAM = 2.0 ** 13
 _SKIP_MARGIN = 1.000001
@@ -287,7 +289,9 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     outputs of evaluating B(p) at every such p, bit for bit.  Neither applies
     before a finite bound of at least 2^-1022 has been evaluated at some
     p >= p_lo of ``_tail_step``, nor when tol is below 2^-1022 (the
-    threshold is at least tol), nor past k0 + max_terms = 2^15.
+    threshold is at least tol), nor past k0 + max_terms = 2^15.  Nor do they
+    start before p = 16: mid-window calls stop within a few bounds of that,
+    and making the step costs about as much as a bound.
 
     1. Certified skip.  The loop carries ``lower``: the last bound it
        evaluated, times ``_tail_step``'s ratio at each p since, while every
@@ -381,10 +385,9 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
                           < (lower := lower * ((k + b0) / (k + b1) * c)) < _INF):
                 # rule 1: tail(k) > threshold; rule 2 where the sum stands
                 least = size * 2.0 ** 55 + 2.0 ** -960
-                d = sa + k + 1.0
                 if ((least < comp or least < -comp)
                         and (least < total or least < -total)
-                        and least < sum_abs and d > 0.0
+                        and least < sum_abs and (d := sa + k + 1.0) > 0.0
                         and u + 1.0 <= 2.0 ** 20 * d * abs(A)
                         and abs(u / A) * max(1.0, abs(beta - k) / d)
                         < 1.0 - 1e-9):
@@ -410,11 +413,14 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
                         status = STATUS_CONVERGED
                     # roundoff floor above tolerance: more terms cannot help
                     break
-                if p_lo is None:
-                    b0, b1, c, p_lo = _tail_step(beta, beta_is_int, A, u, sa)
-                    if tol < _TINY or k0 + max_terms > _STEP_MAX_P:
-                        p_lo = _INF
-                lower = bound if k >= p_lo and _TINY <= bound < _INF else 0.0
+                if k >= _STEP_FROM_P:
+                    if p_lo is None:
+                        b0, b1, c, p_lo = _tail_step(beta, beta_is_int, A, u,
+                                                     sa)
+                        if tol < _TINY or k0 + max_terms > _STEP_MAX_P:
+                            p_lo = _INF
+                    lower = (bound if k >= p_lo and _TINY <= bound < _INF
+                             else 0.0)
         elif lower:
             lower = 0.0
         if added >= max_terms:
