@@ -290,8 +290,9 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     before a finite bound of at least 2^-1022 has been evaluated at some
     p >= p_lo of ``_tail_step``, nor when tol is below 2^-1022 (the
     threshold is at least tol), nor past k0 + max_terms = 2^15.  Nor do they
-    start before p = 16: mid-window calls stop within a few bounds of that,
-    and making the step costs about as much as a bound.
+    start before p = 16: mid-window calls stop at about that term, a few
+    bounds after their first, and making the step costs about as much as
+    evaluating a bound.
 
     1. Certified skip.  The loop carries ``lower``: the last bound it
        evaluated, times ``_tail_step``'s ratio at each p since, while every
