@@ -17,9 +17,10 @@ operations a term.
 builds its tail bound once a call, evaluates that bound only at the terms
 where it could stop the loop, and once the sum stops changing it advances on
 a lower bound of the tail bound alone, without summing the terms that no
-longer change it (its docstring has the proof).  Its outputs stay those of
-the old loop that ``tests/reference.py`` keeps, bit for bit, where the bound
-is made afresh at every term within the tolerance.  Its value, term count
+longer change it, and crosses the terms where that lower bound stays above
+the threshold in one log-gamma jump (its docstring has the proof).  Its
+outputs stay those of the old loop that ``tests/reference.py`` keeps, bit
+for bit, where the bound is made afresh at every term within the tolerance.  Its value, term count
 and status are the compiled twin's; its bound agrees with the compiled one
 to within lgamma's rounding, since each twin has its own lgamma.  Everything
 works on plain floats so the compiled build carries no CPython object
@@ -74,6 +75,7 @@ _STEP_FROM_P = 16.0
 _STEP_MAX_P = 2.0 ** 15
 _STEP_MAX_PARAM = 2.0 ** 13
 _SKIP_MARGIN = 1.000001
+_JUMP_MARGIN = 1e-6  # rule 3's, on the log of the threshold
 _NO_STEP = 0.0, 0.0, 0.0, _INF
 
 
@@ -285,10 +287,10 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     term and the tail bound B(p) are both within the threshold
     tol max(1, |value|), or at max_terms.  Near the window edge the terms
     fall within it long before B(p) does, and B(p) costs more than a term.
-    Two rules skip the work that cannot change the outputs; they return the
-    outputs of evaluating B(p) at every such p, bit for bit.  Neither applies
-    before a finite bound of at least 2^-1022 has been evaluated at some
-    p >= p_lo of ``_tail_step``, nor when tol is below 2^-1022 (the
+    Three rules skip the work that cannot change the outputs; they return
+    the outputs of evaluating B(p) at every such p, bit for bit.  None
+    applies before a finite bound of at least 2^-1022 has been evaluated at
+    some p >= p_lo of ``_tail_step``, nor when tol is below 2^-1022 (the
     threshold is at least tol), nor past k0 + max_terms = 2^15.  Nor do they
     start before p = 16: mid-window calls stop at about that term, a few
     bounds after their first, and making the step costs about as much as
@@ -337,6 +339,36 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
        and the divergence test do not change; and at every later p the
        pending term is within the threshold, so only B(p) can stop the
        loop, as in rule 1.
+    3. Log-gamma jump.  Where rule 2 holds and b0 >= b1 or c <= 1, the
+       loop does not step rule 1's product one p at a time.  From its value
+       ``lower`` at k, the product j steps on is, by the closed form of
+       prod (p + b0) / (p + b1),
+       ln L(j) = ln lower + lgamma(k+j+b0+1) - lgamma(k+b0+1)
+       - lgamma(k+j+b1+1) + lgamma(k+b1+1) + j ln c,
+       and step j is certified when the computed ln L(j) exceeds
+       ln(threshold (1 + 1e-6)) + 1e-6.  The loop gallops j = 1, 2, 4, ...
+       up to the cap max_terms - added while steps are certified, bisects
+       between the last certified step and the first that is not, and
+       evaluates B(p) at that step: it stops the loop or becomes the new
+       ``lower``, as in rule 1.  Where every step up to the cap is
+       certified, B(p) is evaluated at max_terms.  Proof that the skipped
+       B(p) exceed the threshold: in exact arithmetic the increments
+       ln L(j) - ln L(j - 1) = ln((p + b0) / (p + b1)) + ln c, p = k + j,
+       fall with p where b0 >= b1 (negative integer beta, or
+       beta + sa <= -1), so ln L is concave, and are negative where b0 < b1
+       and c <= 1, so ln L falls.  Either way ln L has no interior minimum:
+       between two steps it is at least its smaller end value, so the steps
+       from 1 to the last certified one are certified with the ends.  (Where
+       b0 < b1 and c > 1, ln L can dip between its ends; that takes u past
+       the half-window below the shift, which no route passes, and the loop
+       keeps the product of rule 1 there.)  Rounding: every lgamma argument
+       is below 41 000, where lgamma (CPython's) is within 2e-10 of its
+       value; ln c is within 1.2e-13 of the log of c, which j <= 2^15
+       multiplies to 4e-9; and the seven sums and products, none above
+       2.4e7 in size, add at most 1.5e-8.  So the computed ln L(j) exceeds
+       the log of rule 1's product in exact arithmetic by less than 2e-8,
+       well within the 1e-6 added to rule 1's margin, and rule 1's proof
+       gives B(p) > threshold.
     """
     if u == 0.0 and sa > 0.0:
         return 0.0, 0, 0.0, STATUS_CONVERGED
@@ -393,17 +425,54 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
                         and abs(u / A) * max(1.0, abs(beta - k) / d)
                         < 1.0 - 1e-9):
                     thr_hi = threshold * _SKIP_MARGIN
+                    if b0 >= b1 or c <= 1.0:
+                        # rule 3: ln L(j) has no interior minimum
+                        lgamma = math.lgamma
+                        ln_thr = math.log(thr_hi) + _JUMP_MARGIN
+                        ln_c = math.log(c)
+                    else:
+                        ln_c = None
                     while added < max_terms:
-                        added += 1
-                        k += 1.0
-                        lower *= (k + b0) / (k + b1) * c
-                        if not thr_hi < lower < _INF:
-                            bound = tail(k)
-                            if bound <= threshold:
-                                if _EPS * sum_abs <= threshold:
-                                    status = STATUS_CONVERGED
-                                break
-                            lower = bound if _TINY <= bound < _INF else 0.0
+                        if ln_c is not None and lower:
+                            # gallop, then bisect, to the first uncertified
+                            # step j, or the cap
+                            base = (math.log(lower) - lgamma(k + b0 + 1.0)
+                                    + lgamma(k + b1 + 1.0))
+                            cap = max_terms - added
+                            lo, j = 0, 1
+                            while (base + lgamma(k + j + b0 + 1.0)
+                                   - lgamma(k + j + b1 + 1.0)
+                                   + j * ln_c > ln_thr):
+                                lo = j
+                                if j == cap:
+                                    break
+                                j = min(2 * j, cap)
+                            if lo == cap:
+                                added = max_terms
+                                k += cap
+                                continue
+                            while j - lo > 1:
+                                mid = (lo + j) // 2
+                                if (base + lgamma(k + mid + b0 + 1.0)
+                                        - lgamma(k + mid + b1 + 1.0)
+                                        + mid * ln_c <= ln_thr):
+                                    j = mid
+                                else:
+                                    lo = mid
+                            added += j
+                            k += j
+                        else:
+                            added += 1
+                            k += 1.0
+                            lower *= (k + b0) / (k + b1) * c
+                            if thr_hi < lower < _INF:
+                                continue
+                        bound = tail(k)
+                        if bound <= threshold:
+                            if _EPS * sum_abs <= threshold:
+                                status = STATUS_CONVERGED
+                            break
+                        lower = bound if _TINY <= bound < _INF else 0.0
                     else:
                         bound = tail(k)
                     break

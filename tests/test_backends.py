@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,20 @@ _EDGE_MINUS_3_CAP = (-1.0, -3.0, -1.0, 0.999 * 0.5, 0.5, 1, 1e-10, 10000)
 # the term cap at the edge before the bound is near the tolerance
 @example(call=_EDGE_2_3[:7] + (5,))
 @example(call=_EDGE_2_3[:7] + (50,))
+# the log-gamma jump: the cap just before, at and after the stop at term
+# 2 119, and the cap inside a jump
+@example(call=_EDGE_2_3[:7] + (2118,))
+@example(call=_EDGE_2_3[:7] + (2119,))
+@example(call=_EDGE_2_3[:7] + (2120,))
+@example(call=_EDGE_MINUS_3_CAP[:7] + (5000,))
+# a non-integer beta with beta + sa <= -1, where the jumped product is
+# concave: it grows before it falls
+@example(call=(1.0, -7.5, -1.0, 0.999 * 0.5, 0.9, 0, 1e-12, 3000))
+# u just past the half-window below the shift, where the tail bound falls to
+# a minimum near term 272 and grows again: it is within this tol only at
+# terms 259-285, which a jump would cross, so the loop steps the product one
+# term at a time
+@example(call=(1.0, 2.0 / 3.0, -1.0, 0.502, 0.5, 0, 5.2e-6, 1000))
 def test_power_series_matches_its_reference(call):
     # the pure kernel builds its tail bound once a call and evaluates it only
     # where it could stop the loop; the reference makes it afresh at every p
@@ -181,9 +196,62 @@ def test_power_series_matches_its_reference(call):
             == _outcome(reference.power_series, call))
 
 
+@st.composite
+def _edge_calls(draw):
+    # _series_calls' draws, or on about 60% of draws edge-sweep's kind of
+    # cell: a small exponent below the shift at 0.9-0.9999 of the window,
+    # where the loop runs on the bound alone; with term caps that land
+    # inside the log-gamma jumps and tolerances down to 0
+    front, beta, A, u, sa, is_int, tol, max_terms = draw(_series_calls())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if rng.random() < 0.6:
+        beta = rng.choice((float(rng.randint(-8, 2)), rng.randint(-24, 9) / 3,
+                           rng.uniform(-8.0, 3.0)))
+        is_int = 1 if beta == math.floor(beta) else 0
+        A = -abs(A)
+        u = -0.5 * A * (1.0 - 10.0 ** rng.uniform(-4.0, -1.0))
+        sa = rng.uniform(-0.95, 0.95)
+    tol = rng.choice((0.0, 1e-320, tol, tol, tol, tol))
+    max_terms = rng.choice((5, 50, rng.randint(100, 10000),
+                            rng.randint(100, 10000)))
+    return front, beta, A, u, sa, is_int, tol, max_terms
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(call=_edge_calls())
+def test_power_series_matches_its_reference_at_the_edge(call):
+    assert (_outcome(_kernels_py.power_series, call)
+            == _outcome(reference.power_series, call))
+
+
+def _line_events(fn, *args):
+    # the line events that fn's own frame takes in one call
+    code, count = fn.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    tracer = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(tracer)
+    return count
+
+
 def test_power_series_skips_the_bounds_that_cannot_stop_it(monkeypatch):
     # a few tail bounds a call, where the loop that evaluates one at every
-    # term within the tolerance takes 2 098, 1 221 and 9 964
+    # term within the tolerance takes 2 098, 1 221 and 9 964; and a few
+    # thousand line events, where stepping the bound's lower bound one term
+    # at a time takes 12 123, 7 911 and 51 861
+    for call in (_EDGE_2_3, _EDGE_MINUS_1, _EDGE_MINUS_3_CAP):
+        assert _line_events(_kernels_py.power_series, *call) <= 4000
     build = _kernels_py._tail_bound_of_p
     evaluated = []
 
