@@ -20,11 +20,11 @@ a lower bound of the tail bound alone, without summing the terms that no
 longer change it, and crosses the terms where that lower bound stays above
 the threshold in one log-gamma jump (its docstring has the proof).  Its
 outputs stay those of the old loop that ``tests/reference.py`` keeps, bit
-for bit, where the bound is made afresh at every term within the tolerance.  Its value, term count
-and status are the compiled twin's; its bound agrees with the compiled one
-to within lgamma's rounding, since each twin has its own lgamma.  Everything
-works on plain floats so the compiled build carries no CPython object
-traffic inside the hot loops.
+for bit, where the bound is made afresh at every term within the tolerance.
+Its value, term count and status are the compiled twin's; its bound agrees
+with the compiled one to within lgamma's rounding, since each twin has its
+own lgamma.  Everything works on plain floats so the compiled build carries
+no CPython object traffic inside the hot loops.
 
 Conventions used throughout:
 
@@ -68,14 +68,14 @@ _EPS = 2.220446049250313e-16
 _INF = math.inf
 _TINY = 2.0 ** -1022  # the smallest normal float
 
-# power_series's skip and fast-forward (proved in its docstring): where they
-# start and hold, and the margin on the threshold that covers the bound's
-# rounding
+# power_series's skip, fast-forward and jump (proved in its docstring): where
+# they start and hold, the margin on the threshold that covers the bound's
+# rounding, and the jump's on its log that covers the log-gamma rounding
 _STEP_FROM_P = 16.0
 _STEP_MAX_P = 2.0 ** 15
 _STEP_MAX_PARAM = 2.0 ** 13
 _SKIP_MARGIN = 1.000001
-_JUMP_MARGIN = 1e-6  # rule 3's, on the log of the threshold
+_JUMP_MARGIN = 1e-6
 _NO_STEP = 0.0, 0.0, 0.0, _INF
 
 
@@ -435,32 +435,26 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
                     while added < max_terms:
                         if ln_c is not None and lower:
                             # gallop, then bisect, to the first uncertified
-                            # step j, or the cap
+                            # step hi, or past the cap; lo is certified
                             base = (math.log(lower) - lgamma(k + b0 + 1.0)
                                     + lgamma(k + b1 + 1.0))
                             cap = max_terms - added
-                            lo, j = 0, 1
-                            while (base + lgamma(k + j + b0 + 1.0)
-                                   - lgamma(k + j + b1 + 1.0)
-                                   + j * ln_c > ln_thr):
-                                lo = j
-                                if j == cap:
-                                    break
-                                j = min(2 * j, cap)
-                            if lo == cap:
+                            lo, hi, j = 0, cap + 1, 1
+                            while hi - lo > 1:
+                                if (base + lgamma(k + j + b0 + 1.0)
+                                        - lgamma(k + j + b1 + 1.0)
+                                        + j * ln_c > ln_thr):
+                                    lo = j
+                                else:
+                                    hi = j
+                                j = (min(2 * j, cap) if hi > cap
+                                     else (lo + hi) // 2)
+                            if hi > cap:
                                 added = max_terms
                                 k += cap
                                 continue
-                            while j - lo > 1:
-                                mid = (lo + j) // 2
-                                if (base + lgamma(k + mid + b0 + 1.0)
-                                        - lgamma(k + mid + b1 + 1.0)
-                                        + mid * ln_c <= ln_thr):
-                                    j = mid
-                                else:
-                                    lo = mid
-                            added += j
-                            k += j
+                            added += hi
+                            k += hi
                         else:
                             added += 1
                             k += 1.0
