@@ -13,18 +13,21 @@ stay until that module is rewritten.  Their pure copies are in
 ``tests/reference.py``.  ``hyp2f1_series`` takes the floating-point
 operations of the compiled loop in the same order, with fewer interpreter
 operations a term.
-``power_series`` differs from the compiled loop in more than that: it
-builds its tail bound once a call, evaluates that bound only at the terms
-where it could stop the loop, and once the sum stops changing it advances on
-a lower bound of the tail bound alone, without summing the terms that no
-longer change it, and crosses the terms where that lower bound stays above
-the threshold in one log-gamma jump (its docstring has the proof).  Its
-outputs stay those of the old loop that ``tests/reference.py`` keeps, bit
-for bit, where the bound is made afresh at every term within the tolerance.
-Its value, term count and status are the compiled twin's; its bound agrees
-with the compiled one to within lgamma's rounding, since each twin has its
-own lgamma.  Everything works on plain floats so the compiled build carries
-no CPython object traffic inside the hot loops.
+``power_series`` differs from the compiled loop in more than that.  Its tail
+bound is one evaluator, ``_TailBound``, which makes each per-call constant at
+the first p that needs it and gives the bound's step ratio from the same
+constants.  The loop evaluates that bound, and tests it against the
+threshold, in one place, only at the terms where it could stop the loop.
+Once the sum stops changing, the loop stops summing the terms that no
+longer change it and crosses, in log-gamma jumps on a lower bound of the
+tail bound, the terms where that lower bound stays above the threshold (its
+docstring has the proof).  Its outputs stay those of the old loop that
+``tests/reference.py`` keeps, bit for bit, where the bound is made afresh at
+every term within the tolerance.  Its value, term count and status are the
+compiled twin's; its bound agrees with the compiled one to within lgamma's
+rounding, since each twin has its own lgamma.  Everything works on plain
+floats so the compiled build carries no CPython object traffic inside the
+hot loops.
 
 Conventions used throughout:
 
@@ -68,9 +71,10 @@ _EPS = 2.220446049250313e-16
 _INF = math.inf
 _TINY = 2.0 ** -1022  # the smallest normal float
 
-# power_series's skip, fast-forward and jump (proved in its docstring): where
-# they start and hold, the margin on the threshold that covers the bound's
-# rounding, and the jump's on its log that covers the log-gamma rounding
+# power_series's skip, stationary phase and jump (proved in its docstring):
+# where they start and hold, the margin on the threshold that covers the
+# bound's rounding, and the jump's on its log that covers the log-gamma
+# rounding
 _STEP_FROM_P = 16.0
 _STEP_MAX_P = 2.0 ** 15
 _STEP_MAX_PARAM = 2.0 ** 13
@@ -90,7 +94,7 @@ def sinpi(x: float) -> float:
 
 def nonpos_int_index(x: float) -> int:
     """Return n >= 0 when x is within 1e-12 of -n, else -1."""
-    if x > 0.5:
+    if not -_INF < x <= 0.5:  # NaN and -inf too, as in the compiled twin
         return -1
     n = math.floor(x + 0.5)
     if abs(x - n) <= _INT_TOL:
@@ -117,14 +121,10 @@ def gamma_value(z: float) -> float:
     return _gamma_positive(z)
 
 
-def _no_tail(p) -> float:
-    return 0.0
-
-
-def _tail_bound_of_p(beta: float, beta_is_int: int, A: float, u: float,
-                     sa: float):
-    """Upper bound on the tail after the first p series indices, at fixed
-    (beta, A, u, sa), as a function of p.
+class _TailBound:
+    """Upper bound B(p) on the tail after the first p series indices, at
+    fixed (beta, A, u, sa), as a function of p: ``tail(p)``; and B's step
+    where it runs long: ``tail.step()``.
 
     Integration-by-parts estimate: the |t - x| factor is bounded by its
     endpoint value and the |x - d| power is integrated exactly, which is valid
@@ -134,99 +134,30 @@ def _tail_bound_of_p(beta: float, beta_is_int: int, A: float, u: float,
     the shift).  A bound beyond the float range is inf, as in the compiled
     twin's ``series_tail_bound``, which is this bound at one p.
 
-    What does not depend on p is made once: the logs of u, |t - d| and
-    |a - d|; lgamma(m + 1), lgamma(beta + 1) or lgamma(beta + 1) +
-    log|sinpi(beta)| - log(pi); for beta = -m < 0, lgamma(m), log(omega) and
-    their products.  A p then pays its own lgammas, one expm1 and one exp.
-    Every floating-point operation keeps the grouping of the one-p formula,
-    ``series_tail_bound`` in ``tests/reference.py``, so the bounds are the
-    same bit for bit.  The parts that can raise (log 0 at |t - d| = 0, lgamma
-    past the float range, the log of a zero sinpi) are made at the first p
-    that needs them: building never raises, and each p returns or raises what
+    Building keeps the arguments and makes nothing else.  What does not
+    depend on p is made once, at the first p that needs it: the logs of u,
+    |t - d| and |a - d|; lgamma(m + 1), lgamma(beta + 1) or lgamma(beta + 1) +
+    log|sinpi(beta)| - log(pi); for beta = -m' < 0, omega, lgamma(m'),
+    log(omega) and their products.  A p then pays its own lgammas, one expm1
+    and one exp.  Every floating-point operation keeps the grouping of the
+    one-p formula, ``series_tail_bound`` in ``tests/reference.py``, so the
+    bounds are the same bit for bit.  The parts that can raise (log 0 at
+    |t - d| = 0, lgamma past the float range, the log of a zero sinpi) are
+    made at the first p that needs them, so each p returns or raises what
     the one-p formula does.
-    """
-    if u <= 0.0:
-        return _no_tail
-    abs_a = abs(A)
-    abs_td = abs(A + u)
-    ln_u = math.log(u)
-    beta_1 = beta + 1.0
-    lgamma, exp, expm1, inf = math.lgamma, math.exp, math.expm1, math.inf
-    m = lg_m1 = lg_b1 = ln_c = ln_td = ln_a = None
-    mm = lg_mm = sa_ln_u = ln_u_omega = mm_ln_omega = None
 
-    def bound(p) -> float:
-        nonlocal m, lg_m1, lg_b1, ln_c, ln_td, ln_a
-        nonlocal mm, lg_mm, sa_ln_u, ln_u_omega, mm_ln_omega
-        try:
-            s = sa + p
-            q = s - 1.0
-            if q < 0.0:
-                # First derivative-side truncation: integrate (t-x)^sa exactly
-                # and bound |x-d|^(beta-1) by its endpoint maximum.
-                if sa <= -1.0 + _INT_TOL:
-                    return inf
-                w = max(abs_a ** (beta - 1.0), abs_td ** (beta - 1.0))
-                return abs(beta) * w * u ** (1.0 + sa) / exp(lgamma(2.0 + sa))
-            if beta_is_int:
-                if m is None:
-                    m = int(math.floor(beta + 0.5))
-                if m >= 0:
-                    if p >= m + 1:
-                        return 0.0
-                    if lg_m1 is None:
-                        lg_m1 = lgamma(m + 1.0)
-                    ln_ratio = lg_m1 - lgamma(m - p + 2.0)
-                else:
-                    if mm_ln_omega is None:
-                        f = float(-m)
-                        lg_f = lgamma(f)
-                        ln_omega = math.log(abs_td if A < 0.0 else abs_a)
-                        mm, lg_mm, sa_ln_u, ln_u_omega, mm_ln_omega = (
-                            f, lg_f, sa * ln_u, ln_u - ln_omega, f * ln_omega)
-                    return exp(lgamma(mm + p) - lg_mm - lgamma(s) + sa_ln_u
-                               + p * ln_u_omega - mm_ln_omega)
-            elif p <= beta_1:
-                if lg_b1 is None:
-                    lg_b1 = lgamma(beta_1)
-                ln_ratio = lg_b1 - lgamma(beta - p + 2.0)
-            else:
-                # |Gamma(beta-p+2)| rewritten through reflection so no huge
-                # intermediate gamma is ever formed.
-                if ln_c is None:
-                    ln_c = (lgamma(beta_1) + math.log(abs(sinpi(beta)))
-                            - math.log(math.pi))
-                ln_ratio = ln_c + lgamma(p - beta - 1.0)
-            if ln_a is None:
-                ln_td, ln_a = math.log(abs_td), math.log(abs_a)
-            nu = beta - p + 1.0
-            e1 = nu * ln_td
-            e2 = nu * ln_a
-            if e1 >= e2:
-                big, small = e1, e2
-            else:
-                big, small = e2, e1
-            brace = -expm1(small - big)
-            return exp(ln_ratio - lgamma(s) + q * ln_u + big) * brace
-        except OverflowError:
-            # exp, ** and lgamma past the float range: C returns inf there
-            return inf
+    ``step()`` is ``(b0, b1, c, p_lo)``: for p - 1 >= p_lo, B(p) >=
+    B(p - 1) (p + b0) / (p + b1) c in exact arithmetic, with p + b0 >= 1 and
+    p + b1 >= 2.  It is made from the constants of the two regimes that run
+    long, once a bound has made them, and is ``_NO_STEP`` (p_lo = inf)
+    before that and elsewhere:
 
-    return bound
-
-
-def _tail_step(beta: float, beta_is_int: int, A: float, u: float, sa: float):
-    """The step of ``_tail_bound_of_p`` in the two regimes that run long.
-
-    Returns ``(b0, b1, c, p_lo)``: for p - 1 >= p_lo, bound(p) >=
-    bound(p - 1) (p + b0) / (p + b1) c in exact arithmetic, with p + b0 >= 1
-    and p + b1 >= 2.  ``p_lo`` is inf where no step is given.
-
-    * beta = -m' < 0 an integer, q >= 0: bound(p) is
+    * beta = -m' < 0 an integer, q >= 0: B(p) is
       Gamma(m'+p) u^(sa+p) / (Gamma(m') Gamma(sa+p) omega^(m'+p)), so
-      bound(p+1) / bound(p) = (p + m') / (p + sa) u / omega, exactly.
-    * beta not an integer, p >= beta + 2: bound(p) is a p-free factor times
-      Gamma(p-beta-1) u^(sa+p-1) mn^(beta-p+1) / Gamma(sa+p) times the brace
+      B(p+1) / B(p) = (p + m') / (p + sa) u / omega, exactly.
+    * beta not an integer, p > beta + 1 (the reflection form), with p_lo at
+      least beta + 2: B(p) is a p-free factor times Gamma(p-beta-1)
+      u^(sa+p-1) mn^(beta-p+1) / Gamma(sa+p) times the brace
       1 - (mn/mx)^(p-beta-1), where mn and mx are the smaller and the larger
       of |t - d| and |a - d|.  The brace grows with p, so the ratio is at
       least (p - beta - 1) / (p + sa) u / mn.
@@ -238,26 +169,96 @@ def _tail_step(beta: float, beta_is_int: int, A: float, u: float, sa: float):
     by at most eps 745 (p - beta - 1), so the brace keeps all but 2^-35 of
     its value.
     """
-    if not (u > 0.0 and -_STEP_MAX_PARAM <= beta <= _STEP_MAX_PARAM
-            and -_STEP_MAX_PARAM <= sa <= _STEP_MAX_PARAM):
-        return _NO_STEP
-    abs_a = A if A >= 0.0 else -A
-    abs_td = A + u if A + u >= 0.0 else -(A + u)
-    if beta_is_int:
-        m = math.floor(beta + 0.5)
-        if m >= 0:
+
+    # the per-call constants, each made at the first p that needs it
+    lg_m1 = lg_b1 = ln_reflect = logs = neg = None
+
+    def __init__(self, beta: float, beta_is_int: int, A: float, u: float,
+                 sa: float):
+        self.beta, self.beta_is_int, self.A, self.u, self.sa = (
+            beta, beta_is_int, A, u, sa)
+
+    def __call__(self, p) -> float:
+        beta, A, u, sa = self.beta, self.A, self.u, self.sa
+        lgamma = math.lgamma
+        try:
+            if u <= 0.0:
+                return 0.0
+            s = sa + p
+            q = s - 1.0
+            if q < 0.0:
+                # First derivative-side truncation: integrate (t-x)^sa exactly
+                # and bound |x-d|^(beta-1) by its endpoint maximum.
+                if sa <= -1.0 + _INT_TOL:
+                    return _INF
+                w = max(abs(A) ** (beta - 1.0), abs(A + u) ** (beta - 1.0))
+                return (abs(beta) * w * u ** (1.0 + sa)
+                        / math.exp(lgamma(2.0 + sa)))
+            if self.beta_is_int:
+                m = math.floor(beta + 0.5)
+                if m < 0:
+                    neg = self.neg
+                    if neg is None:
+                        f = float(-m)
+                        omega = abs(A + u) if A < 0.0 else abs(A)
+                        lg_f = lgamma(f)
+                        ln_omega, ln_u = math.log(omega), math.log(u)
+                        neg = self.neg = (f, omega, lg_f, sa * ln_u,
+                                          ln_u - ln_omega, f * ln_omega)
+                    f, _, lg_f, sa_ln_u, ln_u_omega, f_ln_omega = neg
+                    return math.exp(lgamma(f + p) - lg_f - lgamma(s) + sa_ln_u
+                                    + p * ln_u_omega - f_ln_omega)
+                if p >= m + 1:
+                    return 0.0
+                if self.lg_m1 is None:
+                    self.lg_m1 = lgamma(m + 1.0)
+                ln_ratio = self.lg_m1 - lgamma(m - p + 2.0)
+            elif p <= beta + 1.0:
+                if self.lg_b1 is None:
+                    self.lg_b1 = lgamma(beta + 1.0)
+                ln_ratio = self.lg_b1 - lgamma(beta - p + 2.0)
+            else:
+                # |Gamma(beta-p+2)| rewritten through reflection so no huge
+                # intermediate gamma is ever formed.
+                if self.ln_reflect is None:
+                    self.ln_reflect = (lgamma(beta + 1.0)
+                                       + math.log(abs(sinpi(beta)))
+                                       - math.log(math.pi))
+                ln_ratio = self.ln_reflect + lgamma(p - beta - 1.0)
+            logs = self.logs
+            if logs is None:
+                logs = self.logs = (math.log(u), math.log(abs(A + u)),
+                                    math.log(abs(A)))
+            ln_u, ln_td, ln_a = logs
+            nu = beta - p + 1.0
+            e1 = nu * ln_td
+            e2 = nu * ln_a
+            big, small = (e1, e2) if e1 >= e2 else (e2, e1)
+            return (math.exp(ln_ratio - lgamma(s) + q * ln_u + big)
+                    * -math.expm1(small - big))
+        except OverflowError:
+            # exp, ** and lgamma past the float range: C returns inf there
+            return _INF
+
+    def step(self):
+        """``(b0, b1, c, p_lo)``, or ``_NO_STEP``: see the class."""
+        beta, A, u, sa = self.beta, self.A, self.u, self.sa
+        if self.neg is not None:
+            f, omega = self.neg[:2]
+            b0, p_lo = f - 1.0, 2.0 - sa
+        elif self.ln_reflect is not None:
+            abs_td, abs_a = abs(A + u), abs(A)
+            omega, mx = (abs_td, abs_a) if abs_td < abs_a else (abs_a, abs_td)
+            if not u >= 0.015625 * mx:
+                return _NO_STEP
+            b0, p_lo = -beta - 2.0, beta + 2.0 if beta + sa > 0.0 else 2.0 - sa
+        else:
             return _NO_STEP
-        b0, omega, p_lo = -m - 1.0, abs_td if A < 0.0 else abs_a, 2.0 - sa
-    else:
-        omega, mx = (abs_td, abs_a) if abs_td < abs_a else (abs_a, abs_td)
-        if not u >= 0.015625 * mx:
-            return _NO_STEP
-        b0 = -beta - 2.0
-        p_lo = beta + 2.0 if beta + sa > 0.0 else 2.0 - sa
-    c = u / omega if omega > 0.0 else 0.0
-    if not _TINY <= c < _INF:
+        c = u / omega if omega > 0.0 else 0.0
+        if (_TINY <= c < _INF and -_STEP_MAX_PARAM <= beta <= _STEP_MAX_PARAM
+                and -_STEP_MAX_PARAM <= sa <= _STEP_MAX_PARAM):
+            return b0, sa - 1.0, c, p_lo
         return _NO_STEP
-    return b0, sa - 1.0, c, p_lo
 
 
 def _start_index(sa: float) -> int:
@@ -288,42 +289,44 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     tol max(1, |value|), or at max_terms.  Near the window edge the terms
     fall within it long before B(p) does, and B(p) costs more than a term.
     Three rules skip the work that cannot change the outputs; they return
-    the outputs of evaluating B(p) at every such p, bit for bit.  None
-    applies before a finite bound of at least 2^-1022 has been evaluated at
-    some p >= p_lo of ``_tail_step``, nor when tol is below 2^-1022 (the
-    threshold is at least tol), nor past k0 + max_terms = 2^15.  Nor do they
-    start before p = 16: mid-window calls stop at about that term, a few
-    bounds after their first, and making the step costs about as much as
-    evaluating a bound.
+    the outputs of evaluating B(p) at every such p, bit for bit.  B(p) is
+    evaluated, and tested against the threshold, in one place of the loop,
+    where no rule certifies that it exceeds the threshold, and at max_terms.
+    No rule applies before a finite bound of at least 2^-1022 has been
+    evaluated at some p >= p_lo of ``_TailBound.step``, nor when tol is
+    below 2^-1022 (the threshold is at least tol), nor past k0 + max_terms =
+    2^15.  Nor do they start before p = 16: mid-window calls stop at about
+    that term, a few bounds after their first.
 
     1. Certified skip.  The loop carries ``lower``: the last bound it
-       evaluated, times ``_tail_step``'s ratio at each p since, while every
+       evaluated, times the step's ratio at each p since, while every
        pending term stays within the threshold (else lower is dropped).  It
        evaluates B(p) only when lower <= threshold (1 + 1e-6), or when lower
        is inf.  Proof that a skipped B(p) exceeds the threshold: call B*(p)
        the bound in exact arithmetic from the per-call constants as rounded
-       (the logs, lgamma(m'), ...).  By ``_tail_step``, B*(p) >= B*(p0)
-       times the exact ratios, with exp of the rounded log-difference in
-       place of c.  With p <= 2^15 and |beta|, |sa| <= 2^13, every lgamma
-       argument is below 49 200 and every |log| of a float below 745, so
-       the exponent's summands are below 1.1e8 and their roundings, with
-       lgamma within a few ulps of its value (CPython's), add up to less
-       than 1e-7; the brace loses less than 2^-35.  So the computed B(p) is
-       within a factor exp(1e-7) of B*(p).  c is within 3 000 eps of exp of
-       the rounded log-difference, and b0, b1 and the products' roundings
-       add 5e-10 more over 2^15 steps, so
-       lower <= B(p) exp(2.3e-7) < B(p) (1 + 1e-6) / (1 + 3 eps), and
-       lower > threshold (1 + 1e-6) as rounded gives B(p) > threshold.  At
-       a bound below 2^-1022 the same holds for its unrounded value, which
-       is below 2^-1022 <= threshold.  A bound skipped after a finite bound
-       in its regime cannot raise: what raises (log 0, a zero sinpi) is
-       made once, at that first bound.
-    2. Stationary fast-forward.  Where a bound is skipped, with the pending
-       term (index k, size s, d = sa + k + 1 > 0) such that
+       (the logs, lgamma(m'), ...).  By the step, B*(p) >= B*(p0) times the
+       exact ratios, with exp of the rounded log-difference in place of c.
+       With p <= 2^15 and |beta|, |sa| <= 2^13, every lgamma argument is
+       below 49 200 and every |log| of a float below 745, so the exponent's
+       summands are below 1.1e8 and their roundings, with lgamma within a
+       few ulps of its value (CPython's), add up to less than 1e-7; the
+       brace loses less than 2^-35.  So the computed B(p) is within a factor
+       exp(1e-7) of B*(p).  c is within 3 000 eps of exp of the rounded
+       log-difference, and b0, b1 and the products' roundings add 5e-10 more
+       over 2^15 steps, so lower <= B(p) exp(2.3e-7) < B(p) (1 + 1e-6) /
+       (1 + 3 eps), and lower > threshold (1 + 1e-6) as rounded gives
+       B(p) > threshold.  At a bound below 2^-1022 the same holds for its
+       unrounded value, which is below 2^-1022 <= threshold.  A bound
+       skipped after a finite bound in its regime cannot raise: what raises
+       (log 0, a zero sinpi) is made once, at that first bound.
+    2. Stationary phase.  Where a bound is skipped, with the pending term
+       (index k, size s, d = sa + k + 1 > 0) such that
        s 2^55 < L = min(|total|, |comp|, sum_abs), L >= 2^-960,
        u + 1 <= 2^20 d |A| and |u/A| max(1, |beta - k| / d) < 1 - 1e-9,
-       every later iteration changes only k and added, and the loop runs
-       rule 1 alone up to the first bound that stops it, or max_terms.
+       every later iteration changes only k and added.  Where, besides,
+       b0 >= b1 or c <= 1, so that rule 3 applies, the loop sums no more
+       terms: from there it moves k and added by rule 3 alone, up to the
+       first bound that stops it, or max_terms.
        Proof: for k' >= k, |beta - k'| / (sa + k' + 1) <= max(1, its value
        at k), as it falls while k' < beta and stays below 1 past beta, or
        falls to 1 where beta + sa + 1 <= 0.  So the exact term ratio is
@@ -339,9 +342,9 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
        and the divergence test do not change; and at every later p the
        pending term is within the threshold, so only B(p) can stop the
        loop, as in rule 1.
-    3. Log-gamma jump.  Where rule 2 holds and b0 >= b1 or c <= 1, the
-       loop does not step rule 1's product one p at a time.  From its value
-       ``lower`` at k, the product j steps on is, by the closed form of
+    3. Log-gamma jump.  In the stationary phase the loop does not step
+       rule 1's product one p at a time.  From its value ``lower`` at k,
+       the product j steps on is, by the closed form of
        prod (p + b0) / (p + b1),
        ln L(j) = ln lower + lgamma(k+j+b0+1) - lgamma(k+b0+1)
        - lgamma(k+j+b1+1) + lgamma(k+b1+1) + j ln c,
@@ -350,25 +353,27 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
        up to the cap max_terms - added while steps are certified, bisects
        between the last certified step and the first that is not, and
        evaluates B(p) at that step: it stops the loop or becomes the new
-       ``lower``, as in rule 1.  Where every step up to the cap is
-       certified, B(p) is evaluated at max_terms.  Proof that the skipped
-       B(p) exceed the threshold: in exact arithmetic the increments
-       ln L(j) - ln L(j - 1) = ln((p + b0) / (p + b1)) + ln c, p = k + j,
-       fall with p where b0 >= b1 (negative integer beta, or
+       ``lower``, as in rule 1 (where it is not a normal float, the loop
+       steps one p at a time and evaluates every bound).  Where every step
+       up to the cap is certified, B(p) is evaluated at max_terms.  Proof
+       that the skipped B(p) exceed the threshold: in exact arithmetic the
+       increments ln L(j) - ln L(j - 1) = ln((p + b0) / (p + b1)) + ln c,
+       p = k + j, fall with p where b0 >= b1 (negative integer beta, or
        beta + sa <= -1), so ln L is concave, and are negative where b0 < b1
        and c <= 1, so ln L falls.  Either way ln L has no interior minimum:
        between two steps it is at least its smaller end value, so the steps
-       from 1 to the last certified one are certified with the ends.  (Where
-       b0 < b1 and c > 1, ln L can dip between its ends; that takes u past
-       the half-window below the shift, which no route passes, and the loop
-       keeps the product of rule 1 there.)  Rounding: every lgamma argument
-       is below 41 000, where lgamma (CPython's) is within 2e-10 of its
-       value; ln c is within 1.2e-13 of the log of c, which j <= 2^15
-       multiplies to 4e-9; and the seven sums and products, none above
-       2.4e7 in size, add at most 1.5e-8.  So the computed ln L(j) exceeds
-       the log of rule 1's product in exact arithmetic by less than 2e-8,
-       well within the 1e-6 added to rule 1's margin, and rule 1's proof
-       gives B(p) > threshold.
+       from 1 to the last certified one are certified with the ends.  Where
+       b0 < b1 and c > 1, ln L can dip between its ends, and the loop keeps
+       summing under rule 1; that takes u past the half-window below the
+       shift, which no route passes (inside the window c < 1: below the
+       shift, |t - d| > |A|/2 > u).  Rounding: every lgamma argument is
+       below 41 000, where lgamma (CPython's) is within 2e-10 of its value;
+       ln c is within 1.2e-13 of the log of c, which j <= 2^15 multiplies
+       to 4e-9; and the seven sums and products, none above 2.4e7 in size,
+       add at most 1.5e-8.  So the computed ln L(j) exceeds the log of rule
+       1's product in exact arithmetic by less than 2e-8, well within the
+       1e-6 added to rule 1's margin, and rule 1's proof gives
+       B(p) > threshold.
     """
     if u == 0.0 and sa > 0.0:
         return 0.0, 0, 0.0, STATUS_CONVERGED
@@ -377,7 +382,7 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     for j in range(k0):
         coef *= (beta - j) / A
     term = coef * u ** (sa + k0) / gamma_value(sa + k0 + 1.0)
-    tail = _tail_bound_of_p(beta, beta_is_int, A, u, sa)
+    tail = _TailBound(beta, beta_is_int, A, u, sa)
     # As in hyp2f1_series: k is the term index as a float, |term| is carried
     # in size, |.| is spelled as comparisons and value - value != 0.0 is true
     # exactly for NaN and +-inf; the floating-point operations are those of
@@ -389,107 +394,84 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     size = term if term >= 0.0 else -term
     k = float(k0)
     added = 0
-    bound = math.inf
     status = STATUS_TRUNCATED
     lower = 0.0  # rule 1's lower bound on tail(k), or 0
-    p_lo = None  # _tail_step's, made at the first bound that does not stop
+    ln_thr = None  # rule 3's log threshold, set where the sum stands still
     while True:
-        t = total + term
-        if total >= size or total <= -size:
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        sum_abs += size
-        added += 1
-        value = total + comp
-        if value - value != 0.0 or size > _HUGE:
-            bound = math.inf
-            status = STATUS_DIVERGED
-            break
-        term = term * (beta - k) * u / ((sa + k + 1.0) * A)
-        size = term if term >= 0.0 else -term
-        k += 1.0
-        # value is finite here
-        scale = value if value >= 1.0 else -value if value <= -1.0 else 1.0
-        threshold = tol * scale
-        if size <= threshold:
-            if lower and (threshold * _SKIP_MARGIN
-                          < (lower := lower * ((k + b0) / (k + b1) * c)) < _INF):
+        if ln_thr is None:
+            t = total + term
+            if total >= size or total <= -size:
+                comp += (total - t) + term
+            else:
+                comp += (term - t) + total
+            total = t
+            sum_abs += size
+            added += 1
+            value = total + comp
+            if value - value != 0.0 or size > _HUGE:
+                bound = math.inf
+                status = STATUS_DIVERGED
+                break
+            term = term * (beta - k) * u / ((sa + k + 1.0) * A)
+            size = term if term >= 0.0 else -term
+            k += 1.0
+            # value is finite here
+            scale = value if value >= 1.0 else -value if value <= -1.0 else 1.0
+            threshold = tol * scale
+            if not size <= threshold:
+                lower = 0.0
+                if added < max_terms:
+                    continue
+            elif lower and (threshold * _SKIP_MARGIN
+                            < (lower := lower * ((k + b0) / (k + b1) * c))
+                            < _INF):
                 # rule 1: tail(k) > threshold; rule 2 where the sum stands
+                # still and rule 3 can cross the bounds that follow
                 least = size * 2.0 ** 55 + 2.0 ** -960
                 if ((least < comp or least < -comp)
                         and (least < total or least < -total)
                         and least < sum_abs and (d := sa + k + 1.0) > 0.0
                         and u + 1.0 <= 2.0 ** 20 * d * abs(A)
                         and abs(u / A) * max(1.0, abs(beta - k) / d)
-                        < 1.0 - 1e-9):
-                    thr_hi = threshold * _SKIP_MARGIN
-                    if b0 >= b1 or c <= 1.0:
-                        # rule 3: ln L(j) has no interior minimum
-                        lgamma = math.lgamma
-                        ln_thr = math.log(thr_hi) + _JUMP_MARGIN
-                        ln_c = math.log(c)
-                    else:
-                        ln_c = None
-                    while added < max_terms:
-                        if ln_c is not None and lower:
-                            # gallop, then bisect, to the first uncertified
-                            # step hi, or past the cap; lo is certified
-                            base = (math.log(lower) - lgamma(k + b0 + 1.0)
-                                    + lgamma(k + b1 + 1.0))
-                            cap = max_terms - added
-                            lo, hi, j = 0, cap + 1, 1
-                            while hi - lo > 1:
-                                if (base + lgamma(k + j + b0 + 1.0)
-                                        - lgamma(k + j + b1 + 1.0)
-                                        + j * ln_c > ln_thr):
-                                    lo = j
-                                else:
-                                    hi = j
-                                j = (min(2 * j, cap) if hi > cap
-                                     else (lo + hi) // 2)
-                            if hi > cap:
-                                added = max_terms
-                                k += cap
-                                continue
-                            added += hi
-                            k += hi
-                        else:
-                            added += 1
-                            k += 1.0
-                            lower *= (k + b0) / (k + b1) * c
-                            if thr_hi < lower < _INF:
-                                continue
-                        bound = tail(k)
-                        if bound <= threshold:
-                            if _EPS * sum_abs <= threshold:
-                                status = STATUS_CONVERGED
-                            break
-                        lower = bound if _TINY <= bound < _INF else 0.0
-                    else:
-                        bound = tail(k)
-                    break
-            else:
-                bound = tail(k)
-                if bound <= threshold:
-                    if _EPS * sum_abs <= threshold:
-                        status = STATUS_CONVERGED
-                    # roundoff floor above tolerance: more terms cannot help
-                    break
-                if k >= _STEP_FROM_P:
-                    if p_lo is None:
-                        b0, b1, c, p_lo = _tail_step(beta, beta_is_int, A, u,
-                                                     sa)
-                        if tol < _TINY or k0 + max_terms > _STEP_MAX_P:
-                            p_lo = _INF
-                    lower = (bound if k >= p_lo and _TINY <= bound < _INF
-                             else 0.0)
+                        < 1.0 - 1e-9 and (b0 >= b1 or c <= 1.0)):
+                    lgamma, ln_c = math.lgamma, math.log(c)
+                    ln_thr = math.log(threshold * _SKIP_MARGIN) + _JUMP_MARGIN
+                if added < max_terms:
+                    continue
         elif lower:
-            lower = 0.0
-        if added >= max_terms:
-            bound = tail(k)
+            # rule 3: gallop, then bisect, to the first uncertified step hi,
+            # or past the cap; lo is certified
+            base = (math.log(lower) - lgamma(k + b0 + 1.0)
+                    + lgamma(k + b1 + 1.0))
+            cap = max_terms - added
+            lo, hi, j = 0, cap + 1, 1
+            while hi - lo > 1:
+                if (base + lgamma(k + j + b0 + 1.0) - lgamma(k + j + b1 + 1.0)
+                        + j * ln_c > ln_thr):
+                    lo = j
+                else:
+                    hi = j
+                j = min(2 * j, cap) if hi > cap else (lo + hi) // 2
+            hi = min(hi, cap)
+            added += hi
+            k += hi
+        else:
+            # the last bound was not finite: no lower bound to jump on, so every p
+            # is evaluated, as under rule 1
+            added += 1
+            k += 1.0
+        bound = tail(k)
+        if bound <= threshold and size <= threshold:
+            if _EPS * sum_abs <= threshold:
+                status = STATUS_CONVERGED
+            # roundoff floor above tolerance: more terms cannot help
             break
+        if added >= max_terms:
+            break
+        if (k >= _STEP_FROM_P and tol >= _TINY
+                and k0 + max_terms <= _STEP_MAX_P):
+            b0, b1, c, p_lo = tail.step()
+            lower = bound if k >= p_lo and _TINY <= bound < _INF else 0.0
     floor = _EPS * sum_abs
     if floor > bound:
         bound = floor

@@ -543,7 +543,7 @@ def _f_at(pf: PowerFunction, t: float) -> tuple[float, float]:
 
 
 def _require_tol(tol: float) -> None:
-    if tol < _TOL_FLOOR:
+    if not tol >= _TOL_FLOOR:  # NaN too
         raise ValueError(f"tolerances below {_TOL_FLOOR:g} are not achievable")
 
 

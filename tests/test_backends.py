@@ -71,6 +71,9 @@ def test_sinpi_and_pole_index_match(cy):
     for x in (-7.0, -6.5, -1e-13, 0.0, 0.3, 12.0, 1234.25):
         assert _kernels_py.sinpi(x) == pytest.approx(cy.sinpi(x), abs=1e-15)
         assert _kernels_py.nonpos_int_index(x) == cy.nonpos_int_index(x)
+    # no pole index for NaN or an infinity, where the pure twin once raised
+    for x in (math.nan, math.inf, -math.inf):
+        assert _kernels_py.nonpos_int_index(x) == cy.nonpos_int_index(x) == -1
 
 
 def test_power_series_matches(cy):
@@ -252,18 +255,14 @@ def test_power_series_skips_the_bounds_that_cannot_stop_it(monkeypatch):
     # at a time takes 12 123, 7 911 and 51 861
     for call in (_EDGE_2_3, _EDGE_MINUS_1, _EDGE_MINUS_3_CAP):
         assert _line_events(_kernels_py.power_series, *call) <= 4000
-    build = _kernels_py._tail_bound_of_p
     evaluated = []
 
-    def counting_build(*args):
-        bound = build(*args)
-
-        def counting_bound(p):
+    class CountingBound(_kernels_py._TailBound):
+        def __call__(self, p):
             evaluated.append(p)
-            return bound(p)
-        return counting_bound
+            return super().__call__(p)
 
-    monkeypatch.setattr(_kernels_py, "_tail_bound_of_p", counting_build)
+    monkeypatch.setattr(_kernels_py, "_TailBound", CountingBound)
     for call in (_EDGE_2_3, _EDGE_MINUS_1, _EDGE_MINUS_3_CAP):
         evaluated.clear()
         _kernels_py.power_series(*call)
@@ -307,13 +306,37 @@ def _tail_outcome(fn, p):
 
 @pytest.mark.parametrize("args", _TAIL_BRANCHES + _TAIL_FAULTS)
 def test_tail_bound_evaluator_is_the_bound_at_every_p(args):
-    bound = _kernels_py._tail_bound_of_p(*args)
+    bound = _kernels_py._TailBound(*args)
     outcomes = [_tail_outcome(bound, p) for p in range(61)]
     assert outcomes == [
         _tail_outcome(lambda p: reference.series_tail_bound(*args, p), p)
         for p in range(61)]
     # the evaluator at a float p, as the series loop calls it
     assert [_tail_outcome(bound, float(p)) for p in range(61)] == outcomes
+
+
+def test_tail_bound_step_is_a_lower_bound_on_its_ratio():
+    # below the shift, in the two regimes that run long (beta = -m' < 0, and
+    # beta not an integer past p = beta + 1), the step's ratio times the
+    # bound at p - 1 never exceeds the bound at p, from p_lo to p = 2 000;
+    # the certified skip and the log-gamma jump of power_series rest on it
+    rng = random.Random(20261021)
+    for _ in range(40):
+        if rng.random() < 0.5:
+            beta, is_int = float(rng.randint(-8, -1)), 1
+        else:
+            beta, is_int = rng.uniform(-8.0, 3.0), 0
+        A = -(10.0 ** rng.uniform(-1.0, 1.0))
+        u = -0.5 * A * (1.0 - 10.0 ** rng.uniform(-4.0, -0.3))
+        sa = rng.uniform(-0.95, 0.95)
+        tail = _kernels_py._TailBound(beta, is_int, A, u, sa)
+        bounds = [tail(p) for p in range(2001)]
+        b0, b1, c, p_lo = tail.step()
+        assert p_lo <= max(beta + 2.0, 2.0 - sa)
+        for p in range(math.ceil(p_lo), 2001):
+            assert 0.0 < bounds[p - 1] < math.inf
+            assert (bounds[p] >= bounds[p - 1] * (p + b0) / (p + b1) * c
+                    * (1.0 - 1e-6)), (beta, is_int, A, u, sa, p)
 
 
 def test_tail_bound_branches_are_reached():

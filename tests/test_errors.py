@@ -95,7 +95,7 @@ def test_pure_tail_bound_is_inf_past_float_range(compiled_kernels):
     # beta = -400 below the shift: the bound after 1000 terms is far beyond
     # the float range; C's exp gives inf, and the pure twin must too
     args = (-400.0, 1, -2.0, 0.9916282032320572, 0.4415)
-    for bound in (_kernels_py._tail_bound_of_p(*args)(1000),
+    for bound in (_kernels_py._TailBound(*args)(1000),
                   compiled_kernels.series_tail_bound(*args, 1000)):
         assert bound == math.inf
     pf = rl.power_function(0.03164480437265205, rl.beta_int(-400))
@@ -103,6 +103,14 @@ def test_pure_tail_bound_is_inf_past_float_range(compiled_kernels):
     for kernels in (_kernels_py, compiled_kernels):
         with _backend(kernels), pytest.raises(rl.SeriesNotConverged):
             rl.rlfi_series_displaced(pf, win, 0.4415, -0.9767269923952907)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_hyp2f1_of_a_non_finite_parameter_is_typed(a, compiled_kernels):
+    # the pure twin's pole test once raised ValueError or OverflowError here
+    for kernels in (_kernels_py, compiled_kernels):
+        with _backend(kernels), pytest.raises(rl.HypNotConverged):
+            rl.hyp2f1(a, 1.0, 2.0, 0.5)
 
 
 # --- orders outside [0, 1] -------------------------------------------------

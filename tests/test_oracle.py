@@ -156,6 +156,16 @@ def test_quadrature_config_floor():
             quad(pf, 1.0, 0.0, 1.2, 1e-17)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+def test_quadrature_rejects_a_tolerance_that_is_not_a_positive_number(tol):
+    # a NaN tolerance once passed the floor check and halved panels down to
+    # the float resolution before raising ToleranceNotMet
+    pf = rl.power_function(0.0, rl.beta_rational(1, 2))
+    for quad in (rl.quad_rlfi, rl.quad_rlfd):
+        with pytest.raises(ValueError, match="not achievable"):
+            quad(pf, 1.0, 0.5, 1.5, tol)
+
+
 def test_quad_far_shift_is_not_a_staircase():
     # t - a = 4e5 next to |d| = 5e15: the integrand is evaluated in offsets
     # from the shift, so rounding leaves it smooth, and the call is fast
