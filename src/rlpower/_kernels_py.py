@@ -290,13 +290,15 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     fall within it long before B(p) does, and B(p) costs more than a term.
     Three rules skip the work that cannot change the outputs; they return
     the outputs of evaluating B(p) at every such p, bit for bit.  B(p) is
-    evaluated, and tested against the threshold, in one place of the loop,
-    where no rule certifies that it exceeds the threshold, and at max_terms.
+    evaluated, and tested against the threshold, in one place of the loop:
+    where the pending term is within the threshold and no rule certifies
+    that B(p) exceeds it, and at max_terms.
     No rule applies before a finite bound of at least 2^-1022 has been
-    evaluated at some p >= p_lo of ``_TailBound.step``, nor when tol is
+    evaluated at some p >= p_lo of ``_TailBound.step()``, nor when tol is
     below 2^-1022 (the threshold is at least tol), nor past k0 + max_terms =
     2^15.  Nor do they start before p = 16: mid-window calls stop at about
-    that term, a few bounds after their first.
+    that term, a few bounds after their first, and making the step costs
+    about as much as evaluating a bound.
 
     1. Certified skip.  The loop carries ``lower``: the last bound it
        evaluated, times the step's ratio at each p since, while every

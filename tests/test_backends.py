@@ -71,7 +71,7 @@ def test_sinpi_and_pole_index_match(cy):
     for x in (-7.0, -6.5, -1e-13, 0.0, 0.3, 12.0, 1234.25):
         assert _kernels_py.sinpi(x) == pytest.approx(cy.sinpi(x), abs=1e-15)
         assert _kernels_py.nonpos_int_index(x) == cy.nonpos_int_index(x)
-    # no pole index for NaN or an infinity, where the pure twin once raised
+    # NaN and the infinities are no pole on either twin
     for x in (math.nan, math.inf, -math.inf):
         assert _kernels_py.nonpos_int_index(x) == cy.nonpos_int_index(x) == -1
 

@@ -107,7 +107,8 @@ def test_pure_tail_bound_is_inf_past_float_range(compiled_kernels):
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
 def test_hyp2f1_of_a_non_finite_parameter_is_typed(a, compiled_kernels):
-    # the pure twin's pole test once raised ValueError or OverflowError here
+    # a non-finite parameter is no pole on either twin, so the series runs
+    # and its NaN or infinite terms stop it as diverged
     for kernels in (_kernels_py, compiled_kernels):
         with _backend(kernels), pytest.raises(rl.HypNotConverged):
             rl.hyp2f1(a, 1.0, 2.0, 0.5)
