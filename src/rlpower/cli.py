@@ -13,7 +13,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import hypergeom, oracle, series
 from .domain import (
@@ -38,8 +38,7 @@ _MACHINE_FMT = "%.17g"
 _ROUTES = ("closed", "hyp", "oracle", "series")
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     """One job, resolved once from the flags and the config file."""
 
     op: str                      # "J" | "D"
@@ -57,8 +56,7 @@ class JobSpec:
     out_path: str | None
 
 
-@dataclass
-class EvalRecord:
+class EvalRecord(NamedTuple):
     op: str
     alpha: float
     beta: str
@@ -72,7 +70,7 @@ class EvalRecord:
     status: str
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(EvalRecord))
+CSV_COLUMNS = EvalRecord._fields
 
 
 class JobResult:

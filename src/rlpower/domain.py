@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     CenteredNotAnalytic,
@@ -38,32 +38,48 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class IntegerExp:
+def _exponent_eq(self, other) -> bool:
+    # an exponent equals only one of its own class, where a bare tuple would
+    # make beta_int(1) == beta_real(1.0)
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _exponent_ne(self, other) -> bool:
+    return not _exponent_eq(self, other)
+
+
+class IntegerExp(NamedTuple):
     m: int
 
+    __eq__, __ne__, __hash__ = _exponent_eq, _exponent_ne, tuple.__hash__
 
-@dataclass(frozen=True)
-class RationalExp:
-    """Reduced fraction p/q with q >= 2; q = 1 belongs to IntegerExp."""
 
+class _Fraction(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.q < 1:
+
+class RationalExp(_Fraction):
+    """Reduced fraction p/q with q >= 2; q = 1 belongs to IntegerExp."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _exponent_eq, _exponent_ne, tuple.__hash__
+
+    def __new__(cls, p: int, q: int):
+        if q < 1:
             raise ValueError("RationalExp requires q >= 1")
-        g = gcd(self.p, self.q)
+        g = gcd(p, q)
         if g > 1:
-            object.__setattr__(self, "p", self.p // g)
-            object.__setattr__(self, "q", self.q // g)
-        if self.q == 1:
+            p, q = p // g, q // g
+        if q == 1:
             raise ValueError("RationalExp with q = 1 normalizes to IntegerExp")
+        return super().__new__(cls, p, q)
 
 
-@dataclass(frozen=True)
-class RealExp:
+class RealExp(NamedTuple):
     x: float
+
+    __eq__, __ne__, __hash__ = _exponent_eq, _exponent_ne, tuple.__hash__
 
 
 BetaIndex = IntegerExp | RationalExp | RealExp
@@ -137,8 +153,7 @@ def format_domain(spec: DomainSpec, d: float) -> str:
     return f"({d:g}, +inf)"
 
 
-@dataclass(frozen=True)
-class PowerFunction:
+class PowerFunction(NamedTuple):
     """The pair (d, beta) defining f(t) = (t - d)**beta plus its real domain."""
 
     d: float
@@ -228,8 +243,7 @@ def require_order(alpha: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class EvalWindow:
+class EvalWindow(NamedTuple):
     """Validated half-open evaluation interval [a, t_sup) for one lower limit;
     the window is centered when a equals the shift d."""
 

@@ -16,32 +16,35 @@ expansion per side of the shift:
       (t-d)^beta (t-a)^sa / Gamma(1+sa) 2F1(sa, -beta; 1+sa; z),
       z = (t-a)/(t-d) < 1/2 on the window.
 
-  Its cost stays flat up to the window edge.  The reported bound is a proven
-  geometric tail after the kernel's stop plus a measured roundoff floor on a
-  closed majorant of sum |term|.  At sa = 0 the 2F1 terminates at 1, and at
-  sa = -1 its removable pole c = 0 leaves f'(t).  For beta < -2 - sa the hyp
-  route's Pfaff transform on b sums this same term sequence, so there the
-  two routes differ only in arithmetic and the oracle is the independent
-  check.
-* Below the shift (a < d) f is expanded at the lower limit a, the displaced
-  series
+* Below the shift (a < d) f is expanded at the lower limit a, the paper's
+  displaced series
 
       sum_k Gamma(beta+1) (a-d)^(beta-k) (t-a)^(sa+k)
-            / (Gamma(beta-k+1) Gamma(sa+k+1)),
+            / (Gamma(beta-k+1) Gamma(sa+k+1))
+      = (a-d)^beta (t-a)^sa / Gamma(1+sa) 2F1(1, -beta; 1+sa; -w),
 
-  summed with a coefficient recurrence and compensated accumulation and
-  truncated when the proven integration-by-parts tail bound drops below
-  tolerance; its bound is that tail or the roundoff floor eps sum |term|,
-  whichever is larger.  Its window is half the distance to the shift, so
-  |w| <= 1/2 there.
+  and the route sums its Euler transform (DLMF 15.8.1 on both parameters)
 
-Integer beta >= 0 terminates either series naturally after m + 1 terms.  On
-the centered window a = d only the k = m term of the displaced series
-survives, and it is the centered gamma-ratio form
-Gamma(beta+1)/Gamma(beta+sa+1) (t-d)^(beta+sa).  One body, ``_centered``,
-evaluates that form for any beta > -1 with the roundoff floor of its
-arithmetic as the bound: the closed route's columns (terms 0) and, with
-terms m + 1, the series route's on the centered window.
+      (a-d)^beta (1+w)^(sa+beta) (t-a)^sa / Gamma(1+sa)
+          2F1(sa, 1+sa+beta; 1+sa; -w),
+
+  -w < 1/2 on the window, which is half the distance to the shift.
+
+One body, ``_gauss``, sums both sides on the one 2F1 kernel, and its cost
+stays flat up to the window edge.  The reported bound is a proven geometric
+tail after the kernel's stop plus a measured roundoff floor on a closed
+majorant of sum |term|.  At sa = 0 the 2F1 is 1, and at sa = -1 its
+removable pole c = 0 leaves f'(t).  For beta < -2 - sa above the shift the
+hyp route's Pfaff transform on b sums this same term sequence, so there the
+two routes differ only in arithmetic and the oracle is the independent
+check.
+
+On the centered window a = d only the k = m term of the displaced series
+survives for an integer beta = m >= 0, and it is the centered gamma-ratio
+form Gamma(beta+1)/Gamma(beta+sa+1) (t-d)^(beta+sa).  One body,
+``_centered``, evaluates that form for any beta > -1 with the roundoff floor
+of its arithmetic as the bound: the closed route's columns (terms 0) and,
+with terms m + 1, the series route's on the centered window.
 ``closed_centered`` is its one-point value.
 
 Orders 0 and 1 are admitted everywhere as reduction checks: alpha = 0 is the
@@ -57,18 +60,20 @@ route sums, after its front factors:
          not integer >= 0                            2F1(1, 1+sa+beta; 1+sa; z)
   above  beta < -2-sa       2F1(sa, -beta; 1+sa; z)  Pfaff on b:
                                                      2F1(-beta, sa; 1+sa; z)
-  below  any                the displaced series,    2F1(1, -beta; 1+sa; -w)
-                            ratio (beta-k) w/(sa+k+1)
+  below  any                Euler:                   2F1(1, -beta; 1+sa; -w)
+                            2F1(sa, 1+sa+beta;
+                                1+sa; -w)
   at d   beta > -1          the gamma ratio          none (WindowViolation)
 
-An integer m >= 0 stops both routes after m + 1 terms.  Where the hyp route
-takes Pfaff on b, it sums the series route's sequence (2F1 is symmetric in
-its first two parameters), and below the shift the two sequences coincide
-too: 2F1(1, -beta; 1+sa; -w) has the displaced series' term ratio and first
-term.  There the routes differ only in their arithmetic (kernel, gamma and
-stop rule), and the oracle is the independent check.  At sa = 0 the series
-route's 2F1 is 1; at sa = -1 it is f'(t) in closed form, and the hyp route
-sums 2F1(2, 1-beta; 2; -w) with the same Pfaff choice.
+An integer m >= 0 stops the hyp route after m + 1 terms, and the series
+route above the shift too.  Where the hyp route takes Pfaff on b, it sums
+the series route's sequence (2F1 is symmetric in its first two parameters),
+and there the routes differ only in their arithmetic (kernel, gamma and stop
+rule), and the oracle is the independent check.  Below the shift the two
+routes sum different sequences, the hyp route the displaced series' own.
+At sa = 0 the series route's 2F1 is 1; at sa = -1 it is f'(t) in closed
+form, and the hyp route sums 2F1(2, 1-beta; 2; -w) with the same Pfaff
+choice.
 """
 
 from __future__ import annotations
@@ -76,11 +81,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._backend import kernels
 from .domain import (
-    BetaIndex,
     EvalWindow,
     PowerFunction,
     beta_slack,
@@ -131,34 +135,17 @@ class SeriesStatus(enum.Enum):
 # the bodies name a status by its value; a dict, not SeriesStatus(name), maps
 # it back at the price of one lookup
 _STATUS = {status.value: status for status in SeriesStatus}
-_NAME_FROM_CODE = {
-    kernels.STATUS_CONVERGED: "converged",
-    kernels.STATUS_TRUNCATED: "truncated",
-    kernels.STATUS_DIVERGED: "diverged",
-}
 
 
 # a body's result over its points: (values, terms, bounds, status names)
 Columns = tuple[list[float], list[int], list[float], list[str]]
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     value: float
     terms_used: int
     remainder_bound: float
     status: SeriesStatus
-
-
-def _beta_kernel_form(beta: BetaIndex) -> tuple[float, int]:
-    """Float exponent plus an integer flag for the kernel's bound branches.
-
-    The flag goes by value, not by declared type: a RealExp that happens to
-    sit on an integer still terminates and bounds like the integer case.
-    """
-    b = beta_value(beta)
-    is_int = 1 if abs(b - math.floor(b + 0.5)) <= _INT_TOL else 0
-    return b, is_int
 
 
 def _scalar(columns: Columns, tol: float, op_name: str) -> SeriesResult:
@@ -186,24 +173,8 @@ def _series(pf: PowerFunction, win: EvalWindow, sa: float, ts: list[float],
         values, _, bounds, statuses = _centered(pf, sa, ts, tol)
         return values, [pf.beta.m + 1] * len(ts), bounds, statuses
     A = win.a - pf.d
-    front = branch_power(A, pf.beta)
-    if A > 0.0:
-        return _upper_limit(front, beta_value(pf.beta), A, win.a, sa, ts, tol,
-                            max_terms)
-    if ts and -1.0 < sa < 0.0 and kernels.nonpos_int_index(sa + 1.0) < 0:
-        # the kernel's first term carries u**sa, largest at the first point
-        float_power(ts[0] - win.a, sa)
-    b, is_int = _beta_kernel_form(pf.beta)
-    a, power_series, names = win.a, kernels.power_series, _NAME_FROM_CODE
-    values, terms, bounds, statuses = [], [], [], []
-    for t in ts:
-        value, n, bound, code = power_series(front, b, A, t - a, sa, is_int, tol,
-                                             max_terms)
-        values.append(value)
-        terms.append(n)
-        bounds.append(bound)
-        statuses.append(names[code])
-    return values, terms, bounds, statuses
+    return _gauss(branch_power(A, pf.beta), beta_value(pf.beta), A, win.a, sa,
+                  ts, tol, max_terms)
 
 
 def _centered(pf: PowerFunction, sa: float, ts: list[float],
@@ -286,36 +257,47 @@ def _digamma_size(y: float) -> float:
     return 1.0 / abs(y) + 1.0 / abs(y + 1.0) + math.log(2.0 + abs(y))
 
 
-def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
-                 ts: list[float], tol: float, max_terms: int) -> Columns:
-    """Above the shift, at each of the sorted points ts, with u = t - a,
-    w = u/A and z = w/(1+w) = (t-a)/(t-d) < 1/2:
+def _gauss(front: float, b: float, A: float, a: float, sa: float,
+           ts: list[float], tol: float, max_terms: int) -> Columns:
+    """At each of the sorted points ts, with u = t - a, w = u/A and
+    s = 1 + w, the Gauss form
 
-        front (1+w)^b u^sa / Gamma(1+sa) 2F1(sa, -b; 1+sa; z),
+        front s^P u^sa / Gamma(1+sa) 2F1(sa, Q; 1+sa; y),
 
-    front = (a-d)^b.  (1+w)^b lies between 2^-|b| and 2^|b|, and it is
-    multiplied into the 2F1 first, so the value underflows or overflows only
-    where the value itself does.
+    front = (a-d)^b on the real branch, and by side of the shift:
+
+    * above (A > 0): (P, Q, y) = (b, -b, w/s), y = (t-a)/(t-d) < 1/2;
+    * below (A < 0): (P, Q, y) = (sa+b, 1+sa+b, -w), y < 1/2.
+
+    Both are Euler's transformation (DLMF 15.8.1) of the paper's
+    2F1(1, -b; 1+sa; -w), above on its b parameter and below on both, so
+    0 <= y < 1/2 up to the window edge.  s^P is multiplied into the 2F1
+    first, so the value underflows or overflows only where the value itself
+    does.  front can be negative below the shift: the scale, the kernel
+    target and the bound take |front|, and the value its sign.
 
     The kernel's stop rule leaves the first omitted term |t_n| at most
-    0.5 tol' max(1, |F|) (1-z), and every later term ratio is at most
-    rho = z max(1, |n-b|/(n+1)), so the tail is at most |t_n|/(1-rho); the
-    kernel target tol' = tol/max(1, |front (1+w)^b u^sa/Gamma(1+sa)|) puts
+    0.5 tol' max(1, |F|) (1-y), and every later term ratio is at most
+    rho = y max(1, |n+Q|/(n+1)), so the tail is at most |t_n|/(1-rho); the
+    kernel target tol' = tol/max(1, |front s^P u^sa/Gamma(1+sa)|) puts
     that at the value's scale.  The roundoff floor is
-    (_FLOOR_ULPS + _FLOOR_ULPS_PER_B |b|) eps times the closed majorant
-    sum |t_k| <= max(1, -sa/(1+sa)) (1-z)^-|b|, or for b > 0 the smaller of
-    that and max(1, -sa/(1+sa)) (1+z)^ceil(b) / (1-z) (|(-b)_k/k!| is at
-    most binomial(ceil(b), k) below ceil(b) and at most 1 from there),
-    plus _TINY (1 + |(1+w)^b F|) for a value in the subnormal range.  A
-    kernel that terminates at an exponent or order snapped to an integer
+    (_FLOOR_ULPS + _FLOOR_ULPS_PER_B max(|b|, |Q|)) eps times the closed
+    majorant sum |t_k| <= max(1, -sa/(1+sa)) (1-y)^-|Q|, or for Q < 0 the
+    smaller of that and max(1, -sa/(1+sa)) (1+y)^ceil(-Q) / (1-y)
+    (|(Q)_k/k!| is at most binomial(ceil(-Q), k) below ceil(-Q) and at most
+    1 from there), plus _TINY (1 + |s^P F|) for a value in the subnormal
+    range.  A kernel that terminates at a parameter snapped to an integer
     within delta (the kernels' 1e-12) leaves a tail of at most
-    2 delta max(1, -sa/(1+sa)) (1-z)^-|b| / (1-z); exact integers leave 0.
+    2 delta max(1, -sa/(1+sa)) (1-y)^-|Q| / (1-y); exact integers leave 0.
 
     sa = -1 is the removable pole c = 0 of 2F1/Gamma(c), and the value is
-    f'(t) = front b/A (1+w)^(b-1).  An order within 1e-12 of 1 is summed as
-    1, as the kernels' pole test has it, with an unknown (inf) bound.
+    f'(t) = front b/A (1+w)^(b-1) on both sides.  An order within 1e-12 of
+    1 is summed as 1, as the kernels' pole test has it, with an unknown
+    (inf) bound.
     """
-    floor_ulps = (_FLOOR_ULPS + _FLOOR_ULPS_PER_B * abs(b)) * _EPS
+    above = A > 0.0
+    P, Q = (b, -b) if above else (sa + b, 1.0 + sa + b)
+    floor_ulps = (_FLOOR_ULPS + _FLOOR_ULPS_PER_B * max(abs(b), abs(Q))) * _EPS
     if kernels.nonpos_int_index(1.0 + sa) == 0:
         lead = front * b / A
         values = []
@@ -332,15 +314,16 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
                     ["converged"] * n)
         return values, [1] * n, [math.inf] * n, ["truncated"] * n
     c = 1.0 + sa
-    scale = front / math.gamma(c)  # > 0
+    scale = abs(front) / math.gamma(c)  # Gamma(c) > 0
+    negative = front < 0.0
     scale_sa = max(1.0, -sa / c)
     floor_sa = floor_ulps * scale_sa
     k_sa = kernels.nonpos_int_index(sa)
-    k_b = kernels.nonpos_int_index(-b)
+    k_q = kernels.nonpos_int_index(Q)
     # the kernel stops at the first zero parameter; snap is that parameter's
     # distance from its integer, or -1 when the series does not terminate
-    snap = abs(sa) if k_sa >= 0 else abs(b - k_b) if k_b >= 0 else -1.0
-    neg_b, ceil_b = -b, math.ceil(b)
+    snap = abs(sa) if k_sa >= 0 else abs(Q + k_q) if k_q >= 0 else -1.0
+    q_neg, ceil_q = Q < 0.0, math.ceil(-Q)
     hyp2f1_series, converged = kernels.hyp2f1_series, kernels.STATUS_CONVERGED
     values, terms, bounds, statuses = [], [], [], []
     for t in ts:
@@ -353,40 +336,48 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
             continue
         w = u / A
         s = 1.0 + w
-        z = w / s
+        # r = 1/(1-y)
+        if above:
+            y, r = w / s, s
+        else:
+            y, r = -w, 1.0 / s
         try:
             g = scale * u ** sa
-            s_b = s ** b
+            s_p = s ** P
+            # for Q < 0, the majorant's (1-y)^-|Q|: s^b = s^P above the
+            # shift, s^Q <= s^P below it
+            m1 = s_p if above or not q_neg else s ** Q
         except OverflowError:
-            g = s_b = math.inf
-        mag = g * s_b
+            g = s_p = math.inf
+        mag = g * s_p
         if not mag <= _FLOAT_MAX:
             raise ValueOverflow(f"series front at t={t!r} with beta={b!r}, "
                                 f"sa={sa!r} is beyond the float range")
         ktol = tol / mag if mag > 1.0 else tol
-        f, n, code = hyp2f1_series(sa, neg_b, c, z, ktol, max_terms)
-        sf = s_b * f
+        f, n, code = hyp2f1_series(sa, Q, c, y, ktol, max_terms)
+        sf = s_p * f
         value = g * sf
-        # (1+w)^b times the majorant's (1-z)^-|b| = (1+w)^|b|, or for b > 0
-        # its alternative (1+z)^ceil(b) / (1-z)
-        if b > 0.0:
+        # s^P times the majorant's (1-y)^-|Q| (sq), and times the smaller of
+        # that and, for Q < 0, (1+y)^ceil(-Q) / (1-y) (sm); for Q >= 0 their
+        # product is s^(P-Q): 1 above the shift, 1/s below it
+        if q_neg:
             try:
-                alt = (1.0 + z) ** ceil_b * s
+                alt = (1.0 + y) ** ceil_q * r
             except OverflowError:
                 alt = math.inf
-            sm = s_b * (s_b if s_b < alt else alt)
+            sq = s_p * m1
+            sm = s_p * (m1 if m1 < alt else alt)
         else:
-            sm = 1.0
+            sq = sm = 1.0 if above else r
         if code == converged:
             if snap < 0.0:
-                ratio = abs(n - b) / (n + 1.0)
-                rho = z * ratio if ratio > 1.0 else z
+                ratio = abs(n + Q) / (n + 1.0)
+                rho = y * ratio if ratio > 1.0 else y
                 size = abs(f)
-                tail = (0.5 * ktol * (size if size > 1.0 else 1.0) * (1.0 - z)
-                        / (1.0 - rho) * s_b) if rho < 1.0 else math.inf
-            else:  # on the (1-z)^-|b| majorant, as the snap bound needs
-                sm_b = s_b * s_b if b > 0.0 else 1.0
-                tail = 2.0 * snap * scale_sa * sm_b / (1.0 - z)
+                tail = (0.5 * ktol * (size if size > 1.0 else 1.0) * (1.0 - y)
+                        / (1.0 - rho) * s_p) if rho < 1.0 else math.inf
+            else:
+                tail = 2.0 * snap * scale_sa * sq / (1.0 - y)
         else:
             truncated = code == kernels.STATUS_TRUNCATED
             tail = scale_sa * sm if truncated else math.inf
@@ -398,7 +389,7 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
             status = "converged"
         else:
             status = "truncated"
-        values.append(value)
+        values.append(-value if negative else value)
         terms.append(n)
         bounds.append(bound)
         statuses.append(status)
@@ -408,10 +399,10 @@ def _upper_limit(front: float, b: float, A: float, a: float, sa: float,
 def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
                           t: float, tol: float = DEFAULT_TOL,
                           max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
-    """Fractional integral of order alpha by the displaced series.
+    """Fractional integral of order alpha by the series route.
 
-    t = a returns 0 (empty integration interval).  Integer beta >= 0
-    terminates naturally after m + 1 terms.
+    t = a returns 0 (empty integration interval).  Above the shift an
+    integer beta >= 0 terminates after m + 1 terms.
     """
     return _scalar(_series(pf, win, require_order(alpha), [t], tol, max_terms),
                    tol, "rlfi_series_displaced")
@@ -420,9 +411,9 @@ def rlfi_series_displaced(pf: PowerFunction, win: EvalWindow, alpha: float,
 def rlfd_series(pf: PowerFunction, win: EvalWindow, alpha: float, t: float,
                 tol: float = DEFAULT_TOL,
                 max_terms: int = DEFAULT_MAX_TERMS) -> SeriesResult:
-    """Fractional derivative of order alpha by the displaced series.
+    """Fractional derivative of order alpha by the series route.
 
-    The k = 0 term carries (t-a)**(-alpha), so t = a is genuinely singular
+    The value carries (t-a)**(-alpha), so t = a is genuinely singular
     for 0 < alpha < 1 and is reported as EvalAtLowerLimit rather than
     silently returning infinity.  On the centered window the one term left
     carries (t-d)**(m-alpha), which is 0 at t = a for m >= 1.

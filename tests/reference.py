@@ -10,11 +10,10 @@ exposes an intermediate the package does not return:
   as one closed term;
 * the alternating series for beta = -m, m >= 1;
 * the truncated displaced series and its explicit tail bound after p terms;
-* the pure twin's displaced-series kernel with its tail bound made afresh at
-  every p, the loop the package's pure kernel must match bit for bit;
 * the kernels that the compiled module exports and no route calls, in pure
-  Python: ``gamma_sign``, ``series_tail_bound``, ``power_series_partial``
-  and ``neg_int_series``;
+  Python: the displaced-series kernel ``power_series``, ``sinpi``,
+  ``gamma_value``, ``gamma_sign``, ``series_tail_bound``,
+  ``power_series_partial`` and ``neg_int_series``;
 * the Taylor route, which integrates the binomial expansion of f at a term by
   term;
 * the logarithm series of the beta = -1 integral at order 1;
@@ -55,8 +54,6 @@ from rlpower.series import (
     DEFAULT_TOL,
     SeriesResult,
     SeriesStatus,
-    _NAME_FROM_CODE,
-    _beta_kernel_form,
     _scalar,
 )
 
@@ -159,6 +156,17 @@ def gen_binomial(beta: float, k: int) -> float:
 
 
 # --- series paths -----------------------------------------------------------
+
+def _beta_kernel_form(beta) -> tuple[float, int]:
+    """Float exponent plus an integer flag for the kernel's bound branches.
+
+    The flag goes by value, not by declared type: a RealExp that happens to
+    sit on an integer still terminates and bounds like the integer case.
+    """
+    b = beta_value(beta)
+    is_int = 1 if abs(b - math.floor(b + 0.5)) <= _INT_TOL else 0
+    return b, is_int
+
 
 def _guard_lower_limit(a: float, sa: float, t: float) -> None:
     # the k = 0 term carries (t-a)**sa, singular at t = a for -1 < sa < 0
@@ -338,17 +346,17 @@ def taylor_route(pf: PowerFunction, a: float, alpha: float, t: float,
 
 
 # --- the series kernels in pure Python --------------------------------------
-# The pure twin's power_series and series_tail_bound as they were before the
-# loop built its tail bound once per call, and the kernels that only the
-# tests call (gamma_sign, power_series_partial and neg_int_series, which the
-# compiled module still exports), with their own copies of the helpers and
-# constants they call, so that a change to the package's copies shows.  The
-# package's pure power_series must return what this one does, bit for bit, or
-# raise the same exception.
+# The kernels that the compiled module exports and only the tests call, with
+# their own copies of the helpers and constants they call.  power_series
+# makes its tail bound afresh at every p within the tolerance; the compiled
+# twin returns the same value, terms and status.
 
 _STATUS_CONVERGED = 0
 _STATUS_TRUNCATED = 1
 _STATUS_DIVERGED = 2
+_NAME_FROM_CODE = {_STATUS_CONVERGED: "converged",
+                   _STATUS_TRUNCATED: "truncated",
+                   _STATUS_DIVERGED: "diverged"}
 _HUGE = 1e290
 _EPS = 2.220446049250313e-16
 _SQRT_TWO_PI = 2.5066282746310002
@@ -366,7 +374,7 @@ _LANCZOS = (
 )
 
 
-def _sinpi(x: float) -> float:
+def sinpi(x: float) -> float:
     """sin(pi*x) with argument reduction done on x, accurate near integers."""
     n = math.floor(x + 0.5)
     s = math.sin(math.pi * (x - n))
@@ -387,10 +395,10 @@ def _gamma_positive(z: float) -> float:
     return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-def _gamma_value(z: float) -> float:
+def gamma_value(z: float) -> float:
     """Gamma for non-pole arguments; reflection below 0.5."""
     if z < 0.5:
-        return math.pi / (_sinpi(z) * _gamma_positive(1.0 - z))
+        return math.pi / (sinpi(z) * _gamma_positive(1.0 - z))
     return _gamma_positive(z)
 
 
@@ -408,7 +416,7 @@ def gamma_sign(z: float) -> float:
     """Sign of Gamma at a non-pole argument."""
     if z > 0.0:
         return 1.0
-    return 1.0 if _sinpi(z) > 0.0 else -1.0
+    return 1.0 if sinpi(z) > 0.0 else -1.0
 
 
 def _start_index(sa: float) -> int:
@@ -463,8 +471,9 @@ def series_tail_bound(beta: float, beta_is_int: int, A: float, u: float,
             else:
                 # |Gamma(beta-p+2)| rewritten through reflection so no huge
                 # intermediate gamma is ever formed.
-                ln_ratio = (math.lgamma(beta + 1.0) + math.log(abs(_sinpi(beta)))
-                            - math.log(math.pi) + math.lgamma(p - beta - 1.0))
+                ln_ratio = (math.lgamma(beta + 1.0)
+                            + math.log(abs(sinpi(beta))) - math.log(math.pi)
+                            + math.lgamma(p - beta - 1.0))
         nu = beta - p + 1.0
         e1 = nu * math.log(abs_td)
         e2 = nu * math.log(abs_a)
@@ -500,7 +509,7 @@ def power_series(front: float, beta: float, A: float, u: float, sa: float,
     coef = front
     for j in range(k0):
         coef *= (beta - j) / A
-    term = coef * u ** (sa + k0) / _gamma_value(sa + k0 + 1.0)
+    term = coef * u ** (sa + k0) / gamma_value(sa + k0 + 1.0)
     total = 0.0
     comp = 0.0
     sum_abs = 0.0
@@ -557,7 +566,7 @@ def power_series_partial(front: float, beta: float, A: float, u: float,
     coef = front
     for j in range(k0):
         coef *= (beta - j) / A
-    term = coef * u ** (sa + k0) / _gamma_value(sa + k0 + 1.0)
+    term = coef * u ** (sa + k0) / gamma_value(sa + k0 + 1.0)
     total = 0.0
     comp = 0.0
     for k in range(k0, p):
@@ -586,7 +595,7 @@ def neg_int_series(m: int, A: float, u: float, sa: float, tol: float,
     r = 1.0
     for j in range(k0):
         r *= (m + j)
-    r /= _gamma_value(sa + k0 + 1.0)
+    r /= gamma_value(sa + k0 + 1.0)
     s = A ** (-(m + k0)) * u ** (sa + k0)
     if k0 & 1:
         s = -s
@@ -685,7 +694,7 @@ def connection_a6(alpha: float, beta: float, z: float) -> tuple[float, float]:
     if not 0.0 < z < 1.0:
         raise ArgOutOfDisk(f"connection split needs 0 < z < 1, got z={z!r}")
     c1 = gamma_ratio(s, s + 1.0) * gamma_ratio(alpha + 1.0, alpha)
-    c2 = _gamma_value(alpha + 1.0) * gamma_ratio(-s, -beta)
+    c2 = gamma_value(alpha + 1.0) * gamma_ratio(-s, -beta)
     return (c1 * hyp2f1(1.0, -beta, 1.0 - s, z),
             c2 * z ** s * hyp2f1(alpha, s + 1.0, s + 1.0, z))
 

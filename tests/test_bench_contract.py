@@ -97,7 +97,7 @@ def test_check_pass_captures_every_record_of_run_job(child, tmp_path,
             continue
         if job.out_format == "csv":
             assert entry["rc"] == (2 if truncated else 0)
-            emitted = [list(vars(r).values())
+            emitted = [list(r._asdict().values())
                        for r in parse_csv_records(entry["output"])]
         else:
             assert entry["rc"] == 2

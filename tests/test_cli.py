@@ -656,7 +656,7 @@ def _emitted(result, out_format):
 
 
 def _jsonl_lines(records):
-    return "".join(json.dumps(vars(r)) + "\n" for r in records)
+    return "".join(json.dumps(r._asdict()) + "\n" for r in records)
 
 
 def _csv_lines(records):
@@ -664,7 +664,8 @@ def _csv_lines(records):
     for r in records:
         lines.append(",".join(field if isinstance(field, str) else
                               str(field) if isinstance(field, int) else
-                              "%.17g" % field for field in vars(r).values()))
+                              "%.17g" % field
+                              for field in r._asdict().values()))
     return "".join(line + "\n" for line in lines)
 
 
@@ -685,7 +686,7 @@ def test_job_result_is_its_records_t_major():
     result = _writer_job(_HEADS[1])
     records = list(result)
     assert len(result) == len(records) == len(result.ts) * 4
-    assert [vars(r) for r in result] == [vars(r) for r in records]
+    assert [r._asdict() for r in result] == [r._asdict() for r in records]
     for k, r in enumerate(records):
         i, j = divmod(k, 4)
         values, terms, remainders, statuses = result.columns[j]

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import ast
 import inspect
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -109,9 +111,9 @@ def test_every_module_level_definition_is_referenced_in_the_package():
 
 
 # the modules that run the routes, and what they may take from the kernel
-# backend: the two series loops, the pole test and the status codes
+# backend: the 2F1 loop, the pole test and the status codes
 ROUTE_MODULES = ("series", "hypergeom", "cli", "oracle", "domain")
-ROUTE_KERNELS = {"nonpos_int_index", "power_series", "hyp2f1_series",
+ROUTE_KERNELS = {"nonpos_int_index", "hyp2f1_series",
                  "STATUS_CONVERGED", "STATUS_TRUNCATED", "STATUS_DIVERGED",
                  "STATUS_PARAM_POLE", "STATUS_ARG_OUT"}
 
@@ -134,3 +136,15 @@ def test_routes_call_only_the_route_kernels():
                              & {"_kernels_py", "_kernels_cy"}}
     assert named == ROUTE_KERNELS
     assert imported == set()
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples: importing the package and its CLI loads
+    # neither dataclasses nor what it pulls in (inspect, ast, dis, tokenize)
+    code = ("import sys, rlpower, rlpower.cli; "
+            "sys.exit(bool({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # without the site module, whose .pth files may import anything
+    env = {"PATH": "/usr/bin:/bin",
+           "PYTHONPATH": str(Path(rlpower.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env)
+    assert proc.returncode == 0

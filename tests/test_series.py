@@ -10,7 +10,6 @@ import pytest
 
 import rlpower as rl
 from rlpower import SeriesStatus, _kernels_py, series
-from rlpower._backend import kernels
 from rlpower.domain import beta_value
 from rlpower.errors import (
     BetaOutOfRange,
@@ -23,7 +22,9 @@ from conftest import rel_err
 from reference import (
     _polynomial,
     centered_exact,
+    displaced_exact,
     gamma_ratio,
+    gamma_value,
     partial_sum,
     remainder_bound,
     rlfd_neg_integer,
@@ -491,7 +492,7 @@ def test_recurrence_matches_fresh_gamma_coefficients():
         term = partial_sum(pf, win, alpha, t, p) - prev
         prev = partial_sum(pf, win, alpha, t, p)
         direct = (gamma_ratio(b + 1.0, b - (p - 1) + 1.0)
-                  / kernels.gamma_value(alpha + (p - 1) + 1.0)
+                  / gamma_value(alpha + (p - 1) + 1.0)
                   * (1.0) ** (b - (p - 1)) * (t - 1.0) ** (alpha + p - 1))
         assert term == pytest.approx(direct, rel=1e-10, abs=1e-250)
 
@@ -519,21 +520,23 @@ def test_taylor_route_alpha_zero_is_taylor_sum():
 
 
 def test_roundoff_floor_reported_honestly():
-    # steep exponent near the window edge below the shift: alternating terms
-    # grow ~4e6 above the result, so double precision cannot reach 1e-10 and
-    # must say so
+    # steep exponent near the window edge below the shift: the displaced
+    # series' terms alternate and grow ~4e6 above the result, but Euler's
+    # form sums terms of one sign, so its roundoff floor stays below 1e-10
+    # and the value converges within its bound
     pf = rl.power_function(0.0, rl.beta_rational(80, 3))
     win = _win(pf, -4.0)
     alpha, t = 0.05, -2.2
-    oracle = rl.quad_rlfi(pf, win.a, alpha, t).value
-    with pytest.raises(SeriesNotConverged) as exc:
-        rl.rlfi_series_displaced(pf, win, alpha, t)
-    res = exc.value.result
-    assert abs(res.value - oracle) <= res.remainder_bound
-    # a tolerance above the roundoff floor converges, with an honest bound
+    exact = displaced_exact(pf.beta, 0.0, -4.0, alpha, t)
+    res = rl.rlfi_series_displaced(pf, win, alpha, t)
+    assert res.status is SeriesStatus.CONVERGED
+    assert abs(mp.mpf(res.value) - exact) <= res.remainder_bound
+    assert res.remainder_bound <= 1e-10 * abs(res.value)
+    # a looser tolerance stops sooner, with an honest bound
     loose = rl.rlfi_series_displaced(pf, win, alpha, t, tol=1e-3)
     assert loose.status is SeriesStatus.CONVERGED
-    assert abs(loose.value - oracle) <= loose.remainder_bound
+    assert loose.terms_used < res.terms_used
+    assert abs(mp.mpf(loose.value) - exact) <= loose.remainder_bound
     assert loose.remainder_bound <= 1e-3 * max(1.0, abs(loose.value))
 
 
