@@ -1,4 +1,6 @@
-"""Compiled and pure-Python kernels must agree on a shared workload.
+"""Compiled and pure-Python kernels must agree on a shared workload, and the
+compiled kernels that no route calls must agree with their pure copies in
+``reference.py``.
 
 ``cy`` is the compiled module, built from the shipped C file by the
 ``compiled_kernels`` fixture when it is not installed.
@@ -166,6 +168,7 @@ _EDGE_MINUS_3_CAP = (-1.0, -3.0, -1.0, 0.999 * 0.5, 0.5, 1, 1e-10, 10000)
 @example(call=(1.0, 4.0 / 3.0, -1.0, 0.999 * 0.5, -0.25, 0, 1e-10, 10000))
 @example(call=_EDGE_MINUS_1)
 @example(call=(-1.0, -3.0, -1.0, 0.99 * 0.5, -0.5, 1, 1e-10, 10000))
+@example(call=(-1.0, -3.0, -1.0, 0.99 * 0.5, -0.75, 1, 1e-10, 10000))
 @example(call=_EDGE_MINUS_3_CAP)
 # tol 0, and tol 1e-320, where the bound reaches the subnormal range
 @example(call=_EDGE_2_3[:6] + (0.0, 10000))
@@ -174,14 +177,19 @@ _EDGE_MINUS_3_CAP = (-1.0, -3.0, -1.0, 0.999 * 0.5, 0.5, 1, 1e-10, 10000)
 @example(call=(0.0,) + _EDGE_2_3[1:])
 # above the shift at 0.999 of the window
 @example(call=(1.0, 7.0 / 3.0, 2.0, 0.999 * 2.0, -0.6, 0, 1e-15, 10000))
-# the term cap at the edge, and just before, at and after the stop at term
-# 2 119
+# the term cap at the edge, just before, at and after the stop at term
+# 2 119, and in the run to the cap
 @example(call=_EDGE_2_3[:7] + (5,))
+@example(call=_EDGE_2_3[:7] + (50,))
 @example(call=_EDGE_2_3[:7] + (2118,))
 @example(call=_EDGE_2_3[:7] + (2119,))
 @example(call=_EDGE_2_3[:7] + (2120,))
+@example(call=_EDGE_MINUS_3_CAP[:7] + (5000,))
 # a non-integer beta with beta + sa <= -1
 @example(call=(1.0, -7.5, -1.0, 0.999 * 0.5, 0.9, 0, 1e-12, 3000))
+# u just past the half-window below the shift, where the tail bound falls to
+# a minimum near term 272 and grows again
+@example(call=(1.0, 2.0 / 3.0, -1.0, 0.502, 0.5, 0, 5.2e-6, 1000))
 def test_power_series_matches_its_reference(compiled_kernels, call):
     # the compiled kernel against the reference, which makes its tail bound
     # afresh at every p within the tolerance

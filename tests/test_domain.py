@@ -60,6 +60,22 @@ def test_rational_q_one_rejected_directly():
         RationalExp(3, 1)
     with pytest.raises(ValueError):
         RationalExp(1, 0)
+    # reduced when built directly too
+    assert RationalExp(4, 6) == rl.beta_rational(2, 3)
+
+
+def test_exponents_equal_only_within_their_class():
+    # the records are tuples, but an exponent is not equal to one of
+    # another class with the same fields, nor to a bare tuple
+    assert rl.beta_int(1) != rl.beta_real(1.0)
+    assert not rl.beta_int(1) == rl.beta_real(1.0)
+    assert rl.beta_int(1) != (1,)
+    assert rl.beta_rational(1, 2) != (1, 2)
+    assert rl.beta_int(1) == rl.beta_int(1)
+    assert len({rl.beta_int(1), rl.beta_real(1.0), rl.beta_int(1)}) == 2
+    with pytest.raises(AttributeError):
+        rl.beta_int(1).m = 2
+    assert repr(rl.beta_rational(2, 4)) == "RationalExp(p=1, q=2)"
 
 
 def test_make_window_rejects_a_outside_domain():
